@@ -80,16 +80,16 @@ def main():
         for ex in valid_set:
             res = generation.generate(model, ex.triples, lexicon,
                                       evaluation.item_surface_for(ex, lexicon),
-                                      beam_width=10, t_max=60, types=types)
+                                      beam_width=10, t_max=60)
             cands.append(res[0].final_tokens)
         print(f"\n{cell}: {result.epochs_run} epochs, valid perplexity {ppx:.3f}")
         rows[cell] = score(f"triples2{cell}", cands)
 
     print()
-    kb = evaluation.kn_baseline(train_set, valid_set, lexicon, types)
+    kb = evaluation.kn_baseline(train_set, valid_set, lexicon)
     print(f"{'kneser-ney (5-gram)':<22} BLEU-4 {kb.bleu[4]:7.2f}   "
           f"BLEU-1 {kb.bleu[1]:7.2f}   ROUGE-L {kb.rouge_l:7.2f}")
-    rb = evaluation.random_baseline(train_set, valid_set, lexicon, types,
+    rb = evaluation.random_baseline(train_set, valid_set, lexicon,
                                     samples=10, seed=args.seed)
     print(f"{'random retrieval':<22} BLEU-4 {rb.bleu[4]:7.2f}   "
           f"BLEU-1 {rb.bleu[1]:7.2f}   ROUGE-L {rb.rouge_l:7.2f}")

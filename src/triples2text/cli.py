@@ -118,7 +118,6 @@ def build_parser() -> _Parser:
     b.add_argument("--target-vocab-min-count", type=int)
     b.add_argument("--year-min", type=int)
     b.add_argument("--year-max", type=int)
-    b.add_argument("--threads", type=int, default=1)
 
     v = add_parser("build-vocab", help="build source/target dictionaries")
     v.add_argument("--corpus", required=True)
@@ -159,7 +158,6 @@ def build_parser() -> _Parser:
     g.add_argument("--source-vocab", required=True)
     g.add_argument("--target-vocab", required=True)
     g.add_argument("--lexicon")
-    g.add_argument("--types")
     g.add_argument("--genders", help="gender lexicon applied to raw --triples input")
     g.add_argument("--from-corpus", help="aligned corpus whose triple sets to use")
     g.add_argument("--limit", type=int)
@@ -176,7 +174,6 @@ def build_parser() -> _Parser:
     e.add_argument("--target-vocab", required=True)
     e.add_argument("--corpus", required=True)
     e.add_argument("--lexicon")
-    e.add_argument("--types")
     e.add_argument("--beam", type=int, default=10)
     e.add_argument("--t-max", type=int, default=80)
     e.add_argument("--out", help="JSON report path")
@@ -187,7 +184,6 @@ def build_parser() -> _Parser:
     s.add_argument("--train-corpus", required=True)
     s.add_argument("--eval-corpus", required=True)
     s.add_argument("--lexicon")
-    s.add_argument("--types")
     s.add_argument("--samples", type=int, default=10)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--order", type=int, default=5)
@@ -250,7 +246,6 @@ def cmd_build_corpus(args, cfg):
         year_min=_pick(args.year_min, cfg, "year_min", int, 1000),
         year_max=_pick(args.year_max, cfg, "year_max", int, 2100),
         gender_lexicon=genders,
-        threads=args.threads,
     )
     articles = pipeline.read_articles(triples, summaries)
     examples, stats, lexicon = pipeline.build_corpus(articles, types, pcfg)
@@ -344,14 +339,9 @@ def _load_lexicon(args) -> dict[str, str]:
     return pipeline.read_tsv_map(args.lexicon) if args.lexicon else {}
 
 
-def _load_types(args) -> dict[str, str]:
-    return pipeline.read_tsv_map(args.types) if args.types else {}
-
-
 def cmd_generate(args, cfg):
     model, _, _ = _load_model(args)
     lexicon = _load_lexicon(args)
-    types = _load_types(args)
     results = []
     if args.from_corpus:
         examples = pipeline.read_corpus(args.from_corpus)
@@ -361,17 +351,16 @@ def cmd_generate(args, cfg):
             item_surface = evaluation.item_surface_for(ex, lexicon)
             results.extend(generation.generate(
                 model, ex.triples, lexicon, item_surface, args.beam, args.t_max,
-                types, input_id=str(i)))
+                input_id=str(i)))
     elif args.triples:
         main = _require(args.main, "--main")
         raw = pipeline.read_ntriples(args.triples)
         genders = pipeline.read_tsv_map(args.genders) if args.genders else None
         pcfg = PipelineConfig(mode=model.config.mode, gender_lexicon=genders)
-        triples = generation.prepare_raw_triples(raw, main, pcfg, types)
-        triples = pipeline.attach_types(triples, types)
+        triples = generation.prepare_raw_triples(raw, main, pcfg)
         item_surface = args.item_surface or lexicon.get(main) or generation.prettify_uri(main)
         results.extend(generation.generate(model, triples, lexicon, item_surface,
-                                           args.beam, args.t_max, types, input_id=main))
+                                           args.beam, args.t_max, input_id=main))
     else:
         raise UsageError("generate needs --from-corpus or --triples/--main")
     if args.out:
@@ -387,7 +376,6 @@ def cmd_generate(args, cfg):
 def cmd_evaluate(args, cfg):
     model, _, _ = _load_model(args)
     lexicon = _load_lexicon(args)
-    types = _load_types(args)
     examples = pipeline.read_corpus(args.corpus)
     if not examples:
         raise PipelineError(f"{args.corpus}: no examples to evaluate")
@@ -396,7 +384,7 @@ def cmd_evaluate(args, cfg):
     for i, ex in enumerate(examples):
         item_surface = evaluation.item_surface_for(ex, lexicon)
         top = generation.generate(model, ex.triples, lexicon, item_surface,
-                                  args.beam, args.t_max, types, input_id=str(i))
+                                  args.beam, args.t_max, input_id=str(i))
         cands.append(top[0].final_tokens if top else [])
         refs.append(evaluation.reference_final(ex))
         counts.append(len(ex.triples))
@@ -417,13 +405,12 @@ def cmd_baseline(args, cfg):
     train_examples = pipeline.read_corpus(args.train_corpus)
     eval_examples = pipeline.read_corpus(args.eval_corpus)
     lexicon = _load_lexicon(args)
-    types = _load_types(args)
     if args.kind == "random":
         report = evaluation.random_baseline(train_examples, eval_examples, lexicon,
-                                            types, args.samples, args.seed)
+                                            args.samples, args.seed)
     else:
         report = evaluation.kn_baseline(train_examples, eval_examples, lexicon,
-                                        types, args.order, args.beam, args.t_max)
+                                        args.order, args.beam, args.t_max)
     print(report.to_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ comparison against descriptions that use one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class DecoderState:
     """Per-layer hidden vectors (and cell vectors for the LSTM), batch-major."""
     hs: list[nn.Node]
     cs: list[nn.Node]
-    t: int = 0
 
     def batch_size(self) -> int:
         return self.hs[0].value.shape[0]
@@ -91,7 +90,7 @@ class Decoder:
         zeros = lambda: nn.leaf(np.zeros((batch, self.m)))
         hs = [h0] + [zeros() for _ in range(self.layers - 1)]
         cs = [zeros() for _ in range(self.layers)] if self.cell_kind == LSTM else []
-        return DecoderState(hs=hs, cs=cs, t=0)
+        return DecoderState(hs=hs, cs=cs)
 
     def step(self, tape: nn.Tape | None, x: Array, state: DecoderState) -> tuple[DecoderState, nn.Node]:
         """Advance one timestep on a batch of token indices.
@@ -132,16 +131,14 @@ class Decoder:
                 h = nn.add(tape, nn.mul(tape, keep, h_prev), nn.mul(tape, u_g, cand))
             new_hs.append(h)
             below = h
-        return DecoderState(hs=new_hs, cs=new_cs, t=state.t + 1), below
+        return DecoderState(hs=new_hs, cs=new_cs), below
 
     def logits(self, tape: nn.Tape | None, h_top: nn.Node) -> nn.Node:
         return nn.affine(tape, h_top, self._p(tape, self.out_w), self._p(tape, self.out_b))
 
     def output_distribution(self, h_top: Array) -> Array:
         """Probabilities over the target vocabulary with padding masked out."""
-        logits = h_top @ self.out_w.value + self.out_b.value
-        lp = nn.masked_log_softmax(logits, [self.pad_index])
-        return np.exp(lp)
+        return np.exp(self.log_distribution(h_top))
 
     def log_distribution(self, h_top: Array) -> Array:
         logits = h_top @ self.out_w.value + self.out_b.value

@@ -203,7 +203,6 @@ def item_surface_for(example: AlignedExample, lexicon: Mapping[str, str]) -> str
 def random_baseline(train_examples: Sequence[AlignedExample],
                     eval_examples: Sequence[AlignedExample],
                     lexicon: Mapping[str, str],
-                    types: Mapping[str, str] | None = None,
                     samples: int = 10, seed: int = 0) -> MetricReport:
     """Answer every evaluation input with a uniformly sampled training
     summary, resolve its placeholders against the input triples, score,
@@ -221,8 +220,7 @@ def random_baseline(train_examples: Sequence[AlignedExample],
             pick = train_examples[int(rng.integers(len(train_examples)))]
             toks = [t.text for t in pick.summary_tokens]
             final_tokens, _ = postprocess(toks, ex.triples, lexicon,
-                                          item_surface_for(ex, lexicon),
-                                          types, pick.mode)
+                                          item_surface_for(ex, lexicon), pick.mode)
             cands.append(final_tokens)
         rounds.append({
             **{f"bleu{k}": bleu_n(cands, references, k) for k in (1, 2, 3, 4)},
@@ -421,7 +419,6 @@ def kn_generate(kn: KNModel, beam_width: int = 10, t_max: int = 80) -> list[list
 def kn_baseline(train_examples: Sequence[AlignedExample],
                 eval_examples: Sequence[AlignedExample],
                 lexicon: Mapping[str, str],
-                types: Mapping[str, str] | None = None,
                 n: int = 5, beam_width: int = 10, t_max: int = 80) -> MetricReport:
     """Generate the beam's best unconditional summary once, then resolve
     it against each input's triples."""
@@ -434,8 +431,7 @@ def kn_baseline(train_examples: Sequence[AlignedExample],
     cands = []
     for ex in eval_examples:
         final_tokens, _ = postprocess(best, ex.triples, lexicon,
-                                      item_surface_for(ex, lexicon),
-                                      types, train_examples[0].mode)
+                                      item_surface_for(ex, lexicon), train_examples[0].mode)
         cands.append(final_tokens)
     report = score_pairs(cands, references)
     return report

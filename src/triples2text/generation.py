@@ -27,11 +27,10 @@ import numpy as np
 from . import nn
 from .decoder import DecoderState
 from .model import Seq2Seq
-from .pipeline import (ENTITY, MODE_TUPLES, MODE_URI, PipelineConfig, Triple,
+from .pipeline import (ENTITY, MODE_URI, PipelineConfig, Triple, augment_gender,
                        dedup_triples, filter_triples, normalize_triples,
                        substitute_item_in_triples)
-from .tokens import (END, ITEM, PAD, START, UNK, parse_placeholder,
-                     parse_tuple_token)
+from .tokens import END, ITEM, PAD, START, parse_placeholder, parse_tuple_token
 
 Array = np.ndarray
 
@@ -175,7 +174,6 @@ def _surface_for(uri: str, lexicon: Mapping[str, str]) -> str:
 
 def postprocess(tokens: Sequence[str], triples: Sequence[Triple],
                 lexicon: Mapping[str, str], item_surface: str,
-                types: Mapping[str, str] | None = None,
                 mode: str = MODE_URI) -> tuple[list[str], str]:
     """Resolve generated tokens into final text tokens and a detokenised
     string. Resolution is total: an unmatched placeholder falls back to
@@ -232,21 +230,18 @@ class GenerationResult:
 
 def generate(model: Seq2Seq, triples: Sequence[Triple], lexicon: Mapping[str, str],
              item_surface: str, beam_width: int = 10, t_max: int = 80,
-             types: Mapping[str, str] | None = None,
-             input_id: str = "0",
-             check_bounds: bool = True) -> list[GenerationResult]:
+             input_id: str = "0") -> list[GenerationResult]:
     """Encode one normalised triple set, beam-search, post-process each
     hypothesis. The triple count must respect the corpus bounds the model
     was trained with."""
     if not triples:
         raise GenerationInputError("empty triple set")
-    if check_bounds:
-        lo = model.config.bound_lower
-        hi = model.config.bound_upper
-        if len(triples) < lo or (hi is not None and len(triples) > hi):
-            raise GenerationInputError(
-                f"triple count {len(triples)} outside the corpus bounds "
-                f"[{lo}, {hi}] used in training")
+    lo = model.config.bound_lower
+    hi = model.config.bound_upper
+    if len(triples) < lo or (hi is not None and len(triples) > hi):
+        raise GenerationInputError(
+            f"triple count {len(triples)} outside the corpus bounds "
+            f"[{lo}, {hi}] used in training")
     encoded = model.encode_triple_set(triples)
     scorer = ModelScorer(model, encoded)
     hyps = beam_search(scorer, beam_width, t_max, model.end_index)
@@ -254,7 +249,7 @@ def generate(model: Seq2Seq, triples: Sequence[Triple], lexicon: Mapping[str, st
     for rank, h in enumerate(hyps):
         toks = [model.target_vocab.decode(i) for i in h.tokens]
         final_tokens, text = postprocess(toks, triples, lexicon, item_surface,
-                                         types, model.config.mode)
+                                         model.config.mode)
         results.append(GenerationResult(input_id=input_id, rank=rank,
                                         log_prob=h.log_prob, tokens=toks,
                                         final_tokens=final_tokens, final_text=text))
@@ -262,8 +257,7 @@ def generate(model: Seq2Seq, triples: Sequence[Triple], lexicon: Mapping[str, st
 
 
 def prepare_raw_triples(triples: Sequence[Triple], main: str,
-                        config: PipelineConfig,
-                        types: Mapping[str, str] | None = None) -> list[Triple]:
+                        config: PipelineConfig) -> list[Triple]:
     """Pipeline normalisation for a raw triple set at generation time:
     allocate the triples touching the main entity, filter strings, encode
     dates, normalise numbers, substitute <item>, append the gender triple
@@ -276,7 +270,6 @@ def prepare_raw_triples(triples: Sequence[Triple], main: str,
     if not hit:
         raise GenerationInputError(f"main entity {main} absent from the triple set")
     if config.gender_lexicon is not None:
-        from .pipeline import augment_gender
         out = augment_gender(out, main, config.gender_lexicon, config.gender_predicate)
     return dedup_triples(out)
 

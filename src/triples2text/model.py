@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .decoder import CELL_KINDS, Decoder, DecoderState, LSTM
 from .encoder import TripleEncoder
-from .pipeline import AlignedExample, CorpusStats, Triple
+from .pipeline import AlignedExample, Triple
 from .tokens import END, PAD, START
 from .vocab import Vocabulary
 
@@ -90,13 +90,7 @@ class Seq2Seq:
         discarded here; subjects and objects resolve through the source
         fallback chain.
         """
-        sv = self.source_vocab
-        triples = []
-        for t in example.triples:
-            if t.predicate not in sv.index:
-                continue  # rare predicate: triple marked for discard
-            triples.append((sv.encode(t.subject), sv.index[t.predicate], sv.encode(t.object)))
-        triples = triples[:self.config.e_max]
+        triples = self.encode_triple_set(example.triples)[:self.config.e_max]
         target = [self.target_vocab.encode(tok.text) for tok in example.summary_tokens]
         return EncodedExample(triples=triples, target=target)
 
@@ -105,7 +99,7 @@ class Seq2Seq:
         out = []
         for t in triples:
             if t.predicate not in sv.index:
-                continue
+                continue  # rare predicate: triple marked for discard
             out.append((sv.encode(t.subject), sv.index[t.predicate], sv.encode(t.object)))
         return out
 
@@ -214,7 +208,3 @@ class Seq2Seq:
                     raise nn.BadCheckpointError(f"{path}: missing state block {name}")
                 arr[...] = blocks[name]
         return model
-
-
-def stats_bounds(stats: CorpusStats) -> tuple[int, int]:
-    return stats.lower_bound(), stats.upper_bound()

@@ -13,6 +13,7 @@ runs the same code as a pure forward evaluation.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -215,19 +216,6 @@ def hstack(tape: Tape | None, parts: Sequence[Node]) -> Node:
             for p, w in zip(parts, widths):
                 _acc(p, out.grad[:, off:off + w])
                 off += w
-        tape.record(bwd)
-    return out
-
-
-def vstack(tape: Tape | None, parts: Sequence[Node]) -> Node:
-    heights = [p.value.shape[0] for p in parts]
-    out = Node(np.concatenate([p.value for p in parts], axis=0))
-    if tape is not None:
-        def bwd():
-            off = 0
-            for p, h in zip(parts, heights):
-                _acc(p, out.grad[off:off + h])
-                off += h
         tape.record(bwd)
     return out
 
@@ -554,46 +542,81 @@ _VERSION = 1
 def write_blocks(path: str, header: dict, blocks: Sequence[tuple[str, Array]]) -> None:
     """Write the versioned container: magic, version, JSON header, then
     named blocks of (name, rows, cols, row-major little-endian float64).
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``; a write that fails part-way leaves any previous
+    file at ``path`` intact.
     """
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        fh.write(struct.pack("<I", len(blocks)))
-        for name, arr in blocks:
-            if arr.ndim != 2:
-                raise ShapeError(f"block {name}: expected a 2-D array")
-            data = np.ascontiguousarray(arr, dtype="<f8")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<QQ", data.shape[0], data.shape[1]))
-            fh.write(data.tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", _VERSION))
+            fh.write(struct.pack("<I", len(head)))
+            fh.write(head)
+            fh.write(struct.pack("<I", len(blocks)))
+            for name, arr in blocks:
+                if arr.ndim != 2:
+                    raise ShapeError(f"block {name}: expected a 2-D array")
+                data = np.ascontiguousarray(arr, dtype="<f8")
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<QQ", data.shape[0], data.shape[1]))
+                fh.write(data.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_blocks(path: str) -> tuple[dict, dict[str, Array]]:
-    def take(fh, n, what):
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise BadCheckpointError(f"truncated checkpoint while reading {what}")
-        return buf
+    """Read a container written by :func:`write_blocks`.
 
+    Every length and shape is checked against the bytes left in the file
+    before it is read, so any truncated or corrupted file raises
+    :class:`BadCheckpointError`.
+    """
     with open(path, "rb") as fh:
-        if take(fh, 4, "magic") != _MAGIC:
+        left = os.fstat(fh.fileno()).st_size
+
+        def take(n, what):
+            nonlocal left
+            buf = fh.read(n) if n <= left else b""
+            if len(buf) != n:
+                raise BadCheckpointError(f"truncated checkpoint while reading {what}")
+            left -= n
+            return buf
+
+        def text(raw, what):
+            try:
+                return raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise BadCheckpointError(f"corrupt checkpoint {what}: invalid UTF-8") from None
+
+        if take(4, "magic") != _MAGIC:
             raise BadCheckpointError("not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", take(fh, 4, "version"))
+        (version,) = struct.unpack("<I", take(4, "version"))
         if version != _VERSION:
             raise BadCheckpointError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", take(fh, 4, "header length"))
-        header = json.loads(take(fh, hlen, "header").decode("utf-8"))
-        (nblocks,) = struct.unpack("<I", take(fh, 4, "block count"))
+        (hlen,) = struct.unpack("<I", take(4, "header length"))
+        try:
+            header = json.loads(text(take(hlen, "header"), "header"))
+        except json.JSONDecodeError as exc:
+            raise BadCheckpointError(f"corrupt checkpoint header: {exc}") from None
+        if not isinstance(header, dict):
+            raise BadCheckpointError("corrupt checkpoint header: not a JSON object")
+        (nblocks,) = struct.unpack("<I", take(4, "block count"))
         blocks: dict[str, Array] = {}
         for _ in range(nblocks):
-            (nlen,) = struct.unpack("<I", take(fh, 4, "name length"))
-            name = take(fh, nlen, "name").decode("utf-8")
-            rows, cols = struct.unpack("<QQ", take(fh, 16, "shape"))
-            raw = take(fh, rows * cols * 8, f"data of {name}")
-            blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
+            (nlen,) = struct.unpack("<I", take(4, "name length"))
+            name = text(take(nlen, "name"), "block name")
+            rows, cols = struct.unpack("<QQ", take(16, "shape"))
+            raw = take(rows * cols * 8, f"data of {name}")
+            try:
+                blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
+            except ValueError:  # an empty block whose other dimension is absurd
+                raise BadCheckpointError(f"corrupt shape {rows}x{cols} of {name}") from None
         return header, blocks

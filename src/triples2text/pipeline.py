@@ -25,7 +25,6 @@ import json
 import math
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -150,7 +149,6 @@ class PipelineConfig:
     gender_lexicon: Mapping[str, str] | None = None
     e_min_override: int | None = None
     e_max_cap: int | None = None
-    threads: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +511,6 @@ def make_surface_tuples(tokens: Sequence[SummaryToken],
 # corpus assembly
 
 
-def allocate_triples(triples: Sequence[Triple], summary: AnnotatedSummary) -> list[Triple]:
-    """Triples for one article: subject is the main entity, plus triples
-    whose object is the main entity and whose subject is annotated in the
-    text."""
-    annotated = {a.uri for a in summary.annotations}
-    out = [t for t in triples if t.subject == summary.main_entity]
-    out += [t for t in triples
-            if t.object == summary.main_entity and t.object_kind == ENTITY
-            and t.subject in annotated and t.subject != summary.main_entity]
-    return out
-
-
 def attach_types(triples: Sequence[Triple], types: Mapping[str, str]) -> list[Triple]:
     out = []
     for t in triples:
@@ -585,15 +571,8 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
             return ("empty_summary", None)
         return (None, (summary, triples))
 
-    items = list(articles)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            staged = list(pool.map(stage_one, items))
-    else:
-        staged = [stage_one(it) for it in items]
-
     prepared: list[tuple[AnnotatedSummary, list[Triple]]] = []
-    for reason, payload in staged:
+    for reason, payload in map(stage_one, articles):
         if reason is not None:
             exclusions[reason] += 1
         else:

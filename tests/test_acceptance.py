@@ -344,7 +344,7 @@ def _build_demo(seed: int, size: int, out_dir: str):
     examples, stats, lexicon = pipeline.build_corpus(articles, types, cfg)
     target_vocab = build_target_vocab(examples, 100_000, 2)
     source_vocab = build_source_vocab(examples, 3)
-    return examples, stats, lexicon, types, source_vocab, target_vocab
+    return examples, stats, lexicon, source_vocab, target_vocab
 
 
 def _train_desk(examples, stats, sv, tv, cell, seed, epochs, decay_start):
@@ -359,12 +359,12 @@ def _train_desk(examples, stats, sv, tv, cell, seed, epochs, decay_start):
     return model, result, train_set, valid_set
 
 
-def _bleu4(model, subset, lexicon, types):
+def _bleu4(model, subset, lexicon):
     cands, refs = [], []
     for ex in subset:
         res = generation.generate(model, ex.triples, lexicon,
                                   evaluation.item_surface_for(ex, lexicon),
-                                  beam_width=10, t_max=60, types=types)
+                                  beam_width=10, t_max=60)
         cands.append(res[0].final_tokens)
         refs.append(evaluation.reference_final(ex))
     return evaluation.bleu_n(cands, refs, 4)
@@ -377,13 +377,13 @@ def _bleu4(model, subset, lexicon, types):
 @pytest.mark.slow
 def test_criterion_6_desk_scale_end_to_end(tmp_path):
     start = time.time()
-    examples, stats, lexicon, types, sv, tv = _build_demo(11, 200, str(tmp_path / "demo"))
+    examples, stats, lexicon, sv, tv = _build_demo(11, 200, str(tmp_path / "demo"))
     outcomes = {}
     for cell, epochs, decay_start in (("gru", 200, 40), ("lstm", 300, 120)):
         model, _, train_set, valid_set = _train_desk(
             examples, stats, sv, tv, cell, seed=5, epochs=epochs,
             decay_start=decay_start)
-        b4 = _bleu4(model, train_set, lexicon, types)
+        b4 = _bleu4(model, train_set, lexicon)
         ppx = evaluation.perplexity(model, valid_set)
         proxy = evaluation.unigram_perplexity(train_set, valid_set)
         untrained = len(tv) - 1
@@ -404,7 +404,7 @@ def test_criterion_6_desk_scale_end_to_end(tmp_path):
 
 
 def test_criterion_7_schedule_exactness(tmp_path):
-    examples, stats, _, _, sv, tv = _build_demo(23, 24, str(tmp_path / "demo7"))
+    examples, stats, _, sv, tv = _build_demo(23, 24, str(tmp_path / "demo7"))
     cfg = TrainConfig(batch_size=4, max_timestep=40, epochs=6, seed=0,
                       cell_kind="gru", m=8, e_max=stats.e_max,
                       learning_rate=0.002, decay_factor=0.8, decay_start_epoch=3,
@@ -437,13 +437,13 @@ def test_criterion_7_schedule_exactness(tmp_path):
 def test_criterion_8_baseline_ordering(tmp_path):
     rows = []
     for seed in (101, 202, 303):
-        examples, stats, lexicon, types, sv, tv = _build_demo(
+        examples, stats, lexicon, sv, tv = _build_demo(
             seed, 200, str(tmp_path / f"demo8_{seed}"))
         model, _, train_set, valid_set = _train_desk(
             examples, stats, sv, tv, "gru", seed=seed, epochs=140, decay_start=40)
-        mb = _bleu4(model, valid_set, lexicon, types)
-        kb = evaluation.kn_baseline(train_set, valid_set, lexicon, types).bleu[4]
-        rb = evaluation.random_baseline(train_set, valid_set, lexicon, types,
+        mb = _bleu4(model, valid_set, lexicon)
+        kb = evaluation.kn_baseline(train_set, valid_set, lexicon).bleu[4]
+        rb = evaluation.random_baseline(train_set, valid_set, lexicon,
                                         samples=10, seed=seed).bleu[4]
         rows.append((mb, kb, rb))
     mean = [sum(r[i] for r in rows) / len(rows) for i in range(3)]

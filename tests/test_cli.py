@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 
 import pytest
 
@@ -101,6 +102,13 @@ def test_usage_errors_exit_one(tmp_path):
     assert run(["train", "--config", "missing.cfg"]) == 1  # config not found
     assert run(["no-such-command"]) == 1
     assert run(["generate", "--checkpoint", "x", "--source-vocab", "y"]) == 1
+    # removed options are rejected like any unknown flag; without them
+    # both commands would fail later on the missing files, with exit 2
+    missing = str(tmp_path / "missing")
+    assert run(["build-corpus", "--triples", missing, "--summaries", missing,
+                "--out", str(tmp_path / "c.jsonl"), "--threads", "2"]) == 1
+    assert run(["generate", "--checkpoint", missing, "--source-vocab", missing,
+                "--target-vocab", missing, "--types", "x"]) == 1
 
 
 def test_data_errors_exit_two(tmp_path):
@@ -119,6 +127,9 @@ def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path):
                 "--target-out", tvocab, "--source-out", svocab]) == 0
     bad = str(tmp_path / "bad.bin")
     open(bad, "wb").write(b"junkjunkjunk")
+    assert run(["generate", "--checkpoint", bad, "--source-vocab", svocab,
+                "--target-vocab", tvocab, "--from-corpus", corpus]) == 3
+    open(bad, "wb").write(b"T2TB" + struct.pack("<II", 1, 2) + b"\xff\xfe")  # non-UTF-8 header
     assert run(["generate", "--checkpoint", bad, "--source-vocab", svocab,
                 "--target-vocab", tvocab, "--from-corpus", corpus]) == 3
 
@@ -149,7 +160,6 @@ def test_generate_single_triple_set(demo_dir, tmp_path):
     out = str(tmp_path / "single.jsonl")
     assert run(["generate", "--checkpoint", ckpt, "--source-vocab", svocab,
                 "--target-vocab", tvocab, "--lexicon", lexicon,
-                "--types", os.path.join(demo_dir, "instance_types.tsv"),
                 "--genders", os.path.join(demo_dir, "genders.tsv"),
                 "--triples", os.path.join(demo_dir, "triples.nt"),
                 "--main", main, "--beam", "2", "--t-max", "25",

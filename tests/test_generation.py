@@ -185,10 +185,8 @@ def test_generate_bounds_enforced():
 def test_generate_beam_width_monotone_top1():
     model = make_model(seed=8)
     triples = [Triple(tk.ITEM, "dbo:p", "dbr:A"), Triple(tk.ITEM, "dbo:q", "dbr:B")]
-    greedy = gen.generate(model, triples, {}, "X", beam_width=1, t_max=5,
-                          check_bounds=False)
-    wide = gen.generate(model, triples, {}, "X", beam_width=10, t_max=5,
-                        check_bounds=False)
+    greedy = gen.generate(model, triples, {}, "X", beam_width=1, t_max=5)
+    wide = gen.generate(model, triples, {}, "X", beam_width=10, t_max=5)
     assert wide[0].log_prob >= greedy[0].log_prob - 1e-12
 
 
@@ -201,8 +199,7 @@ def test_prepare_raw_triples_requires_main():
 def test_write_results_jsonl(tmp_path):
     model = make_model(seed=3)
     triples = [Triple(tk.ITEM, "dbo:p", "dbr:A")]
-    results = gen.generate(model, triples, {}, "X", beam_width=2, t_max=4,
-                           check_bounds=False, input_id="in0")
+    results = gen.generate(model, triples, {}, "X", beam_width=2, t_max=4, input_id="in0")
     path = str(tmp_path / "out.jsonl")
     gen.write_results(path, results)
     import json

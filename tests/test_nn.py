@@ -1,3 +1,8 @@
+import os
+import pathlib
+import struct
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +231,74 @@ def test_block_container_truncation_and_magic(tmp_path):
     open(path, "wb").write(b"XXXX" + data[4:])
     with pytest.raises(nn.BadCheckpointError, match="magic"):
         nn.read_blocks(path)
+
+
+def _small_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d, "small.bin")
+        nn.write_blocks(str(path), {"cell_kind": "gru", "m": 2},
+                        [("encoder.embed", np.arange(6.0).reshape(2, 3)),
+                         ("decoder.out_b", np.ones((1, 2)))])
+        return path.read_bytes()
+
+
+def _read_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as d:
+        path = pathlib.Path(d, "fuzzed.bin")
+        path.write_bytes(data)
+        return nn.read_blocks(str(path))
+
+
+_SMALL = _small_checkpoint()
+
+
+def _container(head: bytes, rows: int = 1, cols: int = 1) -> bytes:
+    """A one-block container with a raw header and a claimed block shape."""
+    return (nn._MAGIC + struct.pack("<II", 1, len(head)) + head
+            + struct.pack("<II", 1, 1) + b"a" + struct.pack("<QQ", rows, cols)
+            + struct.pack("<d", 0.0))
+
+
+@pytest.mark.parametrize("data, match", [
+    (_SMALL[:8] + struct.pack("<I", 2**32 - 1) + _SMALL[12:], "truncated"),
+    (_container(b"\xff\xfe"), "UTF-8"),
+    (_container(b"[]"), "not a JSON object"),
+    (_container(b"{x"), "header"),
+    (_container(b"{}", 2**40, 2**20), "truncated"),
+    (_container(b"{}", 2**63, 2**63), "truncated"),
+    (_container(b"{}", 0, 2**64 - 1), "shape"),
+], ids=["header-length", "header-utf8", "header-list", "header-json",
+        "huge-block", "overflowing-block", "empty-block-absurd-width"])
+def test_read_blocks_rejects_corrupt_container(data, match):
+    with pytest.raises(nn.BadCheckpointError, match=match):
+        _read_bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, len(_SMALL) - 1), st.integers(1, 255)),
+                      max_size=4),
+       keep=st.integers(0, len(_SMALL)))
+def test_read_blocks_fuzzed_bytes_raise_only_bad_checkpoint(flips, keep):
+    data = bytearray(_SMALL)
+    for pos, mask in flips:
+        data[pos] ^= mask
+    try:
+        header, blocks = _read_bytes(bytes(data[:keep]))
+    except nn.BadCheckpointError:
+        return
+    assert isinstance(header, dict)
+    assert all(arr.ndim == 2 for arr in blocks.values())
+
+
+def test_write_blocks_failure_keeps_previous_file(tmp_path):
+    path = str(tmp_path / "checkpoint_best.bin")
+    nn.write_blocks(path, {"n": 1}, [("a", np.ones((2, 2)))])
+    with pytest.raises(nn.ShapeError):
+        nn.write_blocks(path, {"n": 2}, [("a", np.zeros((2, 2))), ("b", np.zeros((1, 2, 2)))])
+    header, blocks = nn.read_blocks(path)
+    assert header == {"n": 1}
+    assert np.array_equal(blocks["a"], np.ones((2, 2)))
+    assert os.listdir(tmp_path) == ["checkpoint_best.bin"]
 
 
 def test_gradient_check_catches_a_broken_gradient():

@@ -375,16 +375,6 @@ def test_build_corpus_deterministic():
     assert runs[0] == runs[1]
 
 
-def test_build_corpus_threaded_matches_serial():
-    types = {"dbr:Opus": "dbo:Book"}
-    articles = [make_article(f"dbr:P{i}") for i in range(6)]
-    serial = pl.build_corpus(articles, types, PipelineConfig(threads=1))
-    threaded = pl.build_corpus([make_article(f"dbr:P{i}") for i in range(6)],
-                               types, PipelineConfig(threads=4))
-    assert ([[t.text for t in e.summary_tokens] for e in serial[0]]
-            == [[t.text for t in e.summary_tokens] for e in threaded[0]])
-
-
 def test_token_accounting_every_annotation_covered():
     types = {"dbr:Opus": "dbo:Book"}
     examples, _, _ = pl.build_corpus([make_article()], types,
