@@ -30,12 +30,12 @@ import sys
 import numpy as np
 
 from . import evaluation, generation, nn, pipeline, training
-from .decoder import CELL_KINDS, GRU, LSTM
+from .decoder import CELL_KINDS, GRU
 from .demo import demo_corpus
 from .model import CheckpointMismatchError, ModelConfig, Seq2Seq
 from .pipeline import MODE_TUPLES, MODE_URI, PipelineConfig, PipelineError
 from .training import TrainConfig, TrainingDivergedError
-from .vocab import Vocabulary, build_source_vocab, build_target_vocab
+from .vocab import SOURCE_MIN_COUNT, Vocabulary, build_source_vocab, build_target_vocab
 
 logger = logging.getLogger("triples2text")
 
@@ -137,7 +137,6 @@ def build_parser() -> _Parser:
     t.add_argument("--out-dir", required=True)
     t.add_argument("--cell", choices=list(CELL_KINDS))
     t.add_argument("--m", type=int)
-    t.add_argument("--layers", type=int)
     t.add_argument("--batch-size", type=int)
     t.add_argument("--epochs", type=int)
     t.add_argument("--lr", type=float)
@@ -150,8 +149,6 @@ def build_parser() -> _Parser:
     t.add_argument("--max-timestep", type=int)
     t.add_argument("--e-max", type=int)
     t.add_argument("--seed", type=int)
-    t.add_argument("--literal-lstm", action="store_true",
-                   help="sigmoid cell candidate instead of tanh")
 
     g = add_parser("generate", help="generate summaries")
     g.add_argument("--checkpoint", required=True)
@@ -239,12 +236,14 @@ def cmd_build_corpus(args, cfg):
     types = pipeline.read_tsv_map(types_path) if types_path else {}
     genders = pipeline.read_tsv_map(genders_path) if genders_path else None
     pcfg = PipelineConfig(
-        mode=_pick(args.mode, cfg, "mode", str, MODE_URI),
-        target_vocab_size=_pick(args.target_vocab_size, cfg, "target_vocab_size", int, 30000),
+        mode=_pick(args.mode, cfg, "mode", str, PipelineConfig.mode),
+        target_vocab_size=_pick(args.target_vocab_size, cfg, "target_vocab_size", int,
+                                PipelineConfig.target_vocab_size),
         target_vocab_min_count=_pick(args.target_vocab_min_count, cfg,
-                                     "target_vocab_min_count", int, 1),
-        year_min=_pick(args.year_min, cfg, "year_min", int, 1000),
-        year_max=_pick(args.year_max, cfg, "year_max", int, 2100),
+                                     "target_vocab_min_count", int,
+                                     PipelineConfig.target_vocab_min_count),
+        year_min=_pick(args.year_min, cfg, "year_min", int, PipelineConfig.year_min),
+        year_max=_pick(args.year_max, cfg, "year_max", int, PipelineConfig.year_max),
         gender_lexicon=genders,
     )
     articles = pipeline.read_articles(triples, summaries)
@@ -263,10 +262,13 @@ def cmd_build_vocab(args, cfg):
     examples = pipeline.read_corpus(args.corpus)
     target = build_target_vocab(
         examples,
-        max_size=_pick(args.target_max_size, cfg, "target_vocab_size", int, 30000),
-        min_count=_pick(args.target_min_count, cfg, "target_vocab_min_count", int, 1))
+        max_size=_pick(args.target_max_size, cfg, "target_vocab_size", int,
+                       PipelineConfig.target_vocab_size),
+        min_count=_pick(args.target_min_count, cfg, "target_vocab_min_count", int,
+                        PipelineConfig.target_vocab_min_count))
     source = build_source_vocab(
-        examples, min_count=_pick(args.source_min_count, cfg, "source_min_count", int, 20))
+        examples, min_count=_pick(args.source_min_count, cfg, "source_min_count", int,
+                                  SOURCE_MIN_COUNT))
     target.save(args.target_out)
     source.save(args.source_out)
     logger.info("target vocabulary: %d tokens; source: %d tokens",
@@ -297,27 +299,29 @@ def cmd_train(args, cfg):
         bound_lower, bound_upper = stats.lower_bound(), stats.upper_bound()
     if e_max is None:
         e_max = max((len(ex.triples) for ex in examples), default=1)
-    patience = None if args.no_early_stop else _pick(args.patience, cfg, "patience", int, 3)
-    clip_norm = _pick(args.clip_norm, cfg, "clip_norm", float, 5.0)
+    patience = (None if args.no_early_stop
+                else _pick(args.patience, cfg, "patience", int, TrainConfig.patience))
+    clip_norm = _pick(args.clip_norm, cfg, "clip_norm", float, TrainConfig.clip_norm)
     if clip_norm is not None and clip_norm <= 0:
         clip_norm = None  # zero or negative disables clipping
     tcfg = TrainConfig(
-        batch_size=_pick(args.batch_size, cfg, "batch_size", int, 85),
-        max_timestep=_pick(args.max_timestep, cfg, "max_timestep", int, 66),
-        learning_rate=_pick(args.lr, cfg, "learning_rate", float, 0.002),
-        decay_factor=_pick(args.decay_factor, cfg, "decay_factor", float, 0.8),
-        decay_start_epoch=_pick(args.decay_start, cfg, "decay_start_epoch", int, 3),
-        epochs=_pick(args.epochs, cfg, "epochs", int, 12),
-        seed=_pick(args.seed, cfg, "seed", int, 0),
-        cell_kind=_pick(args.cell, cfg, "cell", str, LSTM),
-        m=_pick(args.m, cfg, "m", int, 650),
-        layers=_pick(args.layers, cfg, "layers", int, 1),
+        batch_size=_pick(args.batch_size, cfg, "batch_size", int, TrainConfig.batch_size),
+        max_timestep=_pick(args.max_timestep, cfg, "max_timestep", int,
+                           TrainConfig.max_timestep),
+        learning_rate=_pick(args.lr, cfg, "learning_rate", float, TrainConfig.learning_rate),
+        decay_factor=_pick(args.decay_factor, cfg, "decay_factor", float,
+                           TrainConfig.decay_factor),
+        decay_start_epoch=_pick(args.decay_start, cfg, "decay_start_epoch", int,
+                                TrainConfig.decay_start_epoch),
+        epochs=_pick(args.epochs, cfg, "epochs", int, TrainConfig.epochs),
+        seed=_pick(args.seed, cfg, "seed", int, TrainConfig.seed),
+        cell_kind=_pick(args.cell, cfg, "cell", str, TrainConfig.cell_kind),
+        m=_pick(args.m, cfg, "m", int, TrainConfig.m),
         e_max=e_max,
-        l2=_pick(args.l2, cfg, "l2", float, 1e-5),
+        l2=_pick(args.l2, cfg, "l2", float, TrainConfig.l2),
         clip_norm=clip_norm,
         patience=patience,
-        paper_literal_lstm=args.literal_lstm,
-        mode=examples[0].mode if examples else MODE_URI,
+        mode=examples[0].mode if examples else TrainConfig.mode,
         bound_lower=bound_lower,
         bound_upper=bound_upper,
     )
@@ -428,7 +432,7 @@ def cmd_neighbors(args, cfg):
 def cmd_gradcheck(args, cfg):
     from .model import EncodedExample
     rng = np.random.default_rng(args.seed)
-    config = ModelConfig(cell_kind=args.cell, m=args.m, layers=1, e_max=args.e_max)
+    config = ModelConfig(cell_kind=args.cell, m=args.m, e_max=args.e_max)
     source = Vocabulary._with_specials("source")
     for i in range(args.source_size - len(source)):
         source._append(f"s{i}", 1)

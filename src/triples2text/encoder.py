@@ -22,9 +22,7 @@ Array = np.ndarray
 
 class TripleEncoder:
 
-    def __init__(self, source_size: int, m: int, e_max: int,
-                 bn_momentum: float = 0.9, bn_eps: float = 1e-5,
-                 use_batch_norm: bool = True):
+    def __init__(self, source_size: int, m: int, e_max: int, use_batch_norm: bool = True):
         if e_max < 1:
             raise ValueError("e_max must be at least 1")
         self.source_size = source_size
@@ -36,9 +34,9 @@ class TripleEncoder:
         self.hidden = nn.Parameter("encoder.hidden", 3 * m, m)  # unbiased map
         self.aggregate_w = nn.Parameter("encoder.aggregate_w", e_max * m, m)
         self.aggregate_b = nn.Parameter("encoder.aggregate_b", 1, m)
-        self.bn_embed = nn.BatchNorm("encoder.bn_embed", m, bn_momentum, bn_eps)
-        self.bn_hidden = nn.BatchNorm("encoder.bn_hidden", m, bn_momentum, bn_eps)
-        self.bn_out = nn.BatchNorm("encoder.bn_out", m, bn_momentum, bn_eps)
+        self.bn_embed = nn.BatchNorm("encoder.bn_embed", m)
+        self.bn_hidden = nn.BatchNorm("encoder.bn_hidden", m)
+        self.bn_out = nn.BatchNorm("encoder.bn_out", m)
 
     def parameters(self) -> list[nn.Parameter]:
         ps = [self.embed, self.embed_bias, self.hidden, self.aggregate_w, self.aggregate_b]

@@ -59,8 +59,8 @@ class Scorer:
 
 
 class ModelScorer(Scorer):
-    """Neural scorer over one encoded triple set; hypothesis states are
-    (per-layer hidden rows, per-layer cell rows)."""
+    """Neural scorer over one encoded triple set; a hypothesis state is its
+    (hidden row, cell row) pair, the cell row None for the GRU."""
 
     def __init__(self, model: Seq2Seq, triples: Sequence[tuple[int, int, int]]):
         self.model = model
@@ -68,25 +68,18 @@ class ModelScorer(Scorer):
 
     def start(self):
         state = self.model.init_generation(self.triples)
-        new_state, top = self.model.decoder.step(None, np.asarray([self.model.start_index]), state)
-        logp = self.model.decoder.log_distribution(top.value)[0]
-        hs = [h.value[0] for h in new_state.hs]
-        cs = [c.value[0] for c in new_state.cs]
-        return (hs, cs), logp
+        new_state, h = self.model.decoder.step(None, np.asarray([self.model.start_index]), state)
+        logp = self.model.decoder.log_distribution(h.value)[0]
+        c = new_state.c.value[0] if new_state.c is not None else None
+        return (h.value[0], c), logp
 
     def step(self, states, tokens):
-        hs_stack = [nn.leaf(np.stack([s[0][l] for s in states]))
-                    for l in range(self.model.decoder.layers)]
-        cs_stack = [nn.leaf(np.stack([s[1][l] for s in states]))
-                    for l in range(len(states[0][1]))]
-        batch_state = DecoderState(hs=hs_stack, cs=cs_stack)
-        new_state, top = self.model.decoder.step(None, np.asarray(tokens), batch_state)
-        logp = self.model.decoder.log_distribution(top.value)
-        out_states = []
-        for i in range(len(states)):
-            out_states.append(([h.value[i] for h in new_state.hs],
-                               [c.value[i] for c in new_state.cs]))
-        return out_states, logp
+        h = nn.leaf(np.stack([s[0] for s in states]))
+        c = nn.leaf(np.stack([s[1] for s in states])) if states[0][1] is not None else None
+        new_state, h = self.model.decoder.step(None, np.asarray(tokens), DecoderState(h, c))
+        logp = self.model.decoder.log_distribution(h.value)
+        cs = new_state.c.value if new_state.c is not None else [None] * len(states)
+        return list(zip(h.value, cs)), logp
 
 
 def beam_search(scorer: Scorer, beam_width: int, t_max: int, end_index: int

@@ -17,7 +17,7 @@ import numpy as np
 from . import nn
 from .decoder import CELL_KINDS, Decoder, DecoderState, LSTM
 from .encoder import TripleEncoder
-from .pipeline import AlignedExample, Triple
+from .pipeline import MODES, AlignedExample, Triple
 from .tokens import END, PAD, START
 from .vocab import Vocabulary
 
@@ -32,15 +32,42 @@ class CheckpointMismatchError(ValueError):
 class ModelConfig:
     cell_kind: str = LSTM
     m: int = 650
-    layers: int = 1
     e_max: int = 22
     mode: str = "uri"
-    bn_momentum: float = 0.9
-    bn_eps: float = 1e-5
     use_batch_norm: bool = True
-    paper_literal_lstm: bool = False  # sigmoid cell candidate instead of tanh
     bound_lower: int = 0
     bound_upper: int | None = None
+
+
+# Header keys of configurations that are no longer built, with the one
+# value a checkpoint may hold for them: any other value means blocks or
+# numerics this model does not have, so such a checkpoint is refused.
+_RETIRED_HEADER = {"layers": 1, "paper_literal_lstm": False,
+                  "bn_momentum": nn.BatchNorm.momentum, "bn_eps": nn.BatchNorm.eps}
+
+
+def _check_header(path: str, header: dict) -> None:
+    """Raise BadCheckpointError unless the header describes a model this
+    code builds exactly."""
+    def is_int(v):
+        return type(v) is int  # JSON true/false are bools, not ints
+
+    checks = [
+        ("m", is_int(header.get("m")) and header["m"] >= 1, "a positive int"),
+        ("e_max", is_int(header.get("e_max")) and header["e_max"] >= 1, "a positive int"),
+        ("cell_kind", header.get("cell_kind") in CELL_KINDS, f"one of {CELL_KINDS}"),
+        ("mode", header.get("mode") in MODES, f"one of {MODES}"),
+        ("use_batch_norm", type(header.get("use_batch_norm")) is bool, "a bool"),
+        ("bound_lower", is_int(header.get("bound_lower")), "an int"),
+        ("bound_upper", header.get("bound_upper") is None or is_int(header["bound_upper"]),
+         "an int or null"),
+    ]
+    checks += [(key, key not in header or header[key] == value, repr(value))
+               for key, value in _RETIRED_HEADER.items()]
+    for key, ok, expected in checks:
+        if not ok:
+            raise nn.BadCheckpointError(
+                f"{path}: header value {key}={header.get(key)!r} is not {expected}")
 
 
 @dataclass
@@ -58,11 +85,9 @@ class Seq2Seq:
         self.source_vocab = source_vocab
         self.target_vocab = target_vocab
         self.encoder = TripleEncoder(len(source_vocab), config.m, config.e_max,
-                                     config.bn_momentum, config.bn_eps,
                                      config.use_batch_norm)
-        self.decoder = Decoder(len(target_vocab), config.m, config.layers,
-                               config.cell_kind, pad_index=target_vocab.index[PAD],
-                               literal_sigmoid_candidate=config.paper_literal_lstm)
+        self.decoder = Decoder(len(target_vocab), config.m, config.cell_kind,
+                               pad_index=target_vocab.index[PAD])
         self.pad_index = target_vocab.index[PAD]
         self.start_index = target_vocab.index[START]
         self.end_index = target_vocab.index[END]
@@ -184,6 +209,7 @@ class Seq2Seq:
     def load(cls, path: str, source_vocab: Vocabulary, target_vocab: Vocabulary,
              expect_cell: str | None = None) -> "Seq2Seq":
         header, blocks = nn.read_blocks(path)
+        _check_header(path, header)
         if header.get("source_vocab_sha256") != source_vocab.content_hash():
             raise CheckpointMismatchError(f"{path}: source vocabulary hash mismatch")
         if header.get("target_vocab_sha256") != target_vocab.content_hash():
@@ -191,8 +217,7 @@ class Seq2Seq:
         if expect_cell is not None and header["cell_kind"] != expect_cell:
             raise CheckpointMismatchError(
                 f"{path}: checkpoint holds a {header['cell_kind']} decoder, not {expect_cell}")
-        cfg_fields = {f for f in ModelConfig.__dataclass_fields__}
-        config = ModelConfig(**{k: v for k, v in header.items() if k in cfg_fields})
+        config = ModelConfig(**{k: header.get(k) for k in ModelConfig.__dataclass_fields__})
         model = cls(config, source_vocab, target_vocab)
         for p in model.parameters():
             if p.name not in blocks:

@@ -382,11 +382,12 @@ class BatchNorm:
     usable variance and is rejected.
     """
 
-    def __init__(self, name: str, width: int, momentum: float = 0.9, eps: float = 1e-5):
+    momentum = 0.9  # weight of the old running statistics per update
+    eps = 1e-5
+
+    def __init__(self, name: str, width: int):
         self.name = name
         self.width = width
-        self.momentum = momentum
-        self.eps = eps
         self.scale = Parameter(f"{name}.scale", 1, width)
         self.scale.value[...] = 1.0
         self.shift = Parameter(f"{name}.shift", 1, width)

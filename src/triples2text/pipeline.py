@@ -88,7 +88,6 @@ class AnnotatedSummary:
     main_entity: str
     sentences: list[list[str]]
     annotations: list[Annotation]
-    provenance: dict = field(default_factory=dict)  # e.g. annotator confidence/support
 
     def check_spans(self) -> None:
         for a in self.annotations:
@@ -147,8 +146,6 @@ class PipelineConfig:
     year_max: int = 2100
     gender_predicate: str = "foaf:gender"
     gender_lexicon: Mapping[str, str] | None = None
-    e_min_override: int | None = None
-    e_max_cap: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,6 @@ def read_summaries(path: str) -> Iterator[AnnotatedSummary]:
                     main_entity=rec["main_entity"],
                     sentences=[list(s) for s in rec["sentences"]],
                     annotations=anns,
-                    provenance=rec.get("provenance", {}),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad summary record: {exc}") from exc
@@ -378,14 +374,11 @@ def dedup_triples(triples: Sequence[Triple]) -> list[Triple]:
     return out
 
 
-def bound_triple_set(triples: Sequence[Triple], stats: CorpusStats,
-                     e_max_cap: int | None = None) -> tuple[str, list[Triple]]:
+def bound_triple_set(triples: Sequence[Triple], stats: CorpusStats) -> tuple[str, list[Triple]]:
     """Accept, trim (keeping the first triples), or reject a set against the
     corpus bounds floor(E_min + 0.25*sigma) <= E <= floor(mean + 1.5*sigma)."""
     lo = stats.lower_bound()
     hi = stats.upper_bound()
-    if e_max_cap is not None:
-        hi = min(hi, e_max_cap)
     n = len(triples)
     if n < lo:
         return "reject", []
@@ -400,7 +393,7 @@ def truncate_summary(s: AnnotatedSummary) -> AnnotatedSummary:
         raise EmptySummaryError(f"{s.main_entity}: summary has no sentences")
     kept = s.sentences[:2]
     anns = [a for a in s.annotations if a.sentence < len(kept)]
-    return AnnotatedSummary(s.main_entity, kept, anns, s.provenance)
+    return AnnotatedSummary(s.main_entity, kept, anns)
 
 
 def _looks_number(token: str) -> bool:
@@ -586,13 +579,13 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
     sizes = [len(t) for _, t in prepared]
     mean = sum(sizes) / len(sizes)
     var = sum((s - mean) ** 2 for s in sizes) / len(sizes)
-    stats.e_min = min(sizes) if config.e_min_override is None else config.e_min_override
+    stats.e_min = min(sizes)
     stats.e_mean = mean
     stats.e_std = math.sqrt(var)
 
     bounded: list[tuple[AnnotatedSummary, list[Triple]]] = []
     for summary, triples in prepared:
-        decision, kept = bound_triple_set(triples, stats, config.e_max_cap)
+        decision, kept = bound_triple_set(triples, stats)
         if decision == "reject":
             exclusions["too_few_triples"] += 1
             continue
@@ -750,11 +743,18 @@ def write_stats(path: str, stats: CorpusStats) -> None:
 
 def read_stats(path: str) -> CorpusStats:
     with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    return CorpusStats(e_min=d["e_min"], e_mean=d["e_mean"], e_std=d["e_std"],
-                       e_max=d["e_max"], n_articles=d["n_articles"],
-                       n_entities=d["n_entities"], n_predicates=d["n_predicates"],
-                       exclusions=dict(d.get("exclusions", {})))
+        try:
+            d = json.load(fh)
+            counts = ("e_min", "e_max", "n_articles", "n_entities", "n_predicates")
+            if (any(type(d[k]) is not int for k in counts)
+                    or any(type(d[k]) not in (int, float) for k in ("e_mean", "e_std"))):
+                raise ValueError("counts must be ints, e_mean and e_std numbers")
+            return CorpusStats(e_min=d["e_min"], e_mean=d["e_mean"], e_std=d["e_std"],
+                               e_max=d["e_max"], n_articles=d["n_articles"],
+                               n_entities=d["n_entities"], n_predicates=d["n_predicates"],
+                               exclusions=dict(d.get("exclusions", {})))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise PipelineError(f"{path}: bad stats record: {exc}") from exc
 
 
 def write_lexicon(path: str, lexicon: Mapping[str, str]) -> None:

@@ -2,7 +2,7 @@
 perplexity, checkpointing, and the JSON Lines training log.
 
 Epochs are numbered from 0. The learning rate decays by ``decay_factor``
-every ``decay_period`` of an epoch once the position in epochs reaches
+every ``DECAY_PERIOD`` (half an epoch) once the position in epochs reaches
 ``decay_start_epoch``; a decay instant falling exactly on an epoch
 boundary applies after that epoch's boundary record is written, so the
 logged boundary value at epoch e >= 3 under the defaults is exactly
@@ -34,6 +34,9 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
+DECAY_PERIOD = Fraction(1, 2)  # of an epoch, between learning-rate decays
+
+
 @dataclass
 class TrainConfig:
     batch_size: int = 85
@@ -41,20 +44,14 @@ class TrainConfig:
     learning_rate: float = 0.002
     decay_factor: float = 0.8
     decay_start_epoch: int = 3
-    decay_period: Fraction = Fraction(1, 2)  # of an epoch
     epochs: int = 12
     seed: int = 0
     cell_kind: str = LSTM
     m: int = 650
-    layers: int = 1
     e_max: int = 22
     l2: float = 1e-5
     clip_norm: float | None = 5.0
-    rmsprop_rho: float = 0.95
-    rmsprop_eps: float = 1e-8
     patience: int | None = 3  # epochs without validation improvement
-    paper_literal_lstm: bool = False
-    bucket_by_length: bool = False
     mode: str = "uri"
     bound_lower: int = 0
     bound_upper: int | None = None
@@ -64,13 +61,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 (batch normalisation)")
         if not 0.0 < self.decay_factor < 1.0:
             raise ValueError("decay_factor must lie in (0, 1)")
-        self.decay_period = Fraction(self.decay_period)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(cell_kind=self.cell_kind, m=self.m, layers=self.layers,
-                           e_max=self.e_max, mode=self.mode,
-                           paper_literal_lstm=self.paper_literal_lstm,
-                           bound_lower=self.bound_lower,
+        return ModelConfig(cell_kind=self.cell_kind, m=self.m, e_max=self.e_max,
+                           mode=self.mode, bound_lower=self.bound_lower,
                            bound_upper=self.bound_upper)
 
 
@@ -93,21 +87,17 @@ def sequence_loss(batch: Sequence[EncodedExample], model: Seq2Seq,
 
 
 def make_batches(examples: Sequence[EncodedExample], batch_size: int,
-                 rng: np.random.Generator | None = None,
-                 bucket_by_length: bool = False) -> list[list[EncodedExample]]:
+                 rng: np.random.Generator | None = None) -> list[list[EncodedExample]]:
     """Cut the (shuffled) examples into batches; single leftover examples
     are dropped because batch normalisation needs two rows.
 
-    bucket_by_length groups similar lengths to cut padding, but it makes
-    batch statistics length-conditional, which skews the normalisation
-    running averages on small homogeneous corpora; composition is random
-    by default.
+    Batches are not bucketed by length: that would make batch statistics
+    length-conditional and skew the normalisation running averages on
+    small homogeneous corpora.
     """
     order = list(range(len(examples)))
     if rng is not None:
         rng.shuffle(order)
-    if bucket_by_length:
-        order.sort(key=lambda i: (len(examples[i].target), i))
     batches = []
     for i in range(0, len(order), batch_size):
         chunk = [examples[j] for j in order[i:i + batch_size]]
@@ -170,7 +160,7 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
     try:
         for epoch in range(cfg.epochs):
             boundary_lrs.append(lr)
-            batches = make_batches(encoded, cfg.batch_size, rng, cfg.bucket_by_length)
+            batches = make_batches(encoded, cfg.batch_size, rng)
             rng.shuffle(batches)
             n_batches = len(batches)
             log({"type": "epoch_start", "epoch": epoch, "lr_boundary": lr,
@@ -179,7 +169,7 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
                 # apply every decay instant at or before this batch's start
                 while next_decay <= Fraction(epoch) + Fraction(b, max(n_batches, 1)):
                     lr *= cfg.decay_factor
-                    next_decay += cfg.decay_period
+                    next_decay += DECAY_PERIOD
                 tape = nn.Tape()
                 nn.zero_grads(params)
                 cost, _, _ = model.batch_loss(tape, batch, training=True,
@@ -190,7 +180,7 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
                         f"non-finite training cost at epoch {epoch}, batch {b}")
                 tape.backward(cost)
                 nn.clip_gradients(params, cfg.clip_norm)
-                nn.rmsprop_step(params, lr, cfg.rmsprop_rho, cfg.rmsprop_eps, cfg.l2)
+                nn.rmsprop_step(params, lr, l2_coefficient=cfg.l2)
                 final_cost = value
                 log({"type": "batch", "epoch": epoch, "batch": b,
                      "lr": lr, "cost": value})
@@ -199,7 +189,7 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
             # next epoch's boundary record instead
             while next_decay < Fraction(epoch + 1):
                 lr *= cfg.decay_factor
-                next_decay += cfg.decay_period
+                next_decay += DECAY_PERIOD
             epochs_run = epoch + 1
             record = {"type": "epoch", "epoch": epoch, "final_cost": final_cost}
             if encoded_valid:
@@ -245,6 +235,6 @@ def boundary_lr_schedule(cfg: TrainConfig, epochs: int) -> list[float]:
         out.append(lr)
         while next_decay < Fraction(epoch + 1):
             lr *= cfg.decay_factor
-            next_decay += cfg.decay_period
+            next_decay += DECAY_PERIOD
         # an instant exactly on the boundary decays after the next record
     return out

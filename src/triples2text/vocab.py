@@ -36,6 +36,8 @@ KIND_PLACEHOLDER = "placeholder"
 KIND_INSTANCE_TYPE = "instance_type"
 KIND_SPECIAL = "special"
 
+SOURCE_MIN_COUNT = 20  # occurrences a source token needs to keep its own index
+
 _BASE_KINDS = (KIND_WORD, KIND_ENTITY, KIND_TUPLE)
 _STRUCTURAL_KINDS = (KIND_PLACEHOLDER, KIND_INSTANCE_TYPE)
 
@@ -193,7 +195,7 @@ def build_target_vocab(corpus: Iterable, max_size: int, min_count: int = 1) -> V
     return v
 
 
-def build_source_vocab(corpus: Iterable, min_count: int = 20) -> Vocabulary:
+def build_source_vocab(corpus: Iterable, min_count: int = SOURCE_MIN_COUNT) -> Vocabulary:
     """Shared subject/predicate/object dictionary with rare-token fallbacks.
 
     Tokens occurring at least ``min_count`` times are kept. Each rare

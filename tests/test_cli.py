@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,7 +6,10 @@ import struct
 
 import pytest
 
-from triples2text import cli
+from triples2text import cli, nn, training
+from triples2text.training import TrainConfig, TrainResult
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def run(argv):
@@ -109,6 +113,10 @@ def test_usage_errors_exit_one(tmp_path):
                 "--out", str(tmp_path / "c.jsonl"), "--threads", "2"]) == 1
     assert run(["generate", "--checkpoint", missing, "--source-vocab", missing,
                 "--target-vocab", missing, "--types", "x"]) == 1
+    train = ["train", "--corpus", missing, "--source-vocab", missing,
+             "--target-vocab", missing, "--out-dir", str(tmp_path / "run")]
+    assert run(train + ["--layers", "2"]) == 1
+    assert run(train + ["--literal-lstm"]) == 1
 
 
 def test_data_errors_exit_two(tmp_path):
@@ -116,6 +124,47 @@ def test_data_errors_exit_two(tmp_path):
     assert run(["build-vocab", "--corpus", missing,
                 "--target-out", str(tmp_path / "t"),
                 "--source-out", str(tmp_path / "s")]) == 2
+
+
+def test_bad_stats_exit_two(demo_dir, tmp_path, capsys):
+    cfg = os.path.join(demo_dir, "demo.cfg")
+    corpus = str(tmp_path / "corpus.jsonl")
+    stats = str(tmp_path / "stats.json")
+    assert run(["--config", cfg, "build-corpus", "--out", corpus, "--stats-out", stats]) == 0
+    tvocab, svocab = str(tmp_path / "t.vocab"), str(tmp_path / "s.vocab")
+    assert run(["--config", cfg, "build-vocab", "--corpus", corpus,
+                "--target-out", tvocab, "--source-out", svocab]) == 0
+    good = json.load(open(stats))
+    bad = str(tmp_path / "bad.json")
+    for record in ({}, [], {**good, "e_std": None}, {**good, "e_max": "8"}):
+        with open(bad, "w") as fh:
+            json.dump(record, fh)
+        assert run(["train", "--corpus", corpus, "--source-vocab", svocab,
+                    "--target-vocab", tvocab, "--stats", bad,
+                    "--out-dir", str(tmp_path / "run")]) == 2, record
+        assert "bad stats record" in capsys.readouterr().err
+
+
+def test_train_defaults_come_from_train_config(demo_dir, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    cfg = os.path.join(demo_dir, "demo.cfg")
+    corpus = str(tmp_path / "corpus.jsonl")
+    assert run(["--config", cfg, "build-corpus", "--out", corpus]) == 0
+    tvocab, svocab = str(tmp_path / "t.vocab"), str(tmp_path / "s.vocab")
+    assert run(["--config", cfg, "build-vocab", "--corpus", corpus,
+                "--target-out", tvocab, "--source-out", svocab]) == 0
+    seen = []
+
+    def fake_train(corpus, valid, tcfg, *args, **kwargs):
+        seen.append(tcfg)
+        return None, TrainResult(0, 1.0, 0, 0.0, None, None)
+
+    monkeypatch.setattr(training, "train", fake_train)
+    assert run(["train", "--corpus", corpus, "--source-vocab", svocab,
+                "--target-vocab", tvocab, "--out-dir", str(tmp_path / "run")]) == 0
+    got, = seen
+    from_data = ("e_max", "mode", "bound_lower", "bound_upper")
+    assert got == dataclasses.replace(TrainConfig(), **{k: getattr(got, k) for k in from_data})
 
 
 def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path):
@@ -132,6 +181,33 @@ def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path):
     open(bad, "wb").write(b"T2TB" + struct.pack("<II", 1, 2) + b"\xff\xfe")  # non-UTF-8 header
     assert run(["generate", "--checkpoint", bad, "--source-vocab", svocab,
                 "--target-vocab", tvocab, "--from-corpus", corpus]) == 3
+    # Checkpoints of decoders this code no longer builds, written by the
+    # release that still had ``train --layers`` and ``--literal-lstm`` (m=2,
+    # trained on this module's demo corpus, so the vocabulary hashes match).
+    # Loading them as a one-layer tanh model would silently drop the l1
+    # blocks or change the cell, so they are refused.
+    for name in ("checkpoint_v1_gru_layers2.bin", "checkpoint_v1_lstm_sigmoid_candidate.bin"):
+        assert run(["generate", "--checkpoint", os.path.join(DATA, name),
+                    "--source-vocab", svocab, "--target-vocab", tvocab,
+                    "--from-corpus", corpus, "--limit", "1"]) == 3, name
+    header, blocks = nn.read_blocks(os.path.join(DATA, "checkpoint_v1_gru_layers2.bin"))
+    blocks = [(k, v) for k, v in blocks.items() if not k.startswith("decoder.l1.")]
+    served = {**header, "layers": 1}
+
+    def generate_with(header_values):
+        nn.write_blocks(bad, {**served, **header_values}, blocks)
+        return run(["generate", "--checkpoint", bad, "--source-vocab", svocab,
+                    "--target-vocab", tvocab, "--from-corpus", corpus, "--limit", "1",
+                    "--beam", "2", "--t-max", "5"])
+
+    assert generate_with({}) == 0  # the one-layer part of that checkpoint loads
+    for values in ({"m": "16"}, {"m": 0}, {"m": True}, {"e_max": -1}, {"e_max": 8.0},
+                   {"cell_kind": "gsu"}, {"mode": "words"}, {"use_batch_norm": 1},
+                   {"bound_lower": None}, {"bound_upper": "7"}, {"layers": 0},
+                   {"paper_literal_lstm": True}, {"bn_momentum": 0.5}, {"bn_eps": 1e-3}):
+        assert generate_with(values) == 3, values
+    del served["m"]
+    assert generate_with({}) == 3  # a missing field is not defaulted
 
 
 def test_gradcheck_exit_codes():

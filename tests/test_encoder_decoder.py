@@ -130,15 +130,15 @@ def test_gradients_reach_all_three_embeddings():
 
 
 def zero_decoder(cell, m=3, target=12):
-    return Decoder(target, m, 1, cell)
+    return Decoder(target, m, cell)
 
 
 def step_once(dec, x=1, h=None, c=None):
     batch = 1
-    hs = [nn.leaf(np.zeros((batch, dec.m)) if h is None else np.asarray([h]))]
-    cs = ([nn.leaf(np.zeros((batch, dec.m)) if c is None else np.asarray([c]))]
-          if dec.cell_kind == "lstm" else [])
-    state = DecoderState(hs=hs, cs=cs)
+    h = nn.leaf(np.zeros((batch, dec.m)) if h is None else np.asarray([h]))
+    c = (nn.leaf(np.zeros((batch, dec.m)) if c is None else np.asarray([c]))
+         if dec.cell_kind == "lstm" else None)
+    state = DecoderState(h, c)
     new_state, top = dec.step(None, np.asarray([x]), state)
     return new_state, top.value[0]
 
@@ -147,17 +147,17 @@ def test_lstm_zero_parameters_zero_state():
     dec = zero_decoder("lstm")
     state, h = step_once(dec)
     assert np.allclose(h, 0.0)           # out=0.5, tanh(c)=0
-    assert np.allclose(state.cs[0].value, 0.0)
+    assert np.allclose(state.c.value, 0.0)
 
 
 def test_lstm_saturated_gates_carry_memory():
     dec = zero_decoder("lstm", m=2)
     # forget bias large positive, input bias large negative: c' ~= c
-    dec.gate_b[0].value[0, 2:4] = 50.0    # forget gate
-    dec.gate_b[0].value[0, 0:2] = -50.0   # input gate
+    dec.gate_b.value[0, 2:4] = 50.0    # forget gate
+    dec.gate_b.value[0, 0:2] = -50.0   # input gate
     c0 = [0.37, -0.81]
     state, _ = step_once(dec, c=c0)
-    assert np.allclose(state.cs[0].value[0], c0, atol=1e-12)
+    assert np.allclose(state.c.value[0], c0, atol=1e-12)
 
 
 def test_lstm_scalar_hand_case():
@@ -165,28 +165,16 @@ def test_lstm_scalar_hand_case():
     dec = zero_decoder("lstm", m=1)
     dec.embed.value[...] = 0.0
     dec.embed.value[1, 0] = 0.1
-    dec.gate_w[0].value[...] = 0.1
-    dec.gate_b[0].value[...] = 0.1
+    dec.gate_w.value[...] = 0.1
+    dec.gate_b.value[...] = 0.1
     state, h = step_once(dec, x=1, h=[0.2], c=[0.3])
     z = 0.1 * 0.1 + 0.2 * 0.1 + 0.1  # joint = [x_emb, h_prev] @ W + b
     sig = 1.0 / (1.0 + np.exp(-z))
     cand = np.tanh(z)
     c = sig * 0.3 + sig * cand
     expected_h = sig * np.tanh(c)
-    assert abs(state.cs[0].value[0, 0] - c) < 1e-12
+    assert abs(state.c.value[0, 0] - c) < 1e-12
     assert abs(h[0] - expected_h) < 1e-12
-
-
-def test_lstm_literal_sigmoid_candidate_variant():
-    dec = Decoder(12, 1, 1, "lstm", literal_sigmoid_candidate=True)
-    dec.embed.value[1, 0] = 0.1
-    dec.gate_w[0].value[...] = 0.1
-    dec.gate_b[0].value[...] = 0.1
-    state, _ = step_once(dec, x=1, h=[0.2], c=[0.3])
-    z = 0.1 * 0.1 + 0.2 * 0.1 + 0.1
-    sig = 1.0 / (1.0 + np.exp(-z))
-    c = sig * 0.3 + sig * sig  # candidate goes through the sigmoid as printed
-    assert abs(state.cs[0].value[0, 0] - c) < 1e-12
 
 
 def test_gru_zero_parameters_zero_state():
@@ -197,7 +185,7 @@ def test_gru_zero_parameters_zero_state():
 
 def test_gru_update_gate_zero_keeps_state():
     dec = zero_decoder("gru", m=2)
-    dec.gate_b[0].value[0, 2:4] = -50.0  # update gate forced to 0
+    dec.gate_b.value[0, 2:4] = -50.0  # update gate forced to 0
     h0 = [0.4, -0.9]
     _, h = step_once(dec, h=h0)
     assert np.allclose(h, h0, atol=1e-12)
@@ -206,11 +194,11 @@ def test_gru_update_gate_zero_keeps_state():
 def test_gru_scalar_hand_case():
     dec = zero_decoder("gru", m=1)
     dec.embed.value[1, 0] = 0.1
-    dec.gate_w[0].value[...] = 0.1
-    dec.gate_b[0].value[...] = 0.1
-    dec.cand_in_w[0].value[...] = 0.1
-    dec.cand_in_b[0].value[...] = 0.1
-    dec.cand_hh_w[0].value[...] = 0.1
+    dec.gate_w.value[...] = 0.1
+    dec.gate_b.value[...] = 0.1
+    dec.cand_in_w.value[...] = 0.1
+    dec.cand_in_b.value[...] = 0.1
+    dec.cand_hh_w.value[...] = 0.1
     h_prev = 0.2
     _, h = step_once(dec, x=1, h=[h_prev])
     z = 0.1 * 0.1 + h_prev * 0.1 + 0.1
@@ -232,7 +220,7 @@ def test_one_step_determinism():
     a = step_once(dec, x=2, h=[0.1, 0.2, 0.3, 0.4], c=[0.0, 0.1, 0.0, -0.1])
     b = step_once(dec, x=2, h=[0.1, 0.2, 0.3, 0.4], c=[0.0, 0.1, 0.0, -0.1])
     assert np.array_equal(a[1], b[1])
-    assert np.array_equal(a[0].cs[0].value, b[0].cs[0].value)
+    assert np.array_equal(a[0].c.value, b[0].c.value)
 
 
 @settings(max_examples=30, deadline=None)
@@ -245,17 +233,16 @@ def test_gru_convexity_property(seed):
     for p in dec.parameters():
         p.value[...] = rng.normal(scale=1.5, size=p.value.shape)
     h_prev = rng.normal(size=3)
-    hs = [nn.leaf(np.asarray([h_prev]))]
-    state = DecoderState(hs=hs, cs=[])
+    state = DecoderState(nn.leaf(np.asarray([h_prev])), None)
     _, top = dec.step(None, np.asarray([1]), state)
     h_new = top.value[0]
     # recompute the candidate with plain numpy
     x_emb = dec.embed.value[1]
     joint = np.concatenate([x_emb, h_prev])
-    z = joint @ dec.gate_w[0].value + dec.gate_b[0].value[0]
+    z = joint @ dec.gate_w.value + dec.gate_b.value[0]
     r = 1.0 / (1.0 + np.exp(-z[:3]))
-    cand = np.tanh(x_emb @ dec.cand_in_w[0].value + dec.cand_in_b[0].value[0]
-                   + (r * h_prev) @ dec.cand_hh_w[0].value)
+    cand = np.tanh(x_emb @ dec.cand_in_w.value + dec.cand_in_b.value[0]
+                   + (r * h_prev) @ dec.cand_hh_w.value)
     lo = np.minimum(h_prev, cand)
     hi = np.maximum(h_prev, cand)
     assert np.all(h_new >= lo - 1e-12) and np.all(h_new <= hi + 1e-12)
@@ -268,9 +255,9 @@ def test_lstm_hidden_bounded_property(seed):
     dec = zero_decoder("lstm", m=3)
     for p in dec.parameters():
         p.value[...] = rng.normal(scale=2.0, size=p.value.shape)
-    hs = [nn.leaf(rng.normal(size=(1, 3)))]
-    cs = [nn.leaf(rng.normal(size=(1, 3)))]
-    _, top = dec.step(None, np.asarray([2]), DecoderState(hs=hs, cs=cs))
+    h = nn.leaf(rng.normal(size=(1, 3)))
+    c = nn.leaf(rng.normal(size=(1, 3)))
+    _, top = dec.step(None, np.asarray([2]), DecoderState(h, c))
     assert np.all(np.abs(top.value) <= 1.0 + 1e-12)
 
 
@@ -295,16 +282,3 @@ def test_output_distribution_dominant_logit_saturates():
     probs = dec.output_distribution(np.zeros((1, 1)))
     assert 1.0 - probs[0, 5] < 1e-20
 
-
-def test_multi_layer_decoder_runs_and_differs():
-    dec1 = Decoder(12, 4, 1, "gru")
-    dec2 = Decoder(12, 4, 2, "gru")
-    nn.init_uniform(dec1.parameters(), -0.5, 0.5, seed=4)
-    nn.init_uniform(dec2.parameters(), -0.5, 0.5, seed=4)
-    h0 = nn.leaf(np.full((1, 4), 0.3))
-    s1 = dec1.initial_state(h0)
-    s2 = dec2.initial_state(h0)
-    _, t1 = dec1.step(None, np.asarray([1]), s1)
-    _, t2 = dec2.step(None, np.asarray([1]), s2)
-    assert t1.value.shape == t2.value.shape == (1, 4)
-    assert len(s2.hs) == 2 and len(s2.cs) == 0

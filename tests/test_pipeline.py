@@ -151,13 +151,6 @@ def test_bound_accepts_inside_bounds():
     assert stats.lower_bound() == 3 and stats.upper_bound() == 16
 
 
-def test_bound_respects_extra_cap():
-    stats = CorpusStats(e_min=1, e_mean=10.0, e_std=4.0)
-    triples = [T("s", "p", str(i)) for i in range(12)]
-    decision, kept = pl.bound_triple_set(triples, stats, e_max_cap=5)
-    assert decision == "trim" and len(kept) == 5
-
-
 # -- summary truncation --------------------------------------------------------
 
 

@@ -1,14 +1,17 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import make_model, make_vocab
-from triples2text import nn, training
+from triples2text import nn, pipeline, training
+from triples2text.demo import demo_corpus
 from triples2text.model import EncodedExample, ModelConfig, Seq2Seq
-from triples2text.pipeline import AlignedExample, SummaryToken, Triple
+from triples2text.pipeline import AlignedExample, PipelineConfig, SummaryToken, Triple
 from triples2text.training import TrainConfig, boundary_lr_schedule
+from triples2text.vocab import build_source_vocab, build_target_vocab
 
 
 def small_config(**kw):
@@ -271,3 +274,91 @@ def test_rare_predicate_triples_discarded_at_encode():
                         examples[0].summary_tokens, ["r"])
     enc = model.encode_example(ex)
     assert len(enc.triples) == 1
+
+
+# -- numerics regression -------------------------------------------------------
+
+# Per-batch costs and final parameter norms of two fixed-seed demo runs,
+# recorded before the decoder was cut to one layer. Any rewrite of the
+# decoder or the training step must reproduce them within 1e-9 relative
+# (1e-12 absolute, for norms that are rounding noise around zero).
+PINNED_RUNS = {
+    "gru": (
+        [
+            74.28132653213946, 70.1079332024962, 71.30007034340723,
+            73.45984216549202, 67.43220458614306, 67.96802194057902,
+            63.83011312490862, 61.001789042010785, 59.15903270175158,
+            58.67233348369546, 56.20319305488815, 57.528023312008685,
+            61.967013066004874, 57.19306738464776, 57.37155958376176,
+        ],
+        {
+            "encoder.embed": 1.3536597985249073,
+            "encoder.embed_bias": 0.0015229617033203854,
+            "encoder.hidden": 1.0633035737182996,
+            "encoder.aggregate_w": 1.301059492914997,
+            "encoder.aggregate_b": 0.0012554515871319668,
+            "encoder.bn_embed.scale": 2.8265921708113866,
+            "encoder.bn_embed.shift": 1.1160363351079248e-15,
+            "encoder.bn_hidden.scale": 2.7213157469763405,
+            "encoder.bn_hidden.shift": 0.1932407347945924,
+            "encoder.bn_out.scale": 3.3383381776099075,
+            "encoder.bn_out.shift": 0.713111441299288,
+            "decoder.embed": 2.454458091348896,
+            "decoder.l0.gates_w": 2.3064793576828815,
+            "decoder.l0.gates_b": 0.6268742516041649,
+            "decoder.l0.cand_in_w": 1.611837995285952,
+            "decoder.l0.cand_in_b": 0.5680221021261871,
+            "decoder.l0.cand_hh_w": 1.560818258590683,
+            "decoder.out_w": 4.446022279795861,
+            "decoder.out_b": 1.334820668308187,
+        },
+    ),
+    "lstm": (
+        [
+            74.2806180798389, 70.10396645273777, 71.42162002757186,
+            73.97443506552023, 68.53221801189844, 70.84731384342929,
+            68.34336149238585, 65.75602402551435, 62.03420253145964,
+            61.5929539620601, 58.421066261735156, 59.21070009743153,
+            63.34665446662231, 58.502975199690745, 58.565982504222326,
+        ],
+        {
+            "encoder.embed": 1.2131370563612198,
+            "encoder.embed_bias": 0.001522961703294006,
+            "encoder.hidden": 1.0530907671762402,
+            "encoder.aggregate_w": 1.1132602375052043,
+            "encoder.aggregate_b": 0.001255451587165178,
+            "encoder.bn_embed.scale": 2.870794145392811,
+            "encoder.bn_embed.shift": 8.343478388002971e-16,
+            "encoder.bn_hidden.scale": 2.848553929765266,
+            "encoder.bn_hidden.shift": 0.25740097632091524,
+            "encoder.bn_out.scale": 2.90389256007986,
+            "encoder.bn_out.shift": 0.5819382574917491,
+            "decoder.embed": 2.663533645589409,
+            "decoder.l0.gates_w": 3.9859823099117127,
+            "decoder.l0.gates_b": 0.995034484495442,
+            "decoder.out_w": 4.526021486504592,
+            "decoder.out_b": 1.5423458341597562,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_RUNS))
+def test_fixed_seed_run_matches_pinned_numerics(cell, tmp_path):
+    paths = demo_corpus(7, 30, str(tmp_path))
+    articles = pipeline.read_articles(paths["triples"], paths["summaries"])
+    examples, stats, _ = pipeline.build_corpus(
+        articles, pipeline.read_tsv_map(paths["instance_types"]),
+        PipelineConfig(gender_lexicon=pipeline.read_tsv_map(paths["genders"])))
+    source, target = build_source_vocab(examples, 2), build_target_vocab(examples, 1000)
+    cfg = TrainConfig(batch_size=5, max_timestep=30, epochs=3, seed=4, cell_kind=cell,
+                      m=8, e_max=stats.e_max, learning_rate=0.01, decay_start_epoch=1,
+                      patience=None)
+    out = str(tmp_path / "run")
+    model, _ = training.train(examples[:25], examples[25:], cfg, source, target, out_dir=out)
+    costs = [r["cost"] for r in map(json.loads, open(os.path.join(out, "train_log.jsonl")))
+             if r["type"] == "batch"]
+    norms = {p.name: float(np.linalg.norm(p.value)) for p in model.parameters()}
+    want_costs, want_norms = PINNED_RUNS[cell]
+    assert costs == pytest.approx(want_costs, rel=1e-9)
+    assert norms == pytest.approx(want_norms, rel=1e-9, abs=1e-12)
