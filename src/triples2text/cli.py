@@ -26,6 +26,7 @@ import json
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -383,22 +384,30 @@ def cmd_evaluate(args, cfg):
     examples = pipeline.read_corpus(args.corpus)
     if not examples:
         raise PipelineError(f"{args.corpus}: no examples to evaluate")
+    t0 = time.perf_counter()
     ppx = evaluation.perplexity(model, examples)
+    t1 = time.perf_counter()
     cands, refs, counts = [], [], []
+    forced_top1 = 0
     for i, ex in enumerate(examples):
         item_surface = evaluation.item_surface_for(ex, lexicon)
         top = generation.generate(model, ex.triples, lexicon, item_surface,
                                   args.beam, args.t_max, input_id=str(i))
         cands.append(top[0].final_tokens if top else [])
+        forced_top1 += bool(top) and top[0].forced
         refs.append(evaluation.reference_final(ex))
         counts.append(len(ex.triples))
+    generate_s = time.perf_counter() - t1
     report = evaluation.score_pairs(cands, refs, perplexity_value=ppx)
     report.bleu4_by_triple_count = evaluation.bleu_by_triple_count(
         list(zip(cands, refs)), counts)
     print(report.to_table())
     if args.out:
+        timing = {"perplexity_s": t1 - t0, "generate_s": generate_s,
+                  "inputs_per_s": len(examples) / generate_s}
+        beam = {"inputs": len(examples), "forced_top1": forced_top1}
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(report.to_json(timing=timing, beam=beam) + "\n")
     if args.curve_csv:
         with open(args.curve_csv, "w", encoding="utf-8") as fh:
             fh.write(report.curve_csv())

@@ -126,7 +126,9 @@ class MetricReport:
     bleu4_by_triple_count: dict[int, tuple[float, int]] = field(default_factory=dict)
     stddev: dict[str, float] = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def to_json(self, **blocks: dict) -> str:
+        """The report as indented JSON; ``blocks`` are added as further
+        top-level objects (``evaluate``'s timing and beam statistics)."""
         return json.dumps({
             "perplexity": self.perplexity,
             "bleu": {str(k): v for k, v in sorted(self.bleu.items())},
@@ -135,6 +137,7 @@ class MetricReport:
             "bleu4_by_triple_count": {str(k): {"bleu4": v[0], "size": v[1]}
                                       for k, v in sorted(self.bleu4_by_triple_count.items())},
             "stddev": self.stddev,
+            **blocks,
         }, indent=2, sort_keys=True)
 
     def to_table(self) -> str:
@@ -385,10 +388,19 @@ def kn_train(summaries: Sequence[Sequence[str]], n: int = 5) -> KNModel:
 
 
 class KNScorer(Scorer):
-    """Beam scorer over a Kneser-Ney model; state is the recent history."""
+    """Beam scorer over a Kneser-Ney model. A state is the index of its
+    recent history in ``histories``, so a stack of states is an int array."""
 
     def __init__(self, kn: KNModel):
         self.kn = kn
+        self.histories: list[tuple[str, ...]] = []
+        self._ids: dict[tuple[str, ...], int] = {}
+
+    def _state(self, history: tuple[str, ...]) -> int:
+        if history not in self._ids:
+            self._ids[history] = len(self.histories)
+            self.histories.append(history)
+        return self._ids[history]
 
     def _logp(self, history: tuple[str, ...]) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -396,16 +408,13 @@ class KNScorer(Scorer):
 
     def start(self):
         hist = (START,)
-        return hist, self._logp(hist)
+        return self._state(hist), self._logp(hist)
 
     def step(self, states, tokens):
-        out_states = []
-        logps = []
-        for hist, tok in zip(states, tokens):
-            new = (hist + (self.kn.vocab[tok],))[-(self.kn.n - 1):] if self.kn.n > 1 else ()
-            out_states.append(new)
-            logps.append(self._logp(new))
-        return out_states, np.stack(logps)
+        keep = self.kn.n - 1
+        new = [(self.histories[s] + (self.kn.vocab[t],))[-keep:] if keep else ()
+               for s, t in zip(states, tokens)]
+        return np.array([self._state(h) for h in new]), np.stack([self._logp(h) for h in new])
 
 
 def kn_generate(kn: KNModel, beam_width: int = 10, t_max: int = 80) -> list[list[str]]:

@@ -8,6 +8,17 @@ log probability (no length normalisation). Ties break on the
 lexicographically smaller token-index sequence, making results
 deterministic.
 
+Each step is a few array operations. The live hypotheses are a token
+matrix [live, t], a log-probability vector and the scorer's stacked
+states, all gathered by parent index. The rows are kept in lexicographic
+order of their token sequences, so the row-major (row, token) order of
+the step's [live, |X|] score matrix is exactly the tie-break order.
+``np.partition`` finds the score of the k-th best finite entry (k the
+width left). Every entry at least that good is kept, those tied at the
+cut-off included, and a stable sort by score then picks the best k, ties
+going to the smaller sequence. ``Hypothesis`` objects are made only for
+completed hypotheses.
+
 Post-processing resolves <item>, entity URIs (most frequent recorded
 surface form), surface-form tuples (their surface part) and property-type
 placeholders (the matching triple's subject or object; each triple is
@@ -25,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import nn
-from .decoder import DecoderState
+from .decoder import LSTM, DecoderState
 from .model import Seq2Seq
 from .pipeline import (ENTITY, MODE_URI, PipelineConfig, Triple, augment_gender,
                        dedup_triples, filter_triples, normalize_triples,
@@ -43,43 +54,53 @@ class GenerationInputError(ValueError):
 class Hypothesis:
     tokens: list[int]
     log_prob: float
-    state: object = None
     complete: bool = False
     forced: bool = False  # hit the length cap without <end>
 
 
 class Scorer:
-    """One beam step: consume chosen tokens, emit next-token log probs."""
+    """One beam step: consume chosen tokens, emit next-token log probs.
+
+    A state is a numpy array (or scalar); a stack of states is an array
+    whose first axis runs over hypotheses, so the beam gathers the states
+    of chosen parents with one fancy index. ``start`` returns a single
+    state and its [|X|] log probs; ``step`` takes a stack (or a sequence
+    of single states, which ``np.asarray`` stacks) with one token each and
+    returns the next stack and its [len(tokens), |X|] log probs.
+    """
 
     def start(self) -> tuple[object, Array]:
         raise NotImplementedError
 
-    def step(self, states: Sequence[object], tokens: Sequence[int]) -> tuple[list[object], Array]:
+    def step(self, states: Sequence[object], tokens: Sequence[int]) -> tuple[Array, Array]:
         raise NotImplementedError
 
 
 class ModelScorer(Scorer):
-    """Neural scorer over one encoded triple set; a hypothesis state is its
-    (hidden row, cell row) pair, the cell row None for the GRU."""
+    """Neural scorer over one encoded triple set. A state is the hidden
+    row, followed for the LSTM by the cell row: a stack is one [live, m]
+    (GRU) or [live, 2m] (LSTM) array."""
 
     def __init__(self, model: Seq2Seq, triples: Sequence[tuple[int, int, int]]):
         self.model = model
         self.triples = list(triples)
 
     def start(self):
-        state = self.model.init_generation(self.triples)
-        new_state, h = self.model.decoder.step(None, np.asarray([self.model.start_index]), state)
-        logp = self.model.decoder.log_distribution(h.value)[0]
-        c = new_state.c.value[0] if new_state.c is not None else None
-        return (h.value[0], c), logp
+        rows, logp = self._advance(self.model.init_generation(self.triples),
+                                   [self.model.start_index])
+        return rows[0], logp[0]
 
     def step(self, states, tokens):
-        h = nn.leaf(np.stack([s[0] for s in states]))
-        c = nn.leaf(np.stack([s[1] for s in states])) if states[0][1] is not None else None
-        new_state, h = self.model.decoder.step(None, np.asarray(tokens), DecoderState(h, c))
+        rows = np.asarray(states)
+        m = self.model.decoder.m
+        c = nn.leaf(rows[:, m:]) if self.model.decoder.cell_kind == LSTM else None
+        return self._advance(DecoderState(nn.leaf(rows[:, :m]), c), tokens)
+
+    def _advance(self, state: DecoderState, tokens) -> tuple[Array, Array]:
+        new_state, h = self.model.decoder.step(None, np.asarray(tokens), state)
         logp = self.model.decoder.log_distribution(h.value)
-        cs = new_state.c.value if new_state.c is not None else [None] * len(states)
-        return list(zip(h.value, cs)), logp
+        rows = h.value if new_state.c is None else np.hstack([h.value, new_state.c.value])
+        return rows, logp
 
 
 def beam_search(scorer: Scorer, beam_width: int, t_max: int, end_index: int
@@ -97,40 +118,39 @@ def beam_search(scorer: Scorer, beam_width: int, t_max: int, end_index: int
     state0, logp0 = scorer.start()
     completed: list[Hypothesis] = []
     remaining = beam_width
-    live: list[Hypothesis] = [Hypothesis(tokens=[], log_prob=0.0, state=state0)]
-    dists = [logp0]
+    states = np.asarray([state0])
+    dists = np.asarray(logp0)[None]
+    tokens = np.zeros((1, 0), dtype=np.int64)  # [live, t] generated so far
+    log_probs = np.zeros(1)
     for step_no in range(t_max):
-        candidates = []
-        for hyp, dist in zip(live, dists):
-            for tok in np.flatnonzero(np.isfinite(dist)):
-                tok = int(tok)
-                candidates.append((hyp.log_prob + float(dist[tok]), hyp, tok))
-        if not candidates:
+        size = dists.shape[1]
+        flat = np.flatnonzero(np.isfinite(dists))
+        if not flat.size:
             break
-        candidates.sort(key=lambda c: (-c[0], c[1].tokens + [c[2]]))
-        kept = candidates[:remaining]
-        next_live: list[tuple[Hypothesis, int, float]] = []
-        for lp, parent, tok in kept:
-            if tok == end_index:
-                completed.append(Hypothesis(tokens=parent.tokens + [tok], log_prob=lp,
-                                            complete=True))
-                remaining -= 1
-            else:
-                next_live.append((parent, tok, lp))
-        if remaining <= 0 or not next_live:
-            live, dists = [], []
+        scores = (log_probs[:, None] + dists).ravel()[flat]
+        k = min(remaining, flat.size)
+        cut = -np.partition(-scores, k - 1)[k - 1]
+        tied_or_better = np.flatnonzero(scores >= cut)
+        # tied_or_better is ascending, so the stable sort keeps ties in token order
+        chosen = tied_or_better[np.argsort(-scores[tied_or_better], kind="stable")][:k]
+        rows, toks = np.divmod(flat, size)
+        ended = toks[chosen] == end_index
+        for i in chosen[ended]:
+            completed.append(Hypothesis(tokens=tokens[rows[i]].tolist() + [end_index],
+                                        log_prob=float(scores[i]), complete=True))
+        remaining -= int(ended.sum())
+        chosen = np.sort(chosen[~ended])  # back to token order
+        if remaining <= 0 or not chosen.size:
             break
+        parents, new_tokens = rows[chosen], toks[chosen]
+        tokens = np.hstack([tokens[parents], new_tokens[:, None]])
+        log_probs = scores[chosen]
         if step_no == t_max - 1:
-            live = [Hypothesis(tokens=p.tokens + [tok], log_prob=lp, complete=True, forced=True)
-                    for p, tok, lp in next_live]
-            dists = []
+            completed.extend(Hypothesis(tokens=seq, log_prob=float(lp), complete=True,
+                                        forced=True)
+                             for seq, lp in zip(tokens.tolist(), log_probs))
             break
-        states, logps = scorer.step([p.state for p, _, _ in next_live],
-                                    [tok for _, tok, _ in next_live])
-        live = [Hypothesis(tokens=p.tokens + [tok], log_prob=lp, state=states[i])
-                for i, (p, tok, lp) in enumerate(next_live)]
-        dists = [logps[i] for i in range(len(live))]
-    completed.extend(h for h in live if h.complete)
+        states, dists = scorer.step(states[parents], new_tokens)
     completed.sort(key=lambda h: (-h.log_prob, h.tokens))
     return completed
 
@@ -219,6 +239,7 @@ class GenerationResult:
     tokens: list[str]        # raw generated target tokens
     final_tokens: list[str]  # after placeholder/surface resolution
     final_text: str
+    forced: bool = False     # hit the length cap without <end>
 
 
 def generate(model: Seq2Seq, triples: Sequence[Triple], lexicon: Mapping[str, str],
@@ -245,7 +266,8 @@ def generate(model: Seq2Seq, triples: Sequence[Triple], lexicon: Mapping[str, st
                                          model.config.mode)
         results.append(GenerationResult(input_id=input_id, rank=rank,
                                         log_prob=h.log_prob, tokens=toks,
-                                        final_tokens=final_tokens, final_text=text))
+                                        final_tokens=final_tokens, final_text=text,
+                                        forced=h.forced))
     return results
 
 

@@ -217,6 +217,16 @@ class Seq2Seq:
         if expect_cell is not None and header["cell_kind"] != expect_cell:
             raise CheckpointMismatchError(
                 f"{path}: checkpoint holds a {header['cell_kind']} decoder, not {expect_cell}")
+        # The blocks read are bounded by the file's size; matching them
+        # against m and e_max first keeps a corrupt header from sizing the
+        # model (e_max·m·m values in aggregate_w) beyond what the file holds.
+        m, e_max = header["m"], header["e_max"]
+        for name, shape in (("decoder.embed", (len(target_vocab), m)),
+                            ("encoder.aggregate_w", (e_max * m, m))):
+            if name not in blocks or blocks[name].shape != shape:
+                raise nn.BadCheckpointError(
+                    f"{path}: block {name} is missing or not of shape {shape}, "
+                    f"as the header's m={m}, e_max={e_max} require")
         config = ModelConfig(**{k: header.get(k) for k in ModelConfig.__dataclass_fields__})
         model = cls(config, source_vocab, target_vocab)
         for p in model.parameters():

@@ -19,6 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .fileio import atomic_open
+
 Array = np.ndarray
 
 
@@ -544,33 +546,25 @@ def write_blocks(path: str, header: dict, blocks: Sequence[tuple[str, Array]]) -
     """Write the versioned container: magic, version, JSON header, then
     named blocks of (name, rows, cols, row-major little-endian float64).
 
-    The bytes go to a temporary file in the same directory, which then
-    replaces ``path``; a write that fails part-way leaves any previous
-    file at ``path`` intact.
+    The write is atomic (:func:`fileio.atomic_open`): a write that fails
+    part-way leaves any previous file at ``path`` intact.
     """
     head = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", _VERSION))
-            fh.write(struct.pack("<I", len(head)))
-            fh.write(head)
-            fh.write(struct.pack("<I", len(blocks)))
-            for name, arr in blocks:
-                if arr.ndim != 2:
-                    raise ShapeError(f"block {name}: expected a 2-D array")
-                data = np.ascontiguousarray(arr, dtype="<f8")
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<QQ", data.shape[0], data.shape[1]))
-                fh.write(data.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<I", _VERSION))
+        fh.write(struct.pack("<I", len(head)))
+        fh.write(head)
+        fh.write(struct.pack("<I", len(blocks)))
+        for name, arr in blocks:
+            if arr.ndim != 2:
+                raise ShapeError(f"block {name}: expected a 2-D array")
+            data = np.ascontiguousarray(arr, dtype="<f8")
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack("<QQ", data.shape[0], data.shape[1]))
+            fh.write(data.tobytes())
 
 
 def read_blocks(path: str) -> tuple[dict, dict[str, Array]]:

@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .fileio import atomic_open
 from .tokens import (END, ITEM, RARE, SPECIAL_TOKENS, START, UNK, YEAR, ZERO,
                      format_placeholder, tuple_token_text)
 from .vocab import (KIND_ENTITY, KIND_INSTANCE_TYPE, KIND_PLACEHOLDER,
@@ -697,7 +698,7 @@ def _triple_to_json(t: Triple) -> dict:
 
 
 def write_corpus(path: str, examples: Sequence[AlignedExample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for ex in examples:
             fh.write(json.dumps({
                 "main_entity": ex.main_entity,
@@ -730,7 +731,7 @@ def read_corpus(path: str) -> list[AlignedExample]:
 
 
 def write_stats(path: str, stats: CorpusStats) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump({
             "e_min": stats.e_min, "e_mean": stats.e_mean, "e_std": stats.e_std,
             "e_max": stats.e_max, "lower_bound": stats.lower_bound(),
@@ -758,6 +759,6 @@ def read_stats(path: str) -> CorpusStats:
 
 
 def write_lexicon(path: str, lexicon: Mapping[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for uri in sorted(lexicon):
             fh.write(f"{uri}\t{lexicon[uri]}\n")

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .fileio import atomic_open
 from .tokens import RARE, RESOURCE, SPECIAL_TOKENS, UNK
 
 _FORMAT = "triples2text-vocab"
@@ -122,10 +123,10 @@ class Vocabulary:
 
     def save(self, path: str) -> None:
         main, meta = self.to_bytes()
-        with open(path, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             fh.write(main)
         if meta is not None:
-            with open(path + ".meta.json", "wb") as fh:
+            with atomic_open(path + ".meta.json", "wb") as fh:
                 fh.write(meta)
 
     @classmethod

@@ -7,6 +7,8 @@ import struct
 import pytest
 
 from triples2text import cli, nn, training
+from triples2text.model import Seq2Seq
+from triples2text.tokens import END
 from triples2text.training import TrainConfig, TrainResult
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -94,6 +96,25 @@ def test_build_vocab_and_train_and_generate(demo_dir, tmp_path):
                 "--curve-csv", str(tmp_path / "curve.csv")]) == 0
     rep = json.load(open(report))
     assert "bleu" in rep and "perplexity" in rep
+    n_inputs = sum(1 for line in open(corpus) if line.strip())
+    timing, beam = rep["timing"], rep["beam"]
+    assert set(timing) == {"perplexity_s", "generate_s", "inputs_per_s"}
+    assert timing["perplexity_s"] > 0 and timing["generate_s"] > 0
+    assert timing["inputs_per_s"] == pytest.approx(n_inputs / timing["generate_s"])
+    assert beam["inputs"] == rep["n_evaluated"] == n_inputs
+    assert set(beam) == {"inputs", "forced_top1"}
+    # with t_max 1 a top hypothesis is forced unless it is the bare <end>
+    short = ["--beam", "2", "--t-max", "1", "--out"]
+    assert run(["evaluate", "--checkpoint", ckpt, "--source-vocab", svocab,
+                "--target-vocab", tvocab, "--corpus", corpus, "--lexicon", lexicon,
+                *short, report]) == 0
+    assert run(["generate", "--checkpoint", ckpt, "--source-vocab", svocab,
+                "--target-vocab", tvocab, "--lexicon", lexicon, "--from-corpus", corpus,
+                *short, out]) == 0
+    tops = [r for r in map(json.loads, open(out)) if r["rank"] == 0]
+    assert len(tops) == n_inputs
+    assert json.load(open(report))["beam"]["forced_top1"] == sum(
+        r["tokens"] != [END] for r in tops)
     assert open(tmp_path / "curve.csv").readline().strip() == "triple_count,bleu4"
     assert run(["baseline", "--kind", "random", "--train-corpus", corpus,
                 "--eval-corpus", corpus, "--lexicon", lexicon,
@@ -167,7 +188,7 @@ def test_train_defaults_come_from_train_config(demo_dir, tmp_path, monkeypatch):
     assert got == dataclasses.replace(TrainConfig(), **{k: getattr(got, k) for k in from_data})
 
 
-def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path):
+def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path, monkeypatch):
     cfg = os.path.join(demo_dir, "demo.cfg")
     corpus = str(tmp_path / "corpus.jsonl")
     assert run(["--config", cfg, "build-corpus", "--out", corpus]) == 0
@@ -206,6 +227,14 @@ def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path):
                    {"bound_lower": None}, {"bound_upper": "7"}, {"layers": 0},
                    {"paper_literal_lstm": True}, {"bn_momentum": 0.5}, {"bn_eps": 1e-3}):
         assert generate_with(values) == 3, values
+    # A header whose m or e_max disagrees with the blocks is refused before
+    # the model is built, so a huge m or e_max allocates nothing.
+    built = []
+    monkeypatch.setattr(Seq2Seq, "__init__", lambda *a, **k: built.append(a))
+    for values in ({"m": 10**9}, {"e_max": 10**9}, {"m": 3}, {"e_max": 1}):
+        assert generate_with(values) == 3, values
+    assert not built
+    monkeypatch.undo()
     del served["m"]
     assert generate_with({}) == 3  # a missing field is not defaulted
 

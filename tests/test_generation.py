@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_beam
 from conftest import make_model
 from triples2text import generation as gen
 from triples2text import tokens as tk
@@ -11,20 +14,21 @@ from triples2text.pipeline import Triple
 
 
 class TableScorer(Scorer):
-    """Fixed log-probability table keyed by the last consumed token."""
+    """Fixed log-probability table keyed by the last consumed token, which
+    is the state (-1 before the first token, table key "<s>")."""
 
     def __init__(self, table):
         self.table = {}
         for k, v in table.items():
             with np.errstate(divide="ignore"):
-                self.table[k] = np.log(np.asarray(v, dtype=float))
+                self.table[-1 if k == "<s>" else k] = np.log(np.asarray(v, dtype=float))
 
     def start(self):
-        return ("<s>",), self.table["<s>"]
+        return -1, self.table[-1]
 
     def step(self, states, tokens):
-        logps = np.stack([self.table[t] for t in tokens])
-        return [s + (t,) for s, t in zip(states, tokens)], logps
+        logps = np.stack([self.table[int(t)] for t in tokens])
+        return np.asarray(tokens), logps
 
 
 def test_beam_width_one_is_greedy():
@@ -92,6 +96,57 @@ def test_beam_monotone_in_width():
             hyps = beam_search(ModelScorer(model, [(1, 2, 3)]), b, 4, model.end_index)
             tops.append(hyps[0].log_prob)
         assert all(b >= a - 1e-12 for a, b in zip(tops, tops[1:])), tops
+
+
+class DepthTableScorer(Scorer):
+    """Log probs from a [t_max + 1, |X| + 1, |X|] table indexed by depth and
+    last token + 1; the state is depth * (|X| + 1) + last token + 1."""
+
+    def __init__(self, table):
+        self.table = table
+        self.row = table.shape[1]
+
+    def start(self):
+        return 0, self.table[0, 0]
+
+    def step(self, states, tokens):
+        states = (np.asarray(states) // self.row + 1) * self.row + np.asarray(tokens) + 1
+        return states, self.table[states // self.row, states % self.row]
+
+
+def _ranked(hyps):
+    return [(h.tokens, h.log_prob, h.forced, h.complete) for h in hyps]
+
+
+# few levels make ties at the beam's cut-off common; the decimal ones also
+# give sums that differ only in their last bits
+_LEVELS = (-np.inf, -0.5, -1.0, -1.5, -0.1, -0.2, -0.3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_beam_matches_sort_reference_on_tied_tables(data):
+    size = data.draw(st.integers(1, 6), label="|X|")
+    t_max = data.draw(st.integers(1, 5), label="t_max")
+    width = data.draw(st.integers(1, 12), label="width")
+    end = data.draw(st.integers(0, size - 1), label="end_index")
+    n = (t_max + 1) * (size + 1) * size
+    cells = data.draw(st.lists(st.sampled_from(_LEVELS), min_size=n, max_size=n))
+    table = np.asarray(cells).reshape(t_max + 1, size + 1, size)
+    got = beam_search(DepthTableScorer(table), width, t_max, end)
+    want = reference_beam.beam_search(DepthTableScorer(table), width, t_max, end)
+    assert _ranked(got) == _ranked(want)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_beam_matches_sort_reference_on_models(cell):
+    for seed in range(4):
+        model = make_model(seed=seed, cell=cell)
+        for width in (1, 3, 5):
+            got = beam_search(ModelScorer(model, [(1, 2, 3)]), width, 6, model.end_index)
+            want = reference_beam.beam_search(ModelScorer(model, [(1, 2, 3)]), width, 6,
+                                              model.end_index)
+            assert got and _ranked(got) == _ranked(want)
 
 
 # -- post-processing -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
-
+import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -404,6 +405,30 @@ def test_corpus_roundtrip(tmp_path):
     pl.write_stats(spath, stats)
     s2 = pl.read_stats(spath)
     assert s2.e_mean == stats.e_mean and s2.exclusions == stats.exclusions
+
+
+def test_failed_writes_keep_previous_file(tmp_path):
+    examples, stats, _ = pl.build_corpus([make_article()], {"dbr:Opus": "dbo:Book"},
+                                         PipelineConfig(target_vocab_size=100))
+
+    class FailingLexicon(dict):
+        def __getitem__(self, key):
+            if key == "dbr:B":
+                raise KeyError(key)
+            return super().__getitem__(key)
+
+    # each bad input raises after the writer has written part of the file
+    cases = [(pl.write_corpus, examples, examples + [None]),
+             (pl.write_stats, stats, replace(stats, exclusions={"x": object()})),
+             (pl.write_lexicon, {"dbr:A": "A"}, FailingLexicon({"dbr:A": "A", "dbr:B": "B"}))]
+    for i, (write, good, bad) in enumerate(cases):
+        path = str(tmp_path / f"out{i}")
+        write(path, good)
+        before = open(path, "rb").read()
+        with pytest.raises((AttributeError, TypeError, KeyError)):
+            write(path, bad)
+        assert open(path, "rb").read() == before, write.__name__
+    assert sorted(os.listdir(tmp_path)) == ["out0", "out1", "out2"]  # no temp file left
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,3 +150,20 @@ def test_source_serialization_keeps_fallbacks(tmp_path):
     assert loaded.fallbacks == v.fallbacks
     assert loaded.entity_tokens == v.entity_tokens
     assert loaded.content_hash() == v.content_hash()
+
+
+def test_failed_save_keeps_previous_files(tmp_path, monkeypatch):
+    triples = [Triple(tk.ITEM, "dbo:p", "dbr:Rare", "entity", object_type="dbo:T")] * 5
+    v = build_source_vocab([triple_example(triples)], min_count=20)
+    path = str(tmp_path / "src.vocab")
+    v.save(path)
+    main, meta = v.to_bytes()
+    # the main file's write raises; then, with the main file written, the meta file's
+    for failing in ((None, meta), (main, "not bytes")):
+        monkeypatch.setattr(Vocabulary, "to_bytes", lambda self, f=failing: f)
+        with pytest.raises(TypeError):
+            v.save(path)
+    monkeypatch.undo()
+    loaded = Vocabulary.load(path)
+    assert loaded.content_hash() == v.content_hash() and loaded.fallbacks == v.fallbacks
+    assert sorted(os.listdir(tmp_path)) == ["src.vocab", "src.vocab.meta.json"]
