@@ -33,6 +33,7 @@ import numpy as np
 from . import evaluation, generation, nn, pipeline, training
 from .decoder import CELL_KINDS, GRU
 from .demo import demo_corpus
+from .fileio import atomic_open
 from .model import CheckpointMismatchError, ModelConfig, Seq2Seq
 from .pipeline import MODE_TUPLES, MODE_URI, PipelineConfig, PipelineError
 from .training import TrainConfig, TrainingDivergedError
@@ -406,10 +407,10 @@ def cmd_evaluate(args, cfg):
         timing = {"perplexity_s": t1 - t0, "generate_s": generate_s,
                   "inputs_per_s": len(examples) / generate_s}
         beam = {"inputs": len(examples), "forced_top1": forced_top1}
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(report.to_json(timing=timing, beam=beam) + "\n")
     if args.curve_csv:
-        with open(args.curve_csv, "w", encoding="utf-8") as fh:
+        with atomic_open(args.curve_csv) as fh:
             fh.write(report.curve_csv())
     return 0
 
@@ -426,7 +427,7 @@ def cmd_baseline(args, cfg):
                                         args.order, args.beam, args.t_max)
     print(report.to_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(report.to_json() + "\n")
     return 0
 

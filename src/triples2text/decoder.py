@@ -58,9 +58,6 @@ class Decoder:
         cand = [self.cand_in_w, self.cand_in_b, self.cand_hh_w] if self.cell_kind == GRU else []
         return [self.embed, self.gate_w, self.gate_b, *cand, self.out_w, self.out_b]
 
-    def _p(self, tape, param):
-        return tape.param(param) if tape is not None else nn.Node(param.value)
-
     def initial_state(self, h0: nn.Node) -> DecoderState:
         """State before the first step: hidden = h0, cell (LSTM) zero."""
         c0 = nn.leaf(np.zeros((h0.value.shape[0], self.m))) if self.cell_kind == LSTM else None
@@ -74,11 +71,11 @@ class Decoder:
         x = np.asarray(x)
         if x.size and (x.min() < 0 or x.max() >= self.target_size):
             raise nn.ShapeError(f"decoder step: token index out of range [0, {self.target_size})")
-        emb = nn.rows_lookup(tape, self._p(tape, self.embed), x)
+        emb = nn.rows_lookup(tape, self.embed, x)
         m = self.m
         h_prev = state.h
         joint = nn.hstack(tape, [emb, h_prev])
-        z = nn.affine(tape, joint, self._p(tape, self.gate_w), self._p(tape, self.gate_b))
+        z = nn.affine(tape, joint, self.gate_w, self.gate_b)
         if self.cell_kind == LSTM:
             in_g = nn.sigmoid(tape, nn.slice_cols(tape, z, 0, m))
             f_g = nn.sigmoid(tape, nn.slice_cols(tape, z, m, 2 * m))
@@ -91,15 +88,15 @@ class Decoder:
         u_g = nn.sigmoid(tape, nn.slice_cols(tape, z, m, 2 * m))
         cand = nn.tanh(tape, nn.add(
             tape,
-            nn.affine(tape, emb, self._p(tape, self.cand_in_w), self._p(tape, self.cand_in_b)),
-            nn.matmul(tape, nn.mul(tape, r_g, h_prev), self._p(tape, self.cand_hh_w)),
+            nn.affine(tape, emb, self.cand_in_w, self.cand_in_b),
+            nn.matmul(tape, nn.mul(tape, r_g, h_prev), self.cand_hh_w),
         ))
         keep = nn.scale_shift(tape, u_g, -1.0, 1.0)  # 1 - u
         h = nn.add(tape, nn.mul(tape, keep, h_prev), nn.mul(tape, u_g, cand))
         return DecoderState(h=h, c=None), h
 
     def logits(self, tape: nn.Tape | None, h: nn.Node) -> nn.Node:
-        return nn.affine(tape, h, self._p(tape, self.out_w), self._p(tape, self.out_b))
+        return nn.affine(tape, h, self.out_w, self.out_b)
 
     def output_distribution(self, h: Array) -> Array:
         """Probabilities over the target vocabulary with padding masked out."""

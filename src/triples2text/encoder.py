@@ -48,9 +48,6 @@ class TripleEncoder:
     def batch_norms(self) -> list[nn.BatchNorm]:
         return [self.bn_embed, self.bn_hidden, self.bn_out] if self.use_batch_norm else []
 
-    def _p(self, tape, param):
-        return tape.param(param) if tape is not None else nn.Node(param.value)
-
     def encode_triples(self, tape: nn.Tape | None, spo: Array, training: bool,
                        update_running: bool = True) -> nn.Node:
         """Vector representations for a [n, 3] array of source index triples.
@@ -67,14 +64,13 @@ class TripleEncoder:
             raise nn.ShapeError(
                 f"encode_triples: source index out of range [0, {self.source_size})")
         n = spo.shape[0]
-        embed = self._p(tape, self.embed)
-        flat = nn.rows_lookup(tape, embed, spo.T.reshape(-1))  # [3n, m]: all s, all p, all o
-        flat = nn.add_bias(tape, flat, self._p(tape, self.embed_bias))
+        flat = nn.rows_lookup(tape, self.embed, spo.T.reshape(-1))  # [3n, m]: all s, all p, all o
+        flat = nn.add_bias(tape, flat, self.embed_bias)
         if self.use_batch_norm:
             flat = nn.batch_norm(tape, flat, self.bn_embed, training, update_running)
         parts = [nn.slice_rows(tape, flat, k * n, (k + 1) * n) for k in range(3)]
         h = nn.hstack(tape, parts)  # [n, 3m]
-        h = nn.matmul(tape, h, self._p(tape, self.hidden))
+        h = nn.matmul(tape, h, self.hidden)
         if self.use_batch_norm:
             h = nn.batch_norm(tape, h, self.bn_hidden, training, update_running)
         return nn.relu(tape, h)
@@ -96,7 +92,7 @@ class TripleEncoder:
             raise ValueError(
                 f"aggregate: {int(slot_idx.max()) + 1} triples exceed the capacity e_max={self.e_max}")
         packed = nn.pack_slots(tape, h_triples, example_idx, slot_idx, n_examples, self.e_max)
-        out = nn.affine(tape, packed, self._p(tape, self.aggregate_w), self._p(tape, self.aggregate_b))
+        out = nn.affine(tape, packed, self.aggregate_w, self.aggregate_b)
         if self.use_batch_norm:
             out = nn.batch_norm(tape, out, self.bn_out, training, update_running)
         return out

@@ -342,19 +342,7 @@ class KNModel:
 
     def _order_probs(self, history: tuple[str, ...], order: int) -> np.ndarray:
         v = len(self.vocab)
-        if order == 1:
-            table = self.counts[0].get((), Counter())
-            d = self.discounts[0]
-            total = sum(table.values())
-            base = np.full(v, 1.0 / v)
-            if total == 0:
-                return base
-            vec = np.zeros(v)
-            kinds = len(table)
-            for w, c in table.items():
-                vec[self.vocab_index[w]] = max(c - d, 0.0)
-            return vec / total + (d * kinds / total) * base
-        lower = self._probs(history[1:], order - 1)
+        lower = self._probs(history[1:], order - 1) if order > 1 else np.full(v, 1.0 / v)
         table = self.counts[order - 1].get(history)
         if not table:
             return lower
@@ -377,10 +365,6 @@ class KNModel:
         """p(. | history) over the model vocabulary, summing to one."""
         hist = tuple(history)[-(self.n - 1):] if self.n > 1 else ()
         return self._probs(hist, min(len(hist) + 1, self.n))
-
-    def log_prob(self, token: str, history: Sequence[str]) -> float:
-        p = self.conditional(history)[self.vocab_index[token]]
-        return math.log(p)
 
 
 def kn_train(summaries: Sequence[Sequence[str]], n: int = 5) -> KNModel:

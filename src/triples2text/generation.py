@@ -37,10 +37,9 @@ import numpy as np
 
 from . import nn
 from .decoder import LSTM, DecoderState
+from .fileio import atomic_open
 from .model import Seq2Seq
-from .pipeline import (ENTITY, MODE_URI, PipelineConfig, Triple, augment_gender,
-                       dedup_triples, filter_triples, normalize_triples,
-                       substitute_item_in_triples)
+from .pipeline import ENTITY, MODE_URI, PipelineConfig, Triple, rewrite_triples
 from .tokens import END, ITEM, PAD, START, parse_placeholder, parse_tuple_token
 
 Array = np.ndarray
@@ -273,24 +272,19 @@ def generate(model: Seq2Seq, triples: Sequence[Triple], lexicon: Mapping[str, st
 
 def prepare_raw_triples(triples: Sequence[Triple], main: str,
                         config: PipelineConfig) -> list[Triple]:
-    """Pipeline normalisation for a raw triple set at generation time:
-    allocate the triples touching the main entity, filter strings, encode
-    dates, normalise numbers, substitute <item>, append the gender triple
-    when a lexicon is configured, and deduplicate."""
+    """Pipeline normalisation for a raw triple set at generation time: keep
+    the triples touching the main entity and rewrite them as the corpus
+    builder does (:func:`pipeline.rewrite_triples`)."""
     out = [t for t in triples
            if t.subject == main or (t.object == main and t.object_kind == ENTITY)]
-    out = filter_triples(out)
-    out = normalize_triples(out, config)
-    out, hit = substitute_item_in_triples(out, main)
+    out, hit = rewrite_triples(out, main, config)
     if not hit:
         raise GenerationInputError(f"main entity {main} absent from the triple set")
-    if config.gender_lexicon is not None:
-        out = augment_gender(out, main, config.gender_lexicon, config.gender_predicate)
-    return dedup_triples(out)
+    return out
 
 
 def write_results(path: str, results: Sequence[GenerationResult]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for r in results:
             fh.write(json.dumps({
                 "input_id": r.input_id, "rank": r.rank, "log_prob": r.log_prob,

@@ -199,11 +199,16 @@ class Seq2Seq:
         head["target_vocab_size"] = len(self.target_vocab)
         return head
 
-    def save(self, path: str) -> None:
+    def state_blocks(self) -> list[tuple[str, Array]]:
+        """Every array a checkpoint holds, by block name: the parameters,
+        then the batch-norm running statistics."""
         blocks = [(p.name, p.value) for p in self.parameters()]
         for bn in self.batch_norms():
             blocks.extend(bn.state_blocks())
-        nn.write_blocks(path, self._header(), blocks)
+        return blocks
+
+    def save(self, path: str) -> None:
+        nn.write_blocks(path, self._header(), self.state_blocks())
 
     @classmethod
     def load(cls, path: str, source_vocab: Vocabulary, target_vocab: Vocabulary,
@@ -229,17 +234,11 @@ class Seq2Seq:
                     f"as the header's m={m}, e_max={e_max} require")
         config = ModelConfig(**{k: header.get(k) for k in ModelConfig.__dataclass_fields__})
         model = cls(config, source_vocab, target_vocab)
-        for p in model.parameters():
-            if p.name not in blocks:
-                raise nn.BadCheckpointError(f"{path}: missing parameter block {p.name}")
-            if blocks[p.name].shape != p.value.shape:
+        for name, arr in model.state_blocks():
+            if name not in blocks:
+                raise nn.BadCheckpointError(f"{path}: missing block {name}")
+            if blocks[name].shape != arr.shape:
                 raise nn.BadCheckpointError(
-                    f"{path}: block {p.name} has shape {blocks[p.name].shape}, "
-                    f"expected {p.value.shape}")
-            p.value[...] = blocks[p.name]
-        for bn in model.batch_norms():
-            for name, arr in bn.state_blocks():
-                if name not in blocks:
-                    raise nn.BadCheckpointError(f"{path}: missing state block {name}")
-                arr[...] = blocks[name]
+                    f"{path}: block {name} has shape {blocks[name].shape}, expected {arr.shape}")
+            arr[...] = blocks[name]
         return model

@@ -4,7 +4,9 @@ Everything operates on 2-D, C-contiguous numpy float64 arrays with shape
 [batch, features] unless stated otherwise; that array layout is the
 project's only tensor type. A forward pass optionally records closures on
 a :class:`Tape`; ``Tape.backward`` replays them in reverse order and
-accumulates gradients into ``Parameter.grad`` buffers. There is no graph
+accumulates gradients into the nodes' ``grad`` buffers. A
+:class:`Parameter` is itself a node, whose buffer persists across passes,
+so every operation takes a parameter directly. There is no graph
 compiler: the operation set is exactly what the triple encoder, the
 recurrent decoders and batch normalisation need. Passing ``tape=None``
 runs the same code as a pure forward evaluation.
@@ -40,29 +42,6 @@ def tensor2d(rows: int, cols: int) -> Array:
     return np.zeros((rows, cols), dtype=np.float64)
 
 
-class Parameter:
-    """A named trainable matrix with its gradient and RMSProp accumulator.
-
-    value, grad and rms_acc always share one shape. Vectors are stored as
-    [1, n] matrices so every parameter serialises the same way.
-    """
-
-    __slots__ = ("name", "value", "grad", "rms_acc")
-
-    def __init__(self, name: str, rows: int, cols: int):
-        self.name = name
-        self.value = tensor2d(rows, cols)
-        self.grad = tensor2d(rows, cols)
-        self.rms_acc = tensor2d(rows, cols)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, {self.value.shape[0]}x{self.value.shape[1]})"
-
-
 class Node:
     """A value in the recorded computation, with a lazily allocated gradient."""
 
@@ -73,10 +52,36 @@ class Node:
         self.grad: Array | None = None
 
 
-def _acc(node: Node, g: Array) -> None:
+class Parameter(Node):
+    """A named trainable matrix: a node whose gradient buffer persists
+    across forward passes, with its RMSProp accumulator.
+
+    value, grad and rms_acc always share one shape. Vectors are stored as
+    [1, n] matrices so every parameter serialises the same way.
+    """
+
+    __slots__ = ("name", "rms_acc")
+
+    def __init__(self, name: str, rows: int, cols: int):
+        super().__init__(tensor2d(rows, cols))
+        self.name = name
+        self.grad = tensor2d(rows, cols)
+        self.rms_acc = tensor2d(rows, cols)
+
+    def __repr__(self) -> str:
+        return f"Parameter({self.name!r}, {self.value.shape[0]}x{self.value.shape[1]})"
+
+
+def _grad(node: Node) -> Array:
+    """The node's gradient buffer, allocated as zeros on first use."""
     if node.grad is None:
         node.grad = np.zeros_like(node.value)
-    node.grad += g
+    return node.grad
+
+
+def _acc(node: Node, g: Array) -> None:
+    grad = _grad(node)
+    grad += g
 
 
 class Tape:
@@ -88,16 +93,6 @@ class Tape:
 
     def record(self, fn: Callable[[], None]) -> None:
         self._ops.append(fn)
-
-    def param(self, p: Parameter) -> Node:
-        """Enter a parameter into the recorded computation.
-
-        The node's gradient aliases ``p.grad``, which the caller must have
-        zeroed before the forward pass (see :func:`zero_grads`).
-        """
-        node = Node(p.value)
-        node.grad = p.grad
-        return node
 
     def backward(self, loss: Node) -> None:
         """Populate gradients of every recorded input of ``loss``.
@@ -202,9 +197,7 @@ def rows_lookup(tape: Tape | None, w: Node, idx: Array) -> Node:
     out = Node(w.value[idx])
     if tape is not None:
         def bwd():
-            if w.grad is None:
-                w.grad = np.zeros_like(w.value)
-            np.add.at(w.grad, idx, out.grad)
+            np.add.at(_grad(w), idx, out.grad)
         tape.record(bwd)
     return out
 
@@ -226,9 +219,7 @@ def slice_cols(tape: Tape | None, x: Node, start: int, stop: int) -> Node:
     out = Node(x.value[:, start:stop])
     if tape is not None:
         def bwd():
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            x.grad[:, start:stop] += out.grad
+            _grad(x)[:, start:stop] += out.grad
         tape.record(bwd)
     return out
 
@@ -237,9 +228,7 @@ def slice_rows(tape: Tape | None, x: Node, start: int, stop: int) -> Node:
     out = Node(x.value[start:stop])
     if tape is not None:
         def bwd():
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            x.grad[start:stop] += out.grad
+            _grad(x)[start:stop] += out.grad
         tape.record(bwd)
     return out
 
@@ -327,15 +316,18 @@ def softmax_array(x: Array) -> Array:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def masked_log_softmax(logits: Array, masked_cols: Sequence[int]) -> Array:
-    """Row-wise log softmax with the given columns excluded (probability 0)."""
+def _masked_shifted(logits: Array, masked_cols: Sequence[int]) -> Array:
+    """Logits with the given columns set to -inf, minus each row's maximum."""
     z = logits.copy()
     if len(masked_cols):
         z[:, list(masked_cols)] = -np.inf
-    zmax = z.max(axis=1, keepdims=True)
-    s = z - zmax
-    lse = np.log(np.exp(s).sum(axis=1, keepdims=True))
-    return s - lse
+    return z - z.max(axis=1, keepdims=True)
+
+
+def masked_log_softmax(logits: Array, masked_cols: Sequence[int]) -> Array:
+    """Row-wise log softmax with the given columns excluded (probability 0)."""
+    s = _masked_shifted(logits, masked_cols)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
 
 def masked_softmax_nll(tape: Tape | None, logits: Node, targets: Array,
@@ -346,13 +338,8 @@ def masked_softmax_nll(tape: Tape | None, logits: Node, targets: Array,
     Returns the [batch, 1] loss node and the probability matrix.
     """
     b, _ = logits.value.shape
-    z = logits.value.copy()
-    cols = list(masked_cols)
-    if cols:
-        z[:, cols] = -np.inf
-    zmax = z.max(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):  # -inf - -inf on masked columns is fine
-        e = np.exp(z - zmax)
+        e = np.exp(_masked_shifted(logits.value, masked_cols))
         total = e.sum(axis=1, keepdims=True)
         probs = e / total
     rows = np.arange(b)
@@ -409,10 +396,8 @@ def batch_norm(tape: Tape | None, x: Node, bn: BatchNorm, training: bool,
                update_running: bool = True) -> Node:
     if x.value.shape[1] != bn.width:
         raise ShapeError(f"batch_norm {bn.name}: width {x.value.shape[1]} != {bn.width}")
-    scale = tape.param(bn.scale) if tape is not None else Node(bn.scale.value)
-    shift = tape.param(bn.shift) if tape is not None else Node(bn.shift.value)
+    n = x.value.shape[0]
     if training:
-        n = x.value.shape[0]
         if n < 2:
             raise ValueError(f"batch_norm {bn.name}: training needs a batch of >= 2 rows, got {n}")
         mean = x.value.mean(axis=0, keepdims=True)
@@ -420,30 +405,24 @@ def batch_norm(tape: Tape | None, x: Node, bn: BatchNorm, training: bool,
         if update_running:
             bn.running_mean[...] = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
             bn.running_var[...] = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
-        inv = 1.0 / np.sqrt(var + bn.eps)
-        xhat = (x.value - mean) * inv
-        out = Node(scale.value * xhat + shift.value)
-        if tape is not None:
-            def bwd():
-                g = out.grad
-                _acc(shift, g.sum(axis=0, keepdims=True))
-                _acc(scale, (g * xhat).sum(axis=0, keepdims=True))
-                dxhat = g * scale.value
-                dx = inv / n * (n * dxhat
-                                - dxhat.sum(axis=0, keepdims=True)
-                                - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
-                _acc(x, dx)
-            tape.record(bwd)
-        return out
-    inv = 1.0 / np.sqrt(bn.running_var + bn.eps)
-    xhat = (x.value - bn.running_mean) * inv
-    out = Node(scale.value * xhat + shift.value)
+    else:
+        mean, var = bn.running_mean, bn.running_var
+    inv = 1.0 / np.sqrt(var + bn.eps)
+    xhat = (x.value - mean) * inv
+    out = Node(bn.scale.value * xhat + bn.shift.value)
     if tape is not None:
         def bwd():
             g = out.grad
-            _acc(shift, g.sum(axis=0, keepdims=True))
-            _acc(scale, (g * xhat).sum(axis=0, keepdims=True))
-            _acc(x, g * scale.value * inv)
+            _acc(bn.shift, g.sum(axis=0, keepdims=True))
+            _acc(bn.scale, (g * xhat).sum(axis=0, keepdims=True))
+            dxhat = g * bn.scale.value
+            if training:  # the batch statistics depend on x too
+                dx = inv / n * (n * dxhat
+                                - dxhat.sum(axis=0, keepdims=True)
+                                - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
+            else:
+                dx = dxhat * inv
+            _acc(x, dx)
         tape.record(bwd)
     return out
 

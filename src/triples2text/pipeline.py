@@ -375,6 +375,19 @@ def dedup_triples(triples: Sequence[Triple]) -> list[Triple]:
     return out
 
 
+def rewrite_triples(triples: Sequence[Triple], main: str,
+                    config: PipelineConfig) -> tuple[list[Triple], bool]:
+    """Drop string objects, encode dates and normalise numbers, substitute
+    <item> for the main entity, append its gender triple when a lexicon is
+    configured, and deduplicate. Also returns whether the main entity
+    occurred in the triples."""
+    out = normalize_triples(filter_triples(triples), config)
+    out, hit = substitute_item_in_triples(out, main)
+    if config.gender_lexicon is not None:
+        out = augment_gender(out, main, config.gender_lexicon, config.gender_predicate)
+    return dedup_triples(out), hit
+
+
 def bound_triple_set(triples: Sequence[Triple], stats: CorpusStats) -> tuple[str, list[Triple]]:
     """Accept, trim (keeping the first triples), or reject a set against the
     corpus bounds floor(E_min + 0.25*sigma) <= E <= floor(mean + 1.5*sigma)."""
@@ -540,41 +553,29 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
     if config.mode not in MODES:
         raise ValueError(f"unknown mode {config.mode!r}")
     exclusions: Counter[str] = Counter()
-
-    def stage_one(item):
-        summary, raw = item
+    prepared: list[tuple[AnnotatedSummary, list[Triple]]] = []
+    for summary, raw in articles:
         try:
             summary.check_spans()
         except PipelineError:
-            return ("invalid_annotation", None)
+            exclusions["invalid_annotation"] += 1
+            continue
         if not summary.mentions_main():
-            return ("no_main_annotation", None)
-        triples = filter_triples(raw)
-        triples = normalize_triples(triples, config)
+            exclusions["no_main_annotation"] += 1
+            continue
         # the main entity is known to be annotated, so substitution cannot
         # leave it absent from both triples and text here
-        triples, _ = substitute_item_in_triples(triples, summary.main_entity)
-        if config.gender_lexicon is not None:
-            triples = augment_gender(triples, summary.main_entity,
-                                     config.gender_lexicon, config.gender_predicate)
-        triples = dedup_triples(triples)
+        triples, _ = rewrite_triples(raw, summary.main_entity, config)
         triples = attach_types(triples, types)
         try:
             summary = truncate_summary(summary)
         except EmptySummaryError:
-            return ("empty_summary", None)
-        return (None, (summary, triples))
-
-    prepared: list[tuple[AnnotatedSummary, list[Triple]]] = []
-    for reason, payload in map(stage_one, articles):
-        if reason is not None:
-            exclusions[reason] += 1
-        else:
-            prepared.append(payload)
+            exclusions["empty_summary"] += 1
+            continue
+        prepared.append((summary, triples))
 
     stats = CorpusStats(exclusions=dict(exclusions))
     if not prepared:
-        stats.exclusions = dict(exclusions)
         return [], stats, {}
 
     sizes = [len(t) for _, t in prepared]

@@ -142,6 +142,8 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
         log_path = os.path.join(out_dir, "train_log.jsonl")
         best_path = os.path.join(out_dir, "checkpoint_best.bin")
         last_path = os.path.join(out_dir, "checkpoint_last.bin")
+        # Streamed, not written atomically: a run that diverges keeps the
+        # records up to the failing batch, which is how it is diagnosed.
         log_fh = open(log_path, "w", encoding="utf-8")
 
     def log(record: dict) -> None:

@@ -39,7 +39,6 @@ KIND_SPECIAL = "special"
 
 SOURCE_MIN_COUNT = 20  # occurrences a source token needs to keep its own index
 
-_BASE_KINDS = (KIND_WORD, KIND_ENTITY, KIND_TUPLE)
 _STRUCTURAL_KINDS = (KIND_PLACEHOLDER, KIND_INSTANCE_TYPE)
 
 

@@ -3,10 +3,12 @@ import hashlib
 import json
 import os
 import struct
+import types
 
+import numpy as np
 import pytest
 
-from triples2text import cli, nn, training
+from triples2text import cli, evaluation, generation, nn, training
 from triples2text.model import Seq2Seq
 from triples2text.tokens import END
 from triples2text.training import TrainConfig, TrainResult
@@ -215,13 +217,19 @@ def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path, monkeypatch):
     blocks = [(k, v) for k, v in blocks.items() if not k.startswith("decoder.l1.")]
     served = {**header, "layers": 1}
 
-    def generate_with(header_values):
-        nn.write_blocks(bad, {**served, **header_values}, blocks)
+    def generate_with(header_values, replaced_blocks=()):
+        replaced = dict(replaced_blocks)
+        nn.write_blocks(bad, {**served, **header_values},
+                        [(k, replaced.get(k, v)) for k, v in blocks])
         return run(["generate", "--checkpoint", bad, "--source-vocab", svocab,
                     "--target-vocab", tvocab, "--from-corpus", corpus, "--limit", "1",
                     "--beam", "2", "--t-max", "5"])
 
     assert generate_with({}) == 0  # the one-layer part of that checkpoint loads
+    # running statistics are shape-checked like parameters: a (1, 1) block
+    # would otherwise broadcast across the row
+    for shape in ((1, 1), (2, header["m"])):
+        assert generate_with({}, {"encoder.bn_out.running_mean": np.zeros(shape)}) == 3, shape
     for values in ({"m": "16"}, {"m": 0}, {"m": True}, {"e_max": -1}, {"e_max": 8.0},
                    {"cell_kind": "gsu"}, {"mode": "words"}, {"use_batch_norm": 1},
                    {"bound_lower": None}, {"bound_upper": "7"}, {"layers": 0},
@@ -237,6 +245,53 @@ def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path, monkeypatch):
     monkeypatch.undo()
     del served["m"]
     assert generate_with({}) == 3  # a missing field is not defaulted
+
+
+def test_failed_report_writes_keep_previous_files(demo_dir, tmp_path, monkeypatch):
+    cfg = os.path.join(demo_dir, "demo.cfg")
+    corpus = str(tmp_path / "corpus.jsonl")
+    lexicon = str(tmp_path / "lexicon.tsv")
+    assert run(["--config", cfg, "build-corpus", "--out", corpus, "--lexicon-out", lexicon]) == 0
+    tvocab, svocab = str(tmp_path / "t.vocab"), str(tmp_path / "s.vocab")
+    assert run(["--config", cfg, "build-vocab", "--corpus", corpus,
+                "--target-out", tvocab, "--source-out", svocab]) == 0
+    run_dir = str(tmp_path / "run")
+    assert run(["train", "--corpus", corpus, "--source-vocab", svocab,
+                "--target-vocab", tvocab, "--out-dir", run_dir, "--cell", "gru",
+                "--m", "4", "--batch-size", "5", "--epochs", "1", "--seed", "0"]) == 0
+    model = ["--checkpoint", os.path.join(run_dir, "checkpoint_best.bin"),
+             "--source-vocab", svocab, "--target-vocab", tvocab, "--lexicon", lexicon,
+             "--beam", "2", "--t-max", "5"]
+    gen, report, curve, base = (str(tmp_path / n) for n in
+                                ("gen.jsonl", "report.json", "curve.csv", "base.json"))
+    generate = ["generate", *model, "--from-corpus", corpus, "--limit", "2", "--out", gen]
+    evaluate = ["evaluate", *model, "--corpus", corpus, "--out", report, "--curve-csv", curve]
+    baseline = ["baseline", "--kind", "random", "--train-corpus", corpus,
+                "--eval-corpus", corpus, "--samples", "2", "--out", base]
+    rows_written = []
+
+    def dumps_once(obj, **kwargs):  # the first row is written, the second raises
+        if rows_written:
+            raise RuntimeError("write failed part-way")
+        rows_written.append(obj)
+        return json.dumps(obj, **kwargs)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("write failed part-way")
+
+    cases = [(generate, gen, generation, "json", types.SimpleNamespace(dumps=dumps_once)),
+             (evaluate, report, evaluation.MetricReport, "to_json", fail),
+             (evaluate, curve, evaluation.MetricReport, "curve_csv", fail),
+             (baseline, base, evaluation.MetricReport, "to_json", fail)]
+    for argv, path, owner, attr, broken in cases:
+        assert run(argv) == 0
+        before = open(path, "rb").read()
+        with monkeypatch.context() as patched:
+            patched.setattr(owner, attr, broken)
+            assert run(argv) == 3, path
+        assert open(path, "rb").read() == before, path
+    assert rows_written  # the generate case did fail part-way
+    assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
 
 def test_gradcheck_exit_codes():

@@ -1,9 +1,11 @@
-"""Static check that every import in the package's modules is used.
+"""Static checks that every import and every module-level private name
+in the package's modules is used.
 
 No linter is a dependency of the project, so this walks each module's
-syntax tree with the standard library: a name bound by an import must be
+syntax tree with the standard library. A name bound by an import must be
 read somewhere in the same module, as a bare name or as the root of an
-attribute chain.
+attribute chain. A module-level private name (``_x``, not a dunder) must
+be read by some module of the package, as a bare name or as an attribute.
 """
 
 import ast
@@ -39,3 +41,43 @@ def test_checker_flags_only_unused_imports():
 def test_package_module_has_no_unused_import(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+def private_names(source: str) -> dict[str, int]:
+    """Module-level private names bound by assignment, def or class."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                out[name] = node.lineno
+    return out
+
+
+def read_names(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    read = set().union(*map(read_names, sources.values()))
+    return sorted(f"{module}:{line} {name}" for module, source in sources.items()
+                  for name, line in private_names(source).items() if name not in read)
+
+
+def test_checker_flags_only_unused_private_names():
+    sources = {"a.py": "_used = 1\n_dead, _kept = 2, 3\n__all__ = []\ndef _f(): return _used\n",
+               "b.py": "from a import _f\nimport a\nx = a._kept + _f()\n"}
+    assert unused_private_names(sources) == ["a.py:2 _dead"]
+
+
+def test_package_has_no_unused_private_name():
+    unused = unused_private_names({p.name: p.read_text(encoding="utf-8") for p in MODULES})
+    assert not unused, ", ".join(unused)

@@ -97,7 +97,7 @@ def test_batch_norm_rejects_training_batch_of_one():
 def test_backward_twice_is_an_error():
     tape = nn.Tape()
     p = nn.Parameter("p", 1, 2)
-    x = nn.mul(tape, tape.param(p), tape.param(p))
+    x = nn.mul(tape, p, p)
     loss = nn.sum_all(tape, x)
     tape.backward(loss)
     with pytest.raises(nn.TapeError):
@@ -110,7 +110,7 @@ def test_gradient_zero_for_unused_parameter():
     unused = nn.Parameter("unused", 1, 2)
     tape = nn.Tape()
     nn.zero_grads([used, unused])
-    loss = nn.sum_all(tape, tape.param(used))
+    loss = nn.sum_all(tape, used)
     tape.backward(loss)
     assert np.allclose(used.grad, 1.0)
     assert np.allclose(unused.grad, 0.0)
@@ -122,7 +122,7 @@ def test_hand_gradient_of_sum_wx():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     tape = nn.Tape()
     nn.zero_grads([w])
-    loss = nn.sum_all(tape, nn.matmul(tape, nn.leaf(x), tape.param(w)))
+    loss = nn.sum_all(tape, nn.matmul(tape, nn.leaf(x), w))
     tape.backward(loss)
     assert np.allclose(w.grad, [[4.0, 4.0], [6.0, 6.0]])
 
@@ -307,7 +307,7 @@ def test_gradient_check_catches_a_broken_gradient():
 
     def good(compute):
         tape = nn.Tape() if compute else None
-        node = tape.param(p) if compute else nn.leaf(p.value)
+        node = p if compute else nn.leaf(p.value)
         loss = nn.sum_all(tape, nn.mul(tape, node, node) if compute else
                           nn.leaf(p.value * p.value))
         if compute:
