@@ -157,7 +157,8 @@ def build_parser() -> _Parser:
     g.add_argument("--source-vocab", required=True)
     g.add_argument("--target-vocab", required=True)
     g.add_argument("--lexicon")
-    g.add_argument("--genders", help="gender lexicon applied to raw --triples input")
+    g.add_argument("--genders", help="gender lexicon applied to raw --triples input "
+                   "(default: the config file's genders)")
     g.add_argument("--from-corpus", help="aligned corpus whose triple sets to use")
     g.add_argument("--limit", type=int)
     g.add_argument("--triples", help="N-Triples file for a single input")
@@ -227,27 +228,36 @@ def cmd_demo_corpus(args, cfg):
     return 0
 
 
+def _pipeline_config(args, cfg, mode: str) -> PipelineConfig:
+    """The pipeline settings of build-corpus and of generate --triples, so
+    that a raw triple set is rewritten as the training corpus was. Each
+    value comes from its flag (where the command has one), then the
+    config file, then the default."""
+    def pick(key: str, cast):
+        return _pick(getattr(args, key, None), cfg, key, cast, getattr(PipelineConfig, key))
+
+    genders_path = args.genders or cfg_path(cfg, "genders")
+    if genders_path and not os.path.exists(genders_path):
+        raise PipelineError(f"input not found: {genders_path}")
+    return PipelineConfig(
+        mode=mode,
+        target_vocab_size=pick("target_vocab_size", int),
+        target_vocab_min_count=pick("target_vocab_min_count", int),
+        year_min=pick("year_min", int),
+        year_max=pick("year_max", int),
+        gender_lexicon=pipeline.read_tsv_map(genders_path) if genders_path else None,
+    )
+
+
 def cmd_build_corpus(args, cfg):
     triples = _require(args.triples or cfg_path(cfg, "triples"), "--triples")
     summaries = _require(args.summaries or cfg_path(cfg, "summaries"), "--summaries")
     types_path = args.types or cfg_path(cfg, "instance_types")
-    genders_path = args.genders or cfg_path(cfg, "genders")
-    for path in (triples, summaries, types_path, genders_path):
+    for path in (triples, summaries, types_path):
         if path and not os.path.exists(path):
             raise PipelineError(f"input not found: {path}")
+    pcfg = _pipeline_config(args, cfg, _pick(args.mode, cfg, "mode", str, PipelineConfig.mode))
     types = pipeline.read_tsv_map(types_path) if types_path else {}
-    genders = pipeline.read_tsv_map(genders_path) if genders_path else None
-    pcfg = PipelineConfig(
-        mode=_pick(args.mode, cfg, "mode", str, PipelineConfig.mode),
-        target_vocab_size=_pick(args.target_vocab_size, cfg, "target_vocab_size", int,
-                                PipelineConfig.target_vocab_size),
-        target_vocab_min_count=_pick(args.target_vocab_min_count, cfg,
-                                     "target_vocab_min_count", int,
-                                     PipelineConfig.target_vocab_min_count),
-        year_min=_pick(args.year_min, cfg, "year_min", int, PipelineConfig.year_min),
-        year_max=_pick(args.year_max, cfg, "year_max", int, PipelineConfig.year_max),
-        gender_lexicon=genders,
-    )
     articles = pipeline.read_articles(triples, summaries)
     examples, stats, lexicon = pipeline.build_corpus(articles, types, pcfg)
     pipeline.write_corpus(args.out, examples)
@@ -361,8 +371,7 @@ def cmd_generate(args, cfg):
     elif args.triples:
         main = _require(args.main, "--main")
         raw = pipeline.read_ntriples(args.triples)
-        genders = pipeline.read_tsv_map(args.genders) if args.genders else None
-        pcfg = PipelineConfig(mode=model.config.mode, gender_lexicon=genders)
+        pcfg = _pipeline_config(args, cfg, model.config.mode)
         triples = generation.prepare_raw_triples(raw, main, pcfg)
         item_surface = args.item_surface or lexicon.get(main) or generation.prettify_uri(main)
         results.extend(generation.generate(model, triples, lexicon, item_surface,

@@ -10,6 +10,10 @@ remaining mass renormalised.
 The LSTM computes all four gate pre-activations with a single [2m, 4m]
 map and uses a tanh cell candidate. Parameter blocks keep the
 ``decoder.l0.`` prefix of the checkpoint format.
+
+Training runs the whole teacher-forced recurrence as one recorded op
+(:meth:`Decoder.sequence`); beam search advances one step at a time
+(:meth:`Decoder.step`). Both go through the same cell kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +36,33 @@ class DecoderState:
     """Hidden vectors (and cell vectors for the LSTM, else None), batch-major."""
     h: nn.Node
     c: nn.Node | None
+
+
+# The cell kernels: one timestep's update from the gate pre-activations,
+# shared by beam search (Decoder.step) and training (Decoder.sequence).
+# Each also returns the activations its backward pass reads.
+
+
+def _lstm_cell(z: Array, c_prev: Array) -> tuple[Array, Array, tuple]:
+    """h, c and (input, forget, output, candidate, tanh c) from z [B, 4m]."""
+    m = c_prev.shape[1]
+    s = nn.sigmoid_array(z[:, :3 * m])
+    i, f, o = s[:, :m], s[:, m:2 * m], s[:, 2 * m:]
+    g = np.tanh(z[:, 3 * m:])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, f, o, g, tc)
+
+
+def _gru_cell(z: Array, xc: Array, h_prev: Array, cand_hh_w: Array) -> tuple[Array, tuple]:
+    """h and (reset, update, reset * h_prev, candidate) from z [B, 2m] and
+    the input half of the candidate's pre-activation, xc [B, m]."""
+    m = h_prev.shape[1]
+    s = nn.sigmoid_array(z)
+    r, u = s[:, :m], s[:, m:]
+    rh = r * h_prev
+    cand = np.tanh(xc + rh @ cand_hh_w)
+    return (1.0 - u) * h_prev + u * cand, (r, u, rh, cand)
 
 
 class Decoder:
@@ -63,37 +94,110 @@ class Decoder:
         c0 = nn.leaf(np.zeros((h0.value.shape[0], self.m))) if self.cell_kind == LSTM else None
         return DecoderState(h=h0, c=c0)
 
-    def step(self, tape: nn.Tape | None, x: Array, state: DecoderState) -> tuple[DecoderState, nn.Node]:
-        """Advance one timestep on a batch of token indices.
+    def _tokens(self, x) -> Array:
+        x = np.asarray(x)
+        if x.size and (x.min() < 0 or x.max() >= self.target_size):
+            raise nn.ShapeError(f"decoder: token index out of range [0, {self.target_size})")
+        return x
+
+    def step(self, x: Array, state: DecoderState) -> tuple[DecoderState, nn.Node]:
+        """Advance one timestep on a batch of token indices (forward only).
 
         Returns the new state and its hidden vectors.
         """
-        x = np.asarray(x)
-        if x.size and (x.min() < 0 or x.max() >= self.target_size):
-            raise nn.ShapeError(f"decoder step: token index out of range [0, {self.target_size})")
-        emb = nn.rows_lookup(tape, self.embed, x)
-        m = self.m
-        h_prev = state.h
-        joint = nn.hstack(tape, [emb, h_prev])
-        z = nn.affine(tape, joint, self.gate_w, self.gate_b)
+        emb = self.embed.value[self._tokens(x)]
+        h_prev = state.h.value
+        z = np.concatenate([emb, h_prev], axis=1) @ self.gate_w.value + self.gate_b.value
         if self.cell_kind == LSTM:
-            in_g = nn.sigmoid(tape, nn.slice_cols(tape, z, 0, m))
-            f_g = nn.sigmoid(tape, nn.slice_cols(tape, z, m, 2 * m))
-            out_g = nn.sigmoid(tape, nn.slice_cols(tape, z, 2 * m, 3 * m))
-            cand = nn.tanh(tape, nn.slice_cols(tape, z, 3 * m, 4 * m))
-            c = nn.add(tape, nn.mul(tape, f_g, state.c), nn.mul(tape, in_g, cand))
-            h = nn.mul(tape, out_g, nn.tanh(tape, c))
-            return DecoderState(h=h, c=c), h
-        r_g = nn.sigmoid(tape, nn.slice_cols(tape, z, 0, m))
-        u_g = nn.sigmoid(tape, nn.slice_cols(tape, z, m, 2 * m))
-        cand = nn.tanh(tape, nn.add(
-            tape,
-            nn.affine(tape, emb, self.cand_in_w, self.cand_in_b),
-            nn.matmul(tape, nn.mul(tape, r_g, h_prev), self.cand_hh_w),
-        ))
-        keep = nn.scale_shift(tape, u_g, -1.0, 1.0)  # 1 - u
-        h = nn.add(tape, nn.mul(tape, keep, h_prev), nn.mul(tape, u_g, cand))
+            h, c, _ = _lstm_cell(z, state.c.value)
+            h = nn.Node(h)
+            return DecoderState(h=h, c=nn.Node(c)), h
+        xc = emb @ self.cand_in_w.value + self.cand_in_b.value
+        h = nn.Node(_gru_cell(z, xc, h_prev, self.cand_hh_w.value)[0])
         return DecoderState(h=h, c=None), h
+
+    def sequence(self, tape: nn.Tape | None, inputs: Array, h0: nn.Node) -> nn.Node:
+        """Run the recurrence over a [T, B] array of token indices from the
+        initial hidden vectors h0 [B, m], as one recorded op.
+
+        Returns every step's hidden vectors as one [T*B, m] node in
+        time-major order (row t*B + b). The input half of every gate
+        pre-activation, x_t @ W_x + b, is one GEMM over all T*B rows; only
+        h_{t-1} @ W_h runs per step. Backward is one reverse sweep through
+        the cached activations, after which each weight gradient is one
+        GEMM over all rows.
+        """
+        inputs = self._tokens(inputs)
+        steps, b = inputs.shape
+        m, gates = self.m, self.gate_w.value.shape[1]
+        lstm = self.cell_kind == LSTM
+        flat = inputs.reshape(-1)
+        emb = self.embed.value[flat]  # [T*B, m]
+        w_x, w_h = self.gate_w.value[:m], self.gate_w.value[m:]
+        zx = (emb @ w_x + self.gate_b.value).reshape(steps, b, gates)
+        if not lstm:
+            xc = (emb @ self.cand_in_w.value + self.cand_in_b.value).reshape(steps, b, m)
+        hs = np.empty((steps + 1, b, m))  # hs[t] is the hidden state entering step t
+        hs[0] = h0.value
+        cs = [np.zeros((b, m))] if lstm else None
+        acts = []
+        for t in range(steps):
+            z = zx[t] + hs[t] @ w_h
+            if lstm:
+                hs[t + 1], c, act = _lstm_cell(z, cs[t])
+                cs.append(c)
+            else:
+                hs[t + 1], act = _gru_cell(z, xc[t], hs[t], self.cand_hh_w.value)
+            if tape is not None:
+                acts.append(act)
+        out = nn.Node(hs[1:].reshape(steps * b, m))
+        if tape is None:
+            return out
+
+        def bwd():
+            if out.grad is None or not steps:
+                return
+            d_out = out.grad.reshape(steps, b, m)
+            dz = np.empty_like(zx)  # gate pre-activation gradients, every step
+            da = None if lstm else np.empty((steps, b, m))  # candidate's, GRU
+            dh = np.zeros((b, m))
+            dc = np.zeros((b, m)) if lstm else None
+            for t in reversed(range(steps)):
+                dh += d_out[t]
+                if lstm:
+                    i, f, o, g, tc = acts[t]
+                    dc += dh * o * (1.0 - tc * tc)
+                    dz[t, :, :m] = dc * g * i * (1.0 - i)
+                    dz[t, :, m:2 * m] = dc * cs[t] * f * (1.0 - f)
+                    dz[t, :, 2 * m:3 * m] = dh * tc * o * (1.0 - o)
+                    dz[t, :, 3 * m:] = dc * i * (1.0 - g * g)
+                    dc *= f
+                    dh = dz[t] @ w_h.T
+                else:
+                    r, u, _, cand = acts[t]
+                    h_prev = hs[t]
+                    da[t] = dh * u * (1.0 - cand * cand)
+                    drh = da[t] @ self.cand_hh_w.value.T
+                    dz[t, :, :m] = drh * h_prev * r * (1.0 - r)
+                    dz[t, :, m:] = dh * (cand - h_prev) * u * (1.0 - u)
+                    dh = dh * (1.0 - u) + drh * r + dz[t] @ w_h.T
+            dz = dz.reshape(steps * b, gates)
+            h_prev_rows = hs[:-1].reshape(steps * b, m)
+            self.gate_w.grad[:m] += emb.T @ dz
+            self.gate_w.grad[m:] += h_prev_rows.T @ dz
+            self.gate_b.grad += dz.sum(axis=0, keepdims=True)
+            d_emb = dz @ w_x.T
+            if not lstm:
+                da = da.reshape(steps * b, m)
+                rh = np.concatenate([act[2] for act in acts])
+                self.cand_in_w.grad += emb.T @ da
+                self.cand_in_b.grad += da.sum(axis=0, keepdims=True)
+                self.cand_hh_w.grad += rh.T @ da
+                d_emb += da @ self.cand_in_w.value.T
+            np.add.at(self.embed.grad, flat, d_emb)
+            nn._acc(h0, dh)
+        tape.record(bwd)
+        return out
 
     def logits(self, tape: nn.Tape | None, h: nn.Node) -> nn.Node:
         return nn.affine(tape, h, self.out_w, self.out_b)

@@ -19,6 +19,8 @@ import os
 
 import numpy as np
 
+from .fileio import atomic_open
+
 _GIVEN_FEMALE = ["Mira", "Selda", "Anneke", "Petra", "Ilsa", "Noor", "Greta",
                  "Vera", "Daria", "Yuna", "Edith", "Sanne"]
 _GIVEN_MALE = ["Arvid", "Bram", "Casper", "Douwe", "Egon", "Florian", "Gerrit",
@@ -187,17 +189,17 @@ def demo_corpus(seed: int, size: int, out_dir: str) -> dict[str, str]:
         "genders": os.path.join(out_dir, "genders.tsv"),
         "config": os.path.join(out_dir, "demo.cfg"),
     }
-    with open(paths["triples"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["triples"]) as fh:
         fh.write("\n".join(triples_lines) + "\n")
-    with open(paths["summaries"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["summaries"]) as fh:
         fh.write("\n".join(summary_lines) + "\n")
-    with open(paths["instance_types"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["instance_types"]) as fh:
         for uri in sorted(types):
             fh.write(f"{uri}\t{types[uri]}\n")
-    with open(paths["genders"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["genders"]) as fh:
         for uri in sorted(genders):
             fh.write(f"{uri}\t{genders[uri]}\n")
-    with open(paths["config"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["config"]) as fh:
         fh.write(
             "# generated demo configuration\n"
             "mode = uri\n"

@@ -96,7 +96,7 @@ class ModelScorer(Scorer):
         return self._advance(DecoderState(nn.leaf(rows[:, :m]), c), tokens)
 
     def _advance(self, state: DecoderState, tokens) -> tuple[Array, Array]:
-        new_state, h = self.model.decoder.step(None, np.asarray(tokens), state)
+        new_state, h = self.model.decoder.step(np.asarray(tokens), state)
         logp = self.model.decoder.log_distribution(h.value)
         rows = h.value if new_state.c is None else np.hstack([h.value, new_state.c.value])
         return rows, logp

@@ -145,32 +145,28 @@ class Seq2Seq:
             raise ValueError("empty batch")
         h0 = self.encoder.encode_batch(tape, [ex.triples for ex in batch],
                                        training, update_running)
-        state = self.decoder.initial_state(h0)
         steps = max(len(ex.target) for ex in batch) - 1
         if max_timestep is not None:
             steps = min(steps, max_timestep)
         b = len(batch)
-        inputs = np.full((b, steps), self.pad_index, dtype=int)
-        targets = np.full((b, steps), self.pad_index, dtype=int)
-        weights = np.zeros((b, steps))
+        # time-major: row t*b + i of the flattened arrays is example i at step t
+        inputs = np.full((steps, b), self.pad_index, dtype=int)
+        targets = np.full((steps, b), self.pad_index, dtype=int)
+        weights = np.zeros((steps, b))
         for i, ex in enumerate(batch):
             seq = ex.target
             n = min(len(seq) - 1, steps)
-            inputs[i, :n] = seq[:n]
-            targets[i, :n] = seq[1:n + 1]
-            weights[i, :n] = 1.0
+            inputs[:n, i] = seq[:n]
+            targets[:n, i] = seq[1:n + 1]
+            weights[:n, i] = 1.0
         weights[targets == self.pad_index] = 0.0  # appended padding is never predicted
-        total = None
-        total_nll = 0.0
-        for t in range(steps):
-            state, top = self.decoder.step(tape, inputs[:, t], state)
-            logits = self.decoder.logits(tape, top)
-            nll, _ = nn.masked_softmax_nll(tape, logits, targets[:, t], weights[:, t],
-                                           [self.pad_index])
-            total_nll += float(nll.value.sum())
-            total = nll if total is None else nn.add(tape, total, nll)
-        cost = nn.scale_shift(tape, nn.sum_all(tape, total), 1.0 / b)
-        return cost, total_nll, int(weights.sum())
+        hidden = self.decoder.sequence(tape, inputs, h0)
+        logits = self.decoder.logits(tape, hidden)
+        nll, _ = nn.masked_softmax_nll(tape, logits, targets.reshape(-1), weights.reshape(-1),
+                                       [self.pad_index])
+        total = nn.sum_all(tape, nll)
+        cost = nn.scale_shift(tape, total, 1.0 / b)
+        return cost, float(total.value[0, 0]), int(weights.sum())
 
     def corpus_nll(self, examples: Sequence[EncodedExample], batch_size: int = 32,
                    max_timestep: int | None = None) -> tuple[float, int]:

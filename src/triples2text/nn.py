@@ -7,8 +7,9 @@ a :class:`Tape`; ``Tape.backward`` replays them in reverse order and
 accumulates gradients into the nodes' ``grad`` buffers. A
 :class:`Parameter` is itself a node, whose buffer persists across passes,
 so every operation takes a parameter directly. There is no graph
-compiler: the operation set is exactly what the triple encoder, the
-recurrent decoders and batch normalisation need. Passing ``tape=None``
+compiler: the operation set is exactly what the triple encoder, batch
+normalisation, the decoder's output layer and the loss need; the
+decoder's recurrence records its own fused op. Passing ``tape=None``
 runs the same code as a pure forward evaluation.
 """
 
@@ -154,30 +155,6 @@ def affine(tape: Tape | None, x: Node, w: Node, b: Node | None) -> Node:
     return out
 
 
-def add(tape: Tape | None, x: Node, y: Node) -> Node:
-    if x.value.shape != y.value.shape:
-        raise ShapeError(f"add: {x.value.shape} + {y.value.shape}")
-    out = Node(x.value + y.value)
-    if tape is not None:
-        def bwd():
-            _acc(x, out.grad)
-            _acc(y, out.grad)
-        tape.record(bwd)
-    return out
-
-
-def mul(tape: Tape | None, x: Node, y: Node) -> Node:
-    if x.value.shape != y.value.shape:
-        raise ShapeError(f"mul: {x.value.shape} * {y.value.shape}")
-    out = Node(x.value * y.value)
-    if tape is not None:
-        def bwd():
-            _acc(x, out.grad * y.value)
-            _acc(y, out.grad * x.value)
-        tape.record(bwd)
-    return out
-
-
 def scale_shift(tape: Tape | None, x: Node, scale: float, shift: float = 0.0) -> Node:
     out = Node(x.value * scale + shift)
     if tape is not None:
@@ -211,15 +188,6 @@ def hstack(tape: Tape | None, parts: Sequence[Node]) -> Node:
             for p, w in zip(parts, widths):
                 _acc(p, out.grad[:, off:off + w])
                 off += w
-        tape.record(bwd)
-    return out
-
-
-def slice_cols(tape: Tape | None, x: Node, start: int, stop: int) -> Node:
-    out = Node(x.value[:, start:stop])
-    if tape is not None:
-        def bwd():
-            _grad(x)[:, start:stop] += out.grad
         tape.record(bwd)
     return out
 
@@ -261,36 +229,6 @@ def relu(tape: Tape | None, x: Node) -> Node:
     return out
 
 
-def sigmoid(tape: Tape | None, x: Node) -> Node:
-    out = Node(sigmoid_array(x.value))
-    if tape is not None:
-        def bwd():
-            _acc(x, out.grad * out.value * (1.0 - out.value))
-        tape.record(bwd)
-    return out
-
-
-def tanh(tape: Tape | None, x: Node) -> Node:
-    out = Node(np.tanh(x.value))
-    if tape is not None:
-        def bwd():
-            _acc(x, out.grad * (1.0 - out.value * out.value))
-        tape.record(bwd)
-    return out
-
-
-def softmax(tape: Tape | None, x: Node) -> Node:
-    """Row-wise softmax, max-subtracted for stability."""
-    out = Node(softmax_array(x.value))
-    if tape is not None:
-        def bwd():
-            p = out.value
-            inner = (out.grad * p).sum(axis=1, keepdims=True)
-            _acc(x, p * (out.grad - inner))
-        tape.record(bwd)
-    return out
-
-
 def sum_all(tape: Tape | None, x: Node) -> Node:
     out = Node(np.array([[x.value.sum()]]))
     if tape is not None:
@@ -301,19 +239,10 @@ def sum_all(tape: Tape | None, x: Node) -> Node:
 
 
 def sigmoid_array(x: Array) -> Array:
-    # split by sign so exp never overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def softmax_array(x: Array) -> Array:
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, so exp
+    never overflows; both branches share e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _masked_shifted(logits: Array, masked_cols: Sequence[int]) -> Array:
@@ -445,25 +374,36 @@ def init_uniform(params: Iterable[Parameter], low: float = -0.001, high: float =
         p.value[...] = rng.uniform(low, high, size=p.value.shape)
 
 
-def clip_gradients(params: Iterable[Parameter], max_norm: float | None) -> float:
+def _scratch(params: Sequence[Parameter], count: int) -> list[Array]:
+    """``count`` flat buffers, each as large as the largest parameter."""
+    size = max((p.value.size for p in params), default=0)
+    return [np.empty(size) for _ in range(count)]
+
+
+def _like(buf: Array, a: Array) -> Array:
+    """The leading part of a flat scratch buffer, viewed in a's shape."""
+    return buf[:a.size].reshape(a.shape)
+
+
+def clip_gradients(params: Iterable[Parameter], max_norm: float | None) -> tuple[float, float]:
     """Scale all gradients so their global L2 norm is at most max_norm.
 
-    Returns the applied scale (1.0 when no clipping happened or clipping
-    is disabled with max_norm=None).
+    Returns (norm, factor): the global norm before clipping and the
+    applied scale (1.0 when no clipping happened or clipping is disabled
+    with max_norm=None).
     """
     params = list(params)
-    if max_norm is None:
-        return 1.0
+    (buf,) = _scratch(params, 1)
     total = 0.0
     for p in params:
-        total += float((p.grad * p.grad).sum())
+        total += float(np.multiply(p.grad, p.grad, out=_like(buf, p.grad)).sum())
     norm = total ** 0.5
-    if norm <= max_norm or norm == 0.0:
-        return 1.0
+    if max_norm is None or norm <= max_norm or norm == 0.0:
+        return norm, 1.0
     factor = max_norm / norm
     for p in params:
         p.grad *= factor
-    return factor
+    return norm, factor
 
 
 def rmsprop_step(params: Iterable[Parameter], learning_rate: float,
@@ -473,14 +413,29 @@ def rmsprop_step(params: Iterable[Parameter], learning_rate: float,
 
     The l2 penalty enters through the gradient (g += 2*l2*value) before
     both the accumulator and the step, so zero gradient with zero l2 is a
-    fixed point.
+    fixed point. Every accumulator decays, rows with zero gradient too.
+
+    The update runs in place in two scratch buffers, in the operation
+    order of acc = rho*acc + ((1-rho)*g)*g and
+    value -= (lr*g) / sqrt(acc + eps), so it is bit-identical to that
+    formula written with temporaries.
     """
+    params = list(params)
+    buf_a, buf_b = _scratch(params, 2)
     for p in params:
+        a, b = _like(buf_a, p.value), _like(buf_b, p.value)
         g = p.grad
         if l2_coefficient:
-            g = g + 2.0 * l2_coefficient * p.value
-        p.rms_acc[...] = decay_rho * p.rms_acc + (1.0 - decay_rho) * g * g
-        p.value -= learning_rate * g / np.sqrt(p.rms_acc + epsilon)
+            g = np.add(g, np.multiply(p.value, 2.0 * l2_coefficient, out=a), out=a)
+        np.multiply(g, 1.0 - decay_rho, out=b)
+        b *= g
+        p.rms_acc *= decay_rho
+        p.rms_acc += b
+        np.add(p.rms_acc, epsilon, out=b)
+        np.sqrt(b, out=b)
+        np.multiply(g, learning_rate, out=a)
+        a /= b
+        p.value -= a
 
 
 def gradient_check(loss_fn: Callable[[bool], float], params: Sequence[Parameter],

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -172,20 +173,22 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
                 while next_decay <= Fraction(epoch) + Fraction(b, max(n_batches, 1)):
                     lr *= cfg.decay_factor
                     next_decay += DECAY_PERIOD
+                start = time.perf_counter()
                 tape = nn.Tape()
                 nn.zero_grads(params)
-                cost, _, _ = model.batch_loss(tape, batch, training=True,
-                                              max_timestep=cfg.max_timestep)
+                cost, _, tokens = model.batch_loss(tape, batch, training=True,
+                                                   max_timestep=cfg.max_timestep)
                 value = float(cost.value[0, 0])
                 if not math.isfinite(value):
                     raise TrainingDivergedError(
                         f"non-finite training cost at epoch {epoch}, batch {b}")
                 tape.backward(cost)
-                nn.clip_gradients(params, cfg.clip_norm)
+                grad_norm, clip_scale = nn.clip_gradients(params, cfg.clip_norm)
                 nn.rmsprop_step(params, lr, l2_coefficient=cfg.l2)
                 final_cost = value
-                log({"type": "batch", "epoch": epoch, "batch": b,
-                     "lr": lr, "cost": value})
+                log({"type": "batch", "epoch": epoch, "batch": b, "lr": lr, "cost": value,
+                     "grad_norm": grad_norm, "clip_scale": clip_scale, "tokens": tokens,
+                     "wall_s": time.perf_counter() - start})
             # instants strictly inside the epoch but after the last batch
             # started; one landing exactly on the boundary applies after the
             # next epoch's boundary record instead

@@ -328,6 +328,39 @@ def test_generate_single_triple_set(demo_dir, tmp_path):
     assert rows and rows[0]["input_id"] == main
 
 
+def test_generate_triples_reads_pipeline_settings_from_config(tmp_path, monkeypatch):
+    # the raw triple set must be rewritten as build-corpus rewrote the
+    # corpus: with --config alone, its genders lexicon and year range
+    demo = str(tmp_path / "demo")
+    assert run(["demo-corpus", "--out-dir", demo, "--size", "200", "--seed", "11"]) == 0
+    cfg = os.path.join(demo, "demo.cfg")
+    corpus, stats = str(tmp_path / "corpus.jsonl"), str(tmp_path / "stats.json")
+    assert run(["build-corpus", "--config", cfg, "--out", corpus, "--stats-out", stats]) == 0
+    tvocab, svocab = str(tmp_path / "t.vocab"), str(tmp_path / "s.vocab")
+    assert run(["build-vocab", "--config", cfg, "--corpus", corpus,
+                "--target-out", tvocab, "--source-out", svocab]) == 0
+    run_dir = str(tmp_path / "run")
+    assert run(["train", "--corpus", corpus, "--stats", stats, "--source-vocab", svocab,
+                "--target-vocab", tvocab, "--out-dir", run_dir, "--cell", "gru",
+                "--m", "8", "--batch-size", "10", "--epochs", "1", "--seed", "0"]) == 0
+    generate = ["generate", "--config", cfg, "--checkpoint",
+                os.path.join(run_dir, "checkpoint_best.bin"), "--source-vocab", svocab,
+                "--target-vocab", tvocab, "--triples", os.path.join(demo, "triples.nt"),
+                "--main", "dbr:Henrik_Bakker", "--beam", "2", "--t-max", "10",
+                "--out", str(tmp_path / "single.jsonl")]
+    assert run(generate) == 0  # without the gender triple the set is below the bounds
+
+    seen = []
+    prepare = generation.prepare_raw_triples
+    monkeypatch.setattr(generation, "prepare_raw_triples",
+                        lambda raw, main, pcfg: seen.append(pcfg) or prepare(raw, main, pcfg))
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("year_min = 1500\nyear_max = 1990\n")
+    assert run(generate) == 0
+    assert (seen[0].year_min, seen[0].year_max) == (1500, 1990)
+    assert seen[0].gender_lexicon["dbr:Henrik_Bakker"]
+
+
 def test_config_env_variable(monkeypatch, demo_dir, tmp_path):
     monkeypatch.setenv(cli.CONFIG_ENV, os.path.join(demo_dir, "demo.cfg"))
     out = str(tmp_path / "corpus.jsonl")

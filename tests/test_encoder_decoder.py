@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_decoder
+from conftest import make_model
 from triples2text import nn
 from triples2text.decoder import Decoder, DecoderState
 from triples2text.encoder import TripleEncoder
+from triples2text.model import EncodedExample
 
 
 def encoder_no_bn(source_size=8, m=2, e_max=3):
@@ -139,7 +144,7 @@ def step_once(dec, x=1, h=None, c=None):
     c = (nn.leaf(np.zeros((batch, dec.m)) if c is None else np.asarray([c]))
          if dec.cell_kind == "lstm" else None)
     state = DecoderState(h, c)
-    new_state, top = dec.step(None, np.asarray([x]), state)
+    new_state, top = dec.step(np.asarray([x]), state)
     return new_state, top.value[0]
 
 
@@ -234,7 +239,7 @@ def test_gru_convexity_property(seed):
         p.value[...] = rng.normal(scale=1.5, size=p.value.shape)
     h_prev = rng.normal(size=3)
     state = DecoderState(nn.leaf(np.asarray([h_prev])), None)
-    _, top = dec.step(None, np.asarray([1]), state)
+    _, top = dec.step(np.asarray([1]), state)
     h_new = top.value[0]
     # recompute the candidate with plain numpy
     x_emb = dec.embed.value[1]
@@ -257,7 +262,7 @@ def test_lstm_hidden_bounded_property(seed):
         p.value[...] = rng.normal(scale=2.0, size=p.value.shape)
     h = nn.leaf(rng.normal(size=(1, 3)))
     c = nn.leaf(rng.normal(size=(1, 3)))
-    _, top = dec.step(None, np.asarray([2]), DecoderState(h, c))
+    _, top = dec.step(np.asarray([2]), DecoderState(h, c))
     assert np.all(np.abs(top.value) <= 1.0 + 1e-12)
 
 
@@ -282,3 +287,70 @@ def test_output_distribution_dominant_logit_saturates():
     probs = dec.output_distribution(np.zeros((1, 1)))
     assert 1.0 - probs[0, 5] < 1e-20
 
+
+
+# -- the fused recurrence against the per-step tape ---------------------------
+
+
+def ragged_batch(model, lengths, seed):
+    rng = np.random.default_rng(seed)
+    batch = []
+    for n in lengths:
+        triples = [tuple(int(v) for v in rng.integers(0, len(model.source_vocab), 3))
+                   for _ in range(int(rng.integers(1, model.config.e_max + 1)))]
+        words = [int(v) for v in rng.integers(4, len(model.target_vocab), n)]
+        batch.append(EncodedExample(triples, [model.start_index, *words, model.end_index]))
+    batch[-1].target += [model.pad_index] * 2  # explicit padding is never predicted
+    return batch
+
+
+def taped_loss(model, loss_fn, batch, max_timestep):
+    params = model.parameters()
+    nn.zero_grads(params)
+    tape = nn.Tape()
+    cost, total_nll, count = loss_fn(tape, batch, True, max_timestep, update_running=False)
+    tape.backward(cost)
+    return float(cost.value[0, 0]), total_nll, count, {p.name: p.grad.copy() for p in params}
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+@pytest.mark.parametrize("use_batch_norm", [True, False])
+@pytest.mark.parametrize("max_timestep", [None, 4])
+def test_sequence_matches_per_step_reference(cell, use_batch_norm, max_timestep):
+    model = make_model(seed=3, cell=cell, m=6, e_max=3, target_extra=9,
+                       use_batch_norm=use_batch_norm)
+    batch = ragged_batch(model, [3, 7, 5, 1], seed=0)
+    cost, nll, count, grads = taped_loss(model, model.batch_loss, batch, max_timestep)
+    want_cost, want_nll, want_count, want = taped_loss(
+        model, functools.partial(reference_decoder.batch_loss, model), batch, max_timestep)
+    assert count == want_count
+    assert cost == pytest.approx(want_cost, rel=1e-12)
+    assert nll == pytest.approx(want_nll, rel=1e-12)
+    assert list(grads) == list(want)
+    for name, g in grads.items():
+        # blocks such as encoder.embed_bias and bn_*.shift are rounding
+        # noise around zero under batch norm, hence the absolute floor
+        tol = max(1e-10 * np.abs(want[name]).max(), 1e-15)
+        assert np.abs(g - want[name]).max() <= tol, name
+    for training in (False, True):  # forward-only (corpus_nll) path
+        got = model.batch_loss(None, batch, training, max_timestep, update_running=False)
+        ref = reference_decoder.batch_loss(model, None, batch, training, max_timestep,
+                                           update_running=False)
+        assert got[0].value[0, 0] == pytest.approx(ref[0].value[0, 0], rel=1e-12)
+        assert got[1:] == pytest.approx(ref[1:], rel=1e-12)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_sequence_hidden_rows_equal_beam_steps(cell):
+    # row t*B + b of the fused pass is example b's hidden vector after
+    # step t of Decoder.step, which beam search runs
+    model = make_model(seed=4, cell=cell, m=5)
+    inputs = np.array([[1, 6], [7, 8], [9, 2]])
+    h0 = nn.leaf(np.random.default_rng(1).normal(size=(2, 5)))
+    rows = model.decoder.sequence(None, inputs, h0).value
+    state = model.decoder.initial_state(h0)
+    for t, x in enumerate(inputs):
+        state, h = model.decoder.step(x, state)
+        np.testing.assert_allclose(rows[2 * t:2 * t + 2], h.value, rtol=1e-12, atol=1e-15)
+    with pytest.raises(nn.ShapeError):
+        model.decoder.sequence(None, np.array([[1, 99]]), h0)

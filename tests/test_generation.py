@@ -81,7 +81,7 @@ def test_beam_log_probs_replayable(rng):
         prev = model.start_index
         total = 0.0
         for tok in h.tokens:
-            state, top = model.decoder.step(None, np.asarray([prev]), state)
+            state, top = model.decoder.step(np.asarray([prev]), state)
             logp = model.decoder.log_distribution(top.value)[0]
             total += float(logp[tok])
             prev = tok

@@ -6,6 +6,8 @@ syntax tree with the standard library. A name bound by an import must be
 read somewhere in the same module, as a bare name or as the root of an
 attribute chain. A module-level private name (``_x``, not a dunder) must
 be read by some module of the package, as a bare name or as an attribute.
+Files are written through ``fileio.atomic_open``: the one plain ``open``
+for writing left is the streamed training log.
 """
 
 import ast
@@ -81,3 +83,32 @@ def test_checker_flags_only_unused_private_names():
 def test_package_has_no_unused_private_name():
     unused = unused_private_names({p.name: p.read_text(encoding="utf-8") for p in MODULES})
     assert not unused, ", ".join(unused)
+
+
+def write_opens(source: str) -> list[int]:
+    """Lines of the ``open(...)`` calls whose mode writes, appends or creates."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+               for m in modes):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checker_finds_only_writing_opens():
+    source = ("open(p)\nopen(p, 'rb')\nopen(p, 'w')\nopen(p, mode='ab')\n"
+              "open(p, encoding='utf-8')\nopen(p, m)\n")
+    assert write_opens(source) == [3, 4, 6]
+
+
+def test_only_the_training_log_is_opened_for_writing_outside_fileio():
+    found = {p.name: write_opens(p.read_text(encoding="utf-8"))
+             for p in MODULES if p.name != "fileio.py"}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert list(found) == ["training.py"] and len(found["training.py"]) == 1, found
+    source = (PACKAGE / "training.py").read_text(encoding="utf-8").splitlines()
+    assert "log_path" in source[found["training.py"][0] - 1]

@@ -39,26 +39,26 @@ def test_affine_shape_mismatch_names_operands():
 def test_activation_values():
     x = nn.leaf(np.array([[-3.0, 0.0, 3.0]]))
     assert np.allclose(nn.relu(None, x).value, [[0.0, 0.0, 3.0]])
-    assert nn.sigmoid(None, nn.leaf(np.zeros((1, 1)))).value[0, 0] == 0.5
-    assert nn.tanh(None, nn.leaf(np.zeros((1, 1)))).value[0, 0] == 0.0
+    assert nn.sigmoid_array(np.zeros((1, 1)))[0, 0] == 0.5
     # extreme inputs stay finite
-    big = nn.leaf(np.array([[-1e4, 1e4]]))
-    assert np.all(np.isfinite(nn.sigmoid(None, big).value))
+    big = nn.sigmoid_array(np.array([[-1e4, 1e4]]))
+    assert np.all(np.isfinite(big))
+    assert big[0, 0] == 0.0 and big[0, 1] == 1.0
 
 
 def test_softmax_uniform_on_zero_row():
     v = 7
-    out = nn.softmax(None, nn.leaf(np.zeros((2, v))))
-    assert np.allclose(out.value, 1.0 / v)
+    probs = np.exp(nn.masked_log_softmax(np.zeros((2, v)), []))
+    assert np.allclose(probs, 1.0 / v)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.floats(min_value=-50, max_value=50),
                          min_size=3, max_size=3), min_size=1, max_size=5))
 def test_softmax_rows_sum_to_one(rows):
-    out = nn.softmax(None, nn.leaf(np.array(rows)))
-    assert np.all(np.abs(out.value.sum(axis=1) - 1.0) < 1e-12)
-    assert np.all(np.isfinite(out.value))
+    probs = np.exp(nn.masked_log_softmax(np.array(rows), []))
+    assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
+    assert np.all(np.isfinite(probs))
 
 
 def test_batch_norm_constant_batch_gives_shift():
@@ -97,8 +97,7 @@ def test_batch_norm_rejects_training_batch_of_one():
 def test_backward_twice_is_an_error():
     tape = nn.Tape()
     p = nn.Parameter("p", 1, 2)
-    x = nn.mul(tape, p, p)
-    loss = nn.sum_all(tape, x)
+    loss = nn.sum_all(tape, nn.sum_all(tape, p))
     tape.backward(loss)
     with pytest.raises(nn.TapeError):
         tape.backward(loss)
@@ -164,6 +163,59 @@ def test_rmsprop_l2_enters_gradient():
     assert abs(p.value[0, 0] - expected) < 1e-12
 
 
+def rmsprop_with_temporaries(p, lr, rho, eps, l2):
+    """RMSProp written with temporaries, the formula the in-place update keeps."""
+    g = p.grad
+    if l2:
+        g = g + 2.0 * l2 * p.value
+    p.rms_acc[...] = rho * p.rms_acc + (1.0 - rho) * g * g
+    p.value -= lr * g / np.sqrt(p.rms_acc + eps)
+
+
+@pytest.mark.parametrize("l2", [1e-5, 0.0])
+def test_rmsprop_in_place_equals_formula_exactly(l2):
+    rng = np.random.default_rng(3)
+
+    def params():
+        ps = [nn.Parameter("embed", 6, 4), nn.Parameter("w", 4, 9), nn.Parameter("b", 1, 9)]
+        for p in ps:
+            p.value[...] = rng.normal(size=p.value.shape)
+            p.rms_acc[...] = rng.uniform(0.0, 2.0, size=p.value.shape)
+        return ps
+
+    got = params()
+    want = [nn.Parameter(p.name, *p.value.shape) for p in got]
+    for p, q in zip(got, want):
+        q.value[...], q.rms_acc[...] = p.value, p.rms_acc
+    for _ in range(3):
+        for p, q in zip(got, want):
+            p.grad[...] = q.grad[...] = rng.normal(size=p.value.shape)
+        got[0].grad[2] = want[0].grad[2] = 0.0  # an embedding row no token used
+        acc_before = got[0].rms_acc[2].copy()
+        nn.rmsprop_step(got, 0.01, decay_rho=0.9, epsilon=1e-6, l2_coefficient=l2)
+        for q in want:
+            rmsprop_with_temporaries(q, 0.01, 0.9, 1e-6, l2)
+        for p, q in zip(got, want):
+            assert np.array_equal(p.value, q.value) and np.array_equal(p.rms_acc, q.rms_acc)
+            assert np.array_equal(p.grad, q.grad)  # the gradient is left as it was
+        assert np.all(got[0].rms_acc[2] < acc_before)  # the unused row still decays
+        if not l2:
+            assert np.array_equal(got[0].rms_acc[2], 0.9 * acc_before)
+            assert np.array_equal(got[0].value[2], want[0].value[2])
+
+
+def test_clip_gradients_equals_formula_exactly():
+    rng = np.random.default_rng(4)
+    ps = [nn.Parameter("a", 5, 3), nn.Parameter("b", 1, 7)]
+    for p in ps:
+        p.grad[...] = rng.normal(size=p.value.shape)
+    want_norm = sum(float((p.grad * p.grad).sum()) for p in ps) ** 0.5
+    want = [p.grad * (0.5 / want_norm) for p in ps]
+    norm, factor = nn.clip_gradients(ps, 0.5)
+    assert norm == want_norm and factor == 0.5 / want_norm
+    assert all(np.array_equal(p.grad, w) for p, w in zip(ps, want))
+
+
 def test_init_uniform_reproducible_and_in_bounds():
     a = [nn.Parameter("x", 10, 10), nn.Parameter("y", 5, 2)]
     b = [nn.Parameter("x", 10, 10), nn.Parameter("y", 5, 2)]
@@ -185,7 +237,8 @@ def test_init_uniform_mean_near_zero():
 def test_clip_gradients_hand_case():
     p = nn.Parameter("p", 1, 2)
     p.grad[...] = [[3.0, 4.0]]
-    scale = nn.clip_gradients([p], 1.0)
+    norm, scale = nn.clip_gradients([p], 1.0)
+    assert norm == 5.0
     assert abs(scale - 0.2) < 1e-15
     assert np.allclose(p.grad, [[0.6, 0.8]])
 
@@ -193,11 +246,14 @@ def test_clip_gradients_hand_case():
 def test_clip_gradients_noop_cases():
     p = nn.Parameter("p", 1, 2)
     p.grad[...] = [[0.1, 0.1]]
-    assert nn.clip_gradients([p], 5.0) == 1.0
+    norm = (0.1 * 0.1 + 0.1 * 0.1) ** 0.5
+    assert nn.clip_gradients([p], 5.0) == (norm, 1.0)
+    assert np.allclose(p.grad, 0.1)
+    assert nn.clip_gradients([p], None) == (norm, 1.0)  # the norm is still reported
     assert np.allclose(p.grad, 0.1)
     p.grad[...] = 0.0
-    assert nn.clip_gradients([p], 5.0) == 1.0
-    assert nn.clip_gradients([p], None) == 1.0
+    assert nn.clip_gradients([p], 5.0) == (0.0, 1.0)
+    assert nn.clip_gradients([p], None) == (0.0, 1.0)
 
 
 def test_masked_softmax_nll_masks_and_weights():
@@ -304,12 +360,11 @@ def test_write_blocks_failure_keeps_previous_file(tmp_path):
 def test_gradient_check_catches_a_broken_gradient():
     p = nn.Parameter("p", 1, 3)
     p.value[...] = [[0.3, -0.2, 0.5]]
+    w = nn.leaf(np.array([[1.0, 2.0], [0.5, -3.0], [1.5, 0.25]]))  # p @ w > 0
 
     def good(compute):
         tape = nn.Tape() if compute else None
-        node = p if compute else nn.leaf(p.value)
-        loss = nn.sum_all(tape, nn.mul(tape, node, node) if compute else
-                          nn.leaf(p.value * p.value))
+        loss = nn.sum_all(tape, nn.relu(tape, nn.matmul(tape, p, w)))
         if compute:
             tape.backward(loss)
         return float(loss.value[0, 0])
