@@ -293,6 +293,9 @@ def _load_vocabs(args) -> tuple[Vocabulary, Vocabulary]:
 
 
 def cmd_train(args, cfg):
+    max_timestep = _pick(args.max_timestep, cfg, "max_timestep", int, TrainConfig.max_timestep)
+    if max_timestep < 1:
+        raise UsageError(f"--max-timestep must be at least 1, got {max_timestep}")
     examples = pipeline.read_corpus(args.corpus)
     source_vocab, target_vocab = _load_vocabs(args)
     if args.valid:
@@ -318,8 +321,7 @@ def cmd_train(args, cfg):
         clip_norm = None  # zero or negative disables clipping
     tcfg = TrainConfig(
         batch_size=_pick(args.batch_size, cfg, "batch_size", int, TrainConfig.batch_size),
-        max_timestep=_pick(args.max_timestep, cfg, "max_timestep", int,
-                           TrainConfig.max_timestep),
+        max_timestep=max_timestep,
         learning_rate=_pick(args.lr, cfg, "learning_rate", float, TrainConfig.learning_rate),
         decay_factor=_pick(args.decay_factor, cfg, "decay_factor", float,
                            TrainConfig.decay_factor),

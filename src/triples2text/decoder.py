@@ -18,8 +18,6 @@ Training runs the whole teacher-forced recurrence as one recorded op
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn
@@ -29,13 +27,6 @@ Array = np.ndarray
 LSTM = "lstm"
 GRU = "gru"
 CELL_KINDS = (LSTM, GRU)
-
-
-@dataclass
-class DecoderState:
-    """Hidden vectors (and cell vectors for the LSTM, else None), batch-major."""
-    h: nn.Node
-    c: nn.Node | None
 
 
 # The cell kernels: one timestep's update from the gate pre-activations,
@@ -89,10 +80,9 @@ class Decoder:
         cand = [self.cand_in_w, self.cand_in_b, self.cand_hh_w] if self.cell_kind == GRU else []
         return [self.embed, self.gate_w, self.gate_b, *cand, self.out_w, self.out_b]
 
-    def initial_state(self, h0: nn.Node) -> DecoderState:
-        """State before the first step: hidden = h0, cell (LSTM) zero."""
-        c0 = nn.leaf(np.zeros((h0.value.shape[0], self.m))) if self.cell_kind == LSTM else None
-        return DecoderState(h=h0, c=c0)
+    def initial_state(self, h0: Array) -> tuple[Array, Array | None]:
+        """(h, c) before the first step: hidden = h0, cell zero (LSTM) or None."""
+        return h0, (np.zeros((h0.shape[0], self.m)) if self.cell_kind == LSTM else None)
 
     def _tokens(self, x) -> Array:
         x = np.asarray(x)
@@ -100,21 +90,18 @@ class Decoder:
             raise nn.ShapeError(f"decoder: token index out of range [0, {self.target_size})")
         return x
 
-    def step(self, x: Array, state: DecoderState) -> tuple[DecoderState, nn.Node]:
-        """Advance one timestep on a batch of token indices (forward only).
+    def step(self, x: Array, h: Array, c: Array | None = None) -> tuple[Array, Array | None]:
+        """Advance one timestep on a batch of token indices (forward only)
+        from hidden vectors h [B, m] and, for the LSTM, cell vectors c.
 
-        Returns the new state and its hidden vectors.
+        Returns the new (h, c); c is None for the GRU.
         """
         emb = self.embed.value[self._tokens(x)]
-        h_prev = state.h.value
-        z = np.concatenate([emb, h_prev], axis=1) @ self.gate_w.value + self.gate_b.value
+        z = np.concatenate([emb, h], axis=1) @ self.gate_w.value + self.gate_b.value
         if self.cell_kind == LSTM:
-            h, c, _ = _lstm_cell(z, state.c.value)
-            h = nn.Node(h)
-            return DecoderState(h=h, c=nn.Node(c)), h
+            return _lstm_cell(z, c)[:2]
         xc = emb @ self.cand_in_w.value + self.cand_in_b.value
-        h = nn.Node(_gru_cell(z, xc, h_prev, self.cand_hh_w.value)[0])
-        return DecoderState(h=h, c=None), h
+        return _gru_cell(z, xc, h, self.cand_hh_w.value)[0], None
 
     def sequence(self, tape: nn.Tape | None, inputs: Array, h0: nn.Node) -> nn.Node:
         """Run the recurrence over a [T, B] array of token indices from the
@@ -202,10 +189,12 @@ class Decoder:
     def logits(self, tape: nn.Tape | None, h: nn.Node) -> nn.Node:
         return nn.affine(tape, h, self.out_w, self.out_b)
 
-    def output_distribution(self, h: Array) -> Array:
-        """Probabilities over the target vocabulary with padding masked out."""
-        return np.exp(self.log_distribution(h))
-
     def log_distribution(self, h: Array) -> Array:
-        logits = h @ self.out_w.value + self.out_b.value
-        return nn.masked_log_softmax(logits, [self.pad_index])
+        """Log probabilities over the target vocabulary with padding masked
+        out: ``nn.masked_log_softmax``'s operations, in place on the logits."""
+        s = h @ self.out_w.value
+        s += self.out_b.value
+        s[:, self.pad_index] = -np.inf
+        s -= s.max(axis=1, keepdims=True)
+        s -= np.log(np.exp(s).sum(axis=1, keepdims=True))
+        return s

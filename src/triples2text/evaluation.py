@@ -45,28 +45,27 @@ def perplexity(model: Seq2Seq, examples: Sequence[AlignedExample],
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def bleu_n(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]],
-           n: int) -> float:
-    """Corpus-level BLEU-n (single reference per candidate), in [0, 100]."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"BLEU order must be in [1, 4], got {n}")
+def _pair_counts(cand: Sequence[str], ref: Sequence[str]) -> list[int]:
+    """One pair's BLEU statistics: clipped n-gram matches and candidate
+    n-gram totals for orders 1-4, then the candidate and reference length."""
+    return ([sum((_ngram_counts(cand, k) & _ngram_counts(ref, k)).values()) for k in (1, 2, 3, 4)]
+            + [max(len(cand) - k + 1, 0) for k in (1, 2, 3, 4)] + [len(cand), len(ref)])
+
+
+def _summed_counts(candidates: Sequence[Sequence[str]],
+                   references: Sequence[Sequence[str]]) -> list[int]:
     if len(candidates) != len(references):
         raise ValueError("candidate/reference count mismatch")
-    matched = [0] * n
-    total = [0] * n
-    cand_len = 0
-    ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for k in range(1, n + 1):
-            cc = _ngram_counts(cand, k)
-            rc = _ngram_counts(ref, k)
-            matched[k - 1] += sum(min(c, rc.get(g, 0)) for g, c in cc.items())
-            total[k - 1] += max(len(cand) - k + 1, 0)
+    # the row of ten zeros makes an empty corpus sum to zeros
+    return [sum(col) for col in zip([0] * 10, *map(_pair_counts, candidates, references))]
+
+
+def _bleu(counts: Sequence[int], n: int) -> float:
+    """Corpus BLEU-n from summed :func:`_pair_counts`."""
+    matched, total, (cand_len, ref_len) = counts[:n], counts[4:4 + n], counts[8:]
     if cand_len == 0:
         return 0.0
     if any(t == 0 or m == 0 for m, t in zip(matched, total)):
@@ -74,6 +73,14 @@ def bleu_n(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[st
     log_precision = sum(math.log(m / t) for m, t in zip(matched, total)) / n
     brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
     return 100.0 * brevity * math.exp(log_precision)
+
+
+def bleu_n(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]],
+           n: int) -> float:
+    """Corpus-level BLEU-n (single reference per candidate), in [0, 100]."""
+    if not 1 <= n <= 4:
+        raise ValueError(f"BLEU order must be in [1, 4], got {n}")
+    return _bleu(_summed_counts(candidates, references), n)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -163,9 +170,10 @@ class MetricReport:
 
 def score_pairs(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]],
                 perplexity_value: float | None = None) -> MetricReport:
+    counts = _summed_counts(candidates, references)
     return MetricReport(
         perplexity=perplexity_value,
-        bleu={k: bleu_n(candidates, references, k) for k in (1, 2, 3, 4)},
+        bleu={k: _bleu(counts, k) for k in (1, 2, 3, 4)},
         rouge_l=rouge_l(candidates, references),
         n_evaluated=len(candidates),
     )
@@ -177,15 +185,11 @@ def bleu_by_triple_count(pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
     group size per occupied count."""
     if len(pairs) != len(triple_counts):
         raise ValueError("pair/count length mismatch")
-    groups: dict[int, list[tuple[Sequence[str], Sequence[str]]]] = {}
+    groups: dict[int, list[list[int]]] = {}
     for pair, count in zip(pairs, triple_counts):
-        groups.setdefault(count, []).append(pair)
-    out = {}
-    for count, members in sorted(groups.items()):
-        cands = [m[0] for m in members]
-        refs = [m[1] for m in members]
-        out[count] = (bleu_n(cands, refs, 4), len(members))
-    return out
+        groups.setdefault(count, []).append(_pair_counts(*pair))
+    return {count: (_bleu([sum(col) for col in zip(*members)], 4), len(members))
+            for count, members in sorted(groups.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +229,9 @@ def random_baseline(train_examples: Sequence[AlignedExample],
             final_tokens, _ = postprocess(toks, ex.triples, lexicon,
                                           item_surface_for(ex, lexicon), pick.mode)
             cands.append(final_tokens)
+        counts = _summed_counts(cands, references)
         rounds.append({
-            **{f"bleu{k}": bleu_n(cands, references, k) for k in (1, 2, 3, 4)},
+            **{f"bleu{k}": _bleu(counts, k) for k in (1, 2, 3, 4)},
             "rouge_l": rouge_l(cands, references),
         })
     mean = {k: sum(r[k] for r in rounds) / len(rounds) for k in rounds[0]}

@@ -12,12 +12,14 @@ Each step is a few array operations. The live hypotheses are a token
 matrix [live, t], a log-probability vector and the scorer's stacked
 states, all gathered by parent index. The rows are kept in lexicographic
 order of their token sequences, so the row-major (row, token) order of
-the step's [live, |X|] score matrix is exactly the tie-break order.
-``np.partition`` finds the score of the k-th best finite entry (k the
+the step's flattened [live, |X|] score matrix is exactly the tie-break
+order. ``np.partition`` finds the score of the k-th best entry (k the
 width left). Every entry at least that good is kept, those tied at the
 cut-off included, and a stable sort by score then picks the best k, ties
-going to the smaller sequence. ``Hypothesis`` objects are made only for
-completed hypotheses.
+going to the smaller sequence; only those k are split into (parent,
+token). If the k best are not all finite, the same ranking runs on the
+finite entries only (NaN and +inf are never candidates). ``Hypothesis``
+objects are made only for completed hypotheses.
 
 Post-processing resolves <item>, entity URIs (most frequent recorded
 surface form), surface-form tuples (their surface part) and property-type
@@ -35,8 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import nn
-from .decoder import LSTM, DecoderState
+from .decoder import LSTM
 from .fileio import atomic_open
 from .model import Seq2Seq
 from .pipeline import ENTITY, MODE_URI, PipelineConfig, Triple, rewrite_triples
@@ -85,21 +86,19 @@ class ModelScorer(Scorer):
         self.triples = list(triples)
 
     def start(self):
-        rows, logp = self._advance(self.model.init_generation(self.triples),
-                                   [self.model.start_index])
+        rows, logp = self._advance([self.model.start_index],
+                                   *self.model.init_generation(self.triples))
         return rows[0], logp[0]
 
     def step(self, states, tokens):
         rows = np.asarray(states)
         m = self.model.decoder.m
-        c = nn.leaf(rows[:, m:]) if self.model.decoder.cell_kind == LSTM else None
-        return self._advance(DecoderState(nn.leaf(rows[:, :m]), c), tokens)
+        return self._advance(tokens, rows[:, :m],
+                             rows[:, m:] if self.model.decoder.cell_kind == LSTM else None)
 
-    def _advance(self, state: DecoderState, tokens) -> tuple[Array, Array]:
-        new_state, h = self.model.decoder.step(np.asarray(tokens), state)
-        logp = self.model.decoder.log_distribution(h.value)
-        rows = h.value if new_state.c is None else np.hstack([h.value, new_state.c.value])
-        return rows, logp
+    def _advance(self, tokens, h: Array, c: Array | None) -> tuple[Array, Array]:
+        h, c = self.model.decoder.step(np.asarray(tokens), h, c)
+        return (h if c is None else np.hstack([h, c])), self.model.decoder.log_distribution(h)
 
 
 def beam_search(scorer: Scorer, beam_width: int, t_max: int, end_index: int
@@ -123,27 +122,33 @@ def beam_search(scorer: Scorer, beam_width: int, t_max: int, end_index: int
     log_probs = np.zeros(1)
     for step_no in range(t_max):
         size = dists.shape[1]
-        flat = np.flatnonzero(np.isfinite(dists))
-        if not flat.size:
-            break
-        scores = (log_probs[:, None] + dists).ravel()[flat]
-        k = min(remaining, flat.size)
-        cut = -np.partition(-scores, k - 1)[k - 1]
-        tied_or_better = np.flatnonzero(scores >= cut)
+        scores = (log_probs[:, None] + dists).ravel()
+        flat = None  # scores[i] is entry i of the flattened matrix
+        k = min(remaining, scores.size)
+        top = np.partition(scores, scores.size - k)[scores.size - k:]
+        if not np.isfinite(top).all():  # fewer than k finite entries, or a NaN/+inf:
+            flat = np.flatnonzero(np.isfinite(scores))  # rank the finite ones only
+            if not flat.size:
+                break
+            scores, k = scores[flat], min(remaining, flat.size)
+            top = np.partition(scores, scores.size - k)[scores.size - k:]
+        tied_or_better = np.flatnonzero(scores >= top[0])
         # tied_or_better is ascending, so the stable sort keeps ties in token order
-        chosen = tied_or_better[np.argsort(-scores[tied_or_better], kind="stable")][:k]
-        rows, toks = np.divmod(flat, size)
-        ended = toks[chosen] == end_index
-        for i in chosen[ended]:
-            completed.append(Hypothesis(tokens=tokens[rows[i]].tolist() + [end_index],
-                                        log_prob=float(scores[i]), complete=True))
-        remaining -= int(ended.sum())
-        chosen = np.sort(chosen[~ended])  # back to token order
-        if remaining <= 0 or not chosen.size:
-            break
-        parents, new_tokens = rows[chosen], toks[chosen]
-        tokens = np.hstack([tokens[parents], new_tokens[:, None]])
+        chosen = tied_or_better[np.argsort(-scores[tied_or_better], kind="stable")[:k]]
+        chosen.sort()  # back to token order
         log_probs = scores[chosen]
+        parents, new_tokens = np.divmod(chosen if flat is None else flat[chosen], size)
+        ended = new_tokens == end_index
+        if ended.any():
+            completed.extend(Hypothesis(tokens=tokens[p].tolist() + [end_index],
+                                        log_prob=float(lp), complete=True)
+                             for p, lp in zip(parents[ended], log_probs[ended]))
+            remaining -= int(ended.sum())
+            if remaining <= 0 or ended.all():
+                break
+            live = ~ended
+            parents, new_tokens, log_probs = parents[live], new_tokens[live], log_probs[live]
+        tokens = np.concatenate([tokens[parents], new_tokens[:, None]], axis=1)
         if step_no == t_max - 1:
             completed.extend(Hypothesis(tokens=seq, log_prob=float(lp), complete=True,
                                         forced=True)

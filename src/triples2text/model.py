@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .decoder import CELL_KINDS, Decoder, DecoderState, LSTM
+from .decoder import CELL_KINDS, Decoder, LSTM
 from .encoder import TripleEncoder
 from .pipeline import MODES, AlignedExample, Triple
 from .tokens import END, PAD, START
@@ -180,10 +180,11 @@ class Seq2Seq:
             count += n
         return total, count
 
-    def init_generation(self, triples: Sequence[tuple[int, int, int]]) -> DecoderState:
-        """Decoder state from one triple set (inference batch-norm path)."""
+    def init_generation(self, triples: Sequence[tuple[int, int, int]]
+                        ) -> tuple[Array, Array | None]:
+        """Decoder (h, c) from one triple set (inference batch-norm path)."""
         h0 = self.encoder.encode_batch(None, [list(triples)], training=False)
-        return self.decoder.initial_state(h0)
+        return self.decoder.initial_state(h0.value)
 
     # -- persistence ----------------------------------------------------
 

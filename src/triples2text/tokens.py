@@ -14,6 +14,8 @@ Composite target tokens:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 PAD = "<pad>"
 START = "<start>"
 END = "<end>"
@@ -38,6 +40,7 @@ def format_placeholder(predicate: str, slot: str, type_token: str) -> str:
     return f"{predicate}__{slot}__{type_token}"
 
 
+@lru_cache(maxsize=1 << 16)  # post-processing meets the same target tokens again and again
 def parse_placeholder(token: str) -> tuple[str, str, str] | None:
     """Split a placeholder into (predicate, slot, type); None if not one.
 
@@ -62,6 +65,7 @@ def tuple_token_text(uri: str, surface: str) -> str:
     return f"({uri}, {surface})"
 
 
+@lru_cache(maxsize=1 << 16)
 def parse_tuple_token(text: str) -> tuple[str, str] | None:
     if not (text.startswith("(") and text.endswith(")")):
         return None

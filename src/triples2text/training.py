@@ -60,6 +60,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (batch normalisation)")
+        if self.max_timestep < 1:
+            raise ValueError("max_timestep must be >= 1")
         if not 0.0 < self.decay_factor < 1.0:
             raise ValueError("decay_factor must lie in (0, 1)")
 

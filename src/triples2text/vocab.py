@@ -12,7 +12,9 @@ when it is not, and to ``<unk>`` when the entity has no known type.
 File format: a single header line carrying the version and the special
 token list, then one ``token<TAB>count`` line per token in index order.
 Source dictionaries write a JSON sidecar (``<path>.meta.json``) with the
-rare-entity fallback map and the set of tokens seen in entity position.
+rare-entity fallback map, the tokens seen in entity position and the
+SHA-256 of its token-list file. It is written first, and ``load`` refuses
+it beside another list; a sidecar without the hash still loads.
 """
 
 from __future__ import annotations
@@ -122,16 +124,18 @@ class Vocabulary:
 
     def save(self, path: str) -> None:
         main, meta = self.to_bytes()
+        if meta is not None:  # list_sha256 sorts after meta's keys: still sorted JSON
+            stamp = hashlib.sha256(main).hexdigest().encode()
+            with atomic_open(path + ".meta.json", "wb") as fh:
+                fh.write(meta[:-1] + b', "list_sha256": "%s"}' % stamp)
         with atomic_open(path, "wb") as fh:
             fh.write(main)
-        if meta is not None:
-            with atomic_open(path + ".meta.json", "wb") as fh:
-                fh.write(meta)
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            main = fh.read()
+        lines = main.decode("utf-8").splitlines()
         if not lines:
             raise ValueError(f"{path}: empty vocabulary file")
         head = lines[0].split("\t")
@@ -155,6 +159,8 @@ class Vocabulary:
         if v.kind == "source" and os.path.exists(meta_path):
             with open(meta_path, "r", encoding="utf-8") as fh:
                 meta = json.load(fh)
+            if meta.get("list_sha256") not in (None, hashlib.sha256(main).hexdigest()):
+                raise ValueError(f"{meta_path} was written for another token list than {path}")
             v.fallbacks = dict(meta.get("fallbacks", {}))
             v.entity_tokens = set(meta.get("entity_tokens", []))
         return v

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from triples2text import nn
-from triples2text.decoder import LSTM, DecoderState
+from triples2text.decoder import LSTM
 from triples2text.nn import Node, Tape, _acc, _grad, sigmoid_array
 
 # ---------------------------------------------------------------------------
@@ -75,14 +75,15 @@ def tanh(tape: Tape | None, x: Node) -> Node:
 # the per-step decoder and loss
 
 
-def step(dec, tape: nn.Tape | None, x, state: DecoderState) -> tuple[DecoderState, nn.Node]:
-    """One taped timestep of ``dec`` on a batch of token indices."""
+def step(dec, tape: nn.Tape | None, x, h_prev: Node, c_prev: Node | None
+         ) -> tuple[Node, Node | None]:
+    """One taped timestep of ``dec`` on a batch of token indices: the new
+    hidden and (LSTM) cell nodes."""
     x = np.asarray(x)
     if x.size and (x.min() < 0 or x.max() >= dec.target_size):
         raise nn.ShapeError(f"decoder step: token index out of range [0, {dec.target_size})")
     emb = nn.rows_lookup(tape, dec.embed, x)
     m = dec.m
-    h_prev = state.h
     joint = nn.hstack(tape, [emb, h_prev])
     z = nn.affine(tape, joint, dec.gate_w, dec.gate_b)
     if dec.cell_kind == LSTM:
@@ -90,9 +91,8 @@ def step(dec, tape: nn.Tape | None, x, state: DecoderState) -> tuple[DecoderStat
         f_g = sigmoid(tape, slice_cols(tape, z, m, 2 * m))
         out_g = sigmoid(tape, slice_cols(tape, z, 2 * m, 3 * m))
         cand = tanh(tape, slice_cols(tape, z, 3 * m, 4 * m))
-        c = add(tape, mul(tape, f_g, state.c), mul(tape, in_g, cand))
-        h = mul(tape, out_g, tanh(tape, c))
-        return DecoderState(h=h, c=c), h
+        c = add(tape, mul(tape, f_g, c_prev), mul(tape, in_g, cand))
+        return mul(tape, out_g, tanh(tape, c)), c
     r_g = sigmoid(tape, slice_cols(tape, z, 0, m))
     u_g = sigmoid(tape, slice_cols(tape, z, m, 2 * m))
     cand = tanh(tape, add(
@@ -101,8 +101,7 @@ def step(dec, tape: nn.Tape | None, x, state: DecoderState) -> tuple[DecoderStat
         nn.matmul(tape, mul(tape, r_g, h_prev), dec.cand_hh_w),
     ))
     keep = nn.scale_shift(tape, u_g, -1.0, 1.0)  # 1 - u
-    h = add(tape, mul(tape, keep, h_prev), mul(tape, u_g, cand))
-    return DecoderState(h=h, c=None), h
+    return add(tape, mul(tape, keep, h_prev), mul(tape, u_g, cand)), None
 
 
 def batch_loss(model, tape: nn.Tape | None, batch, training: bool,
@@ -114,7 +113,8 @@ def batch_loss(model, tape: nn.Tape | None, batch, training: bool,
         raise ValueError("empty batch")
     h0 = model.encoder.encode_batch(tape, [ex.triples for ex in batch],
                                     training, update_running)
-    state = model.decoder.initial_state(h0)
+    h = h0
+    c = nn.leaf(np.zeros(h0.value.shape)) if model.decoder.cell_kind == LSTM else None
     steps = max(len(ex.target) for ex in batch) - 1
     if max_timestep is not None:
         steps = min(steps, max_timestep)
@@ -132,8 +132,8 @@ def batch_loss(model, tape: nn.Tape | None, batch, training: bool,
     total = None
     total_nll = 0.0
     for t in range(steps):
-        state, top = step(model.decoder, tape, inputs[:, t], state)
-        logits = model.decoder.logits(tape, top)
+        h, c = step(model.decoder, tape, inputs[:, t], h, c)
+        logits = model.decoder.logits(tape, h)
         nll, _ = nn.masked_softmax_nll(tape, logits, targets[:, t], weights[:, t],
                                        [model.pad_index])
         total_nll += float(nll.value.sum())

@@ -142,6 +142,18 @@ def test_usage_errors_exit_one(tmp_path):
     assert run(train + ["--literal-lstm"]) == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_train_max_timestep_below_one_is_usage_error(tmp_path, value, capsys):
+    # rejected before any file is read: the missing corpus would exit 2
+    missing = str(tmp_path / "missing")
+    assert run(["train", "--corpus", missing, "--source-vocab", missing,
+                "--target-vocab", missing, "--out-dir", str(tmp_path / "run"),
+                f"--max-timestep={value}"]) == 1
+    assert "--max-timestep" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="max_timestep"):
+        TrainConfig(max_timestep=int(value))
+
+
 def test_data_errors_exit_two(tmp_path):
     missing = str(tmp_path / "nope.jsonl")
     assert run(["build-vocab", "--corpus", missing,

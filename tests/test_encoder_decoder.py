@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import reference_decoder
 from conftest import make_model
 from triples2text import nn
-from triples2text.decoder import Decoder, DecoderState
+from triples2text.decoder import Decoder
 from triples2text.encoder import TripleEncoder
 from triples2text.model import EncodedExample
 
@@ -139,20 +139,20 @@ def zero_decoder(cell, m=3, target=12):
 
 
 def step_once(dec, x=1, h=None, c=None):
+    """(new cell rows or None, new hidden row) after one step from batch 1."""
     batch = 1
-    h = nn.leaf(np.zeros((batch, dec.m)) if h is None else np.asarray([h]))
-    c = (nn.leaf(np.zeros((batch, dec.m)) if c is None else np.asarray([c]))
+    h = np.zeros((batch, dec.m)) if h is None else np.asarray([h], dtype=float)
+    c = ((np.zeros((batch, dec.m)) if c is None else np.asarray([c], dtype=float))
          if dec.cell_kind == "lstm" else None)
-    state = DecoderState(h, c)
-    new_state, top = dec.step(np.asarray([x]), state)
-    return new_state, top.value[0]
+    h, c = dec.step(np.asarray([x]), h, c)
+    return c, h[0]
 
 
 def test_lstm_zero_parameters_zero_state():
     dec = zero_decoder("lstm")
-    state, h = step_once(dec)
+    c, h = step_once(dec)
     assert np.allclose(h, 0.0)           # out=0.5, tanh(c)=0
-    assert np.allclose(state.c.value, 0.0)
+    assert np.allclose(c, 0.0)
 
 
 def test_lstm_saturated_gates_carry_memory():
@@ -161,8 +161,8 @@ def test_lstm_saturated_gates_carry_memory():
     dec.gate_b.value[0, 2:4] = 50.0    # forget gate
     dec.gate_b.value[0, 0:2] = -50.0   # input gate
     c0 = [0.37, -0.81]
-    state, _ = step_once(dec, c=c0)
-    assert np.allclose(state.c.value[0], c0, atol=1e-12)
+    c, _ = step_once(dec, c=c0)
+    assert np.allclose(c[0], c0, atol=1e-12)
 
 
 def test_lstm_scalar_hand_case():
@@ -172,13 +172,13 @@ def test_lstm_scalar_hand_case():
     dec.embed.value[1, 0] = 0.1
     dec.gate_w.value[...] = 0.1
     dec.gate_b.value[...] = 0.1
-    state, h = step_once(dec, x=1, h=[0.2], c=[0.3])
+    c_new, h = step_once(dec, x=1, h=[0.2], c=[0.3])
     z = 0.1 * 0.1 + 0.2 * 0.1 + 0.1  # joint = [x_emb, h_prev] @ W + b
     sig = 1.0 / (1.0 + np.exp(-z))
     cand = np.tanh(z)
     c = sig * 0.3 + sig * cand
     expected_h = sig * np.tanh(c)
-    assert abs(state.c.value[0, 0] - c) < 1e-12
+    assert abs(c_new[0, 0] - c) < 1e-12
     assert abs(h[0] - expected_h) < 1e-12
 
 
@@ -225,7 +225,7 @@ def test_one_step_determinism():
     a = step_once(dec, x=2, h=[0.1, 0.2, 0.3, 0.4], c=[0.0, 0.1, 0.0, -0.1])
     b = step_once(dec, x=2, h=[0.1, 0.2, 0.3, 0.4], c=[0.0, 0.1, 0.0, -0.1])
     assert np.array_equal(a[1], b[1])
-    assert np.array_equal(a[0].c.value, b[0].c.value)
+    assert np.array_equal(a[0], b[0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -238,9 +238,8 @@ def test_gru_convexity_property(seed):
     for p in dec.parameters():
         p.value[...] = rng.normal(scale=1.5, size=p.value.shape)
     h_prev = rng.normal(size=3)
-    state = DecoderState(nn.leaf(np.asarray([h_prev])), None)
-    _, top = dec.step(np.asarray([1]), state)
-    h_new = top.value[0]
+    top, _ = dec.step(np.asarray([1]), np.asarray([h_prev]))
+    h_new = top[0]
     # recompute the candidate with plain numpy
     x_emb = dec.embed.value[1]
     joint = np.concatenate([x_emb, h_prev])
@@ -260,31 +259,44 @@ def test_lstm_hidden_bounded_property(seed):
     dec = zero_decoder("lstm", m=3)
     for p in dec.parameters():
         p.value[...] = rng.normal(scale=2.0, size=p.value.shape)
-    h = nn.leaf(rng.normal(size=(1, 3)))
-    c = nn.leaf(rng.normal(size=(1, 3)))
-    _, top = dec.step(np.asarray([2]), DecoderState(h, c))
-    assert np.all(np.abs(top.value) <= 1.0 + 1e-12)
+    h = rng.normal(size=(1, 3))
+    c = rng.normal(size=(1, 3))
+    top, _ = dec.step(np.asarray([2]), h, c)
+    assert np.all(np.abs(top) <= 1.0 + 1e-12)
 
 
 def test_output_distribution_masks_pad_and_sums_to_one(rng):
     dec = zero_decoder("gru", m=3)
-    probs = dec.output_distribution(rng.normal(size=(4, 3)))
+    probs = np.exp(dec.log_distribution(rng.normal(size=(4, 3))))
     assert np.allclose(probs[:, dec.pad_index], 0.0)
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
 
 
 def test_output_distribution_zero_weights_uniform():
     dec = zero_decoder("gru", m=3, target=11)
-    probs = dec.output_distribution(np.zeros((1, 3)))
+    probs = np.exp(dec.log_distribution(np.zeros((1, 3))))
     unmasked = 10
     assert np.allclose(probs[0, 1:], 1.0 / unmasked)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_log_distribution_equals_masked_log_softmax(seed):
+    # the in-place output layer runs nn.masked_log_softmax's operations in order
+    rng = np.random.default_rng(seed)
+    dec = zero_decoder("lstm", m=3, target=11)
+    for p in dec.parameters():
+        p.value[...] = rng.normal(scale=3.0, size=p.value.shape)
+    h = rng.normal(size=(5, 3))
+    want = nn.masked_log_softmax(h @ dec.out_w.value + dec.out_b.value, [dec.pad_index])
+    assert np.array_equal(dec.log_distribution(h), want)
 
 
 def test_output_distribution_dominant_logit_saturates():
     dec = zero_decoder("gru", m=1, target=11)
     dec.out_w.value[...] = 0.0
     dec.out_b.value[0, 5] = 50.0
-    probs = dec.output_distribution(np.zeros((1, 1)))
+    probs = np.exp(dec.log_distribution(np.zeros((1, 1))))
     assert 1.0 - probs[0, 5] < 1e-20
 
 
@@ -348,9 +360,9 @@ def test_sequence_hidden_rows_equal_beam_steps(cell):
     inputs = np.array([[1, 6], [7, 8], [9, 2]])
     h0 = nn.leaf(np.random.default_rng(1).normal(size=(2, 5)))
     rows = model.decoder.sequence(None, inputs, h0).value
-    state = model.decoder.initial_state(h0)
+    h, c = model.decoder.initial_state(h0.value)
     for t, x in enumerate(inputs):
-        state, h = model.decoder.step(x, state)
-        np.testing.assert_allclose(rows[2 * t:2 * t + 2], h.value, rtol=1e-12, atol=1e-15)
+        h, c = model.decoder.step(x, h, c)
+        np.testing.assert_allclose(rows[2 * t:2 * t + 2], h, rtol=1e-12, atol=1e-15)
     with pytest.raises(nn.ShapeError):
         model.decoder.sequence(None, np.array([[1, 99]]), h0)

@@ -71,6 +71,52 @@ def test_bleu_rouge_permutation_invariant(pairs, rnd):
     assert abs(ev.rouge_l(cands, refs) - ev.rouge_l(cands2, refs2)) < 1e-9
 
 
+def per_order_bleu(candidates, references, n):
+    """BLEU-n counting each order's n-grams on its own, as bleu_n did
+    before the counts were shared: the oracle for the shared counts."""
+    def ngrams(tokens, k):
+        return Counter(tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
+    matched = [0] * n
+    total = [0] * n
+    cand_len = 0
+    ref_len = 0
+    for cand, ref in zip(candidates, references):
+        cand_len += len(cand)
+        ref_len += len(ref)
+        for k in range(1, n + 1):
+            cc = ngrams(cand, k)
+            rc = ngrams(ref, k)
+            matched[k - 1] += sum(min(c, rc.get(g, 0)) for g, c in cc.items())
+            total[k - 1] += max(len(cand) - k + 1, 0)
+    if cand_len == 0:
+        return 0.0
+    if any(t == 0 or m == 0 for m, t in zip(matched, total)):
+        return 0.0
+    log_precision = sum(math.log(m / t) for m, t in zip(matched, total)) / n
+    brevity = math.exp(min(0.0, 1.0 - ref_len / cand_len))
+    return 100.0 * brevity * math.exp(log_precision)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.lists(st.sampled_from("abc"), max_size=9),
+    st.lists(st.sampled_from("abc"), max_size=9),
+    st.integers(1, 3)), max_size=8))
+def test_shared_ngram_counts_match_per_order_counting(rows):
+    cands = [r[0] for r in rows]
+    refs = [r[1] for r in rows]
+    report = ev.score_pairs(cands, refs)
+    for k in (1, 2, 3, 4):
+        assert report.bleu[k] == per_order_bleu(cands, refs, k)
+        assert ev.bleu_n(cands, refs, k) == report.bleu[k]
+    curve = ev.bleu_by_triple_count([(c, r) for c, r, _ in rows], [n for *_, n in rows])
+    for n, (bleu4, size) in curve.items():
+        group = [(c, r) for c, r, m in rows if m == n]
+        assert size == len(group)
+        assert bleu4 == per_order_bleu([c for c, _ in group], [r for _, r in group], 4)
+        assert bleu4 == ev.bleu_n([c for c, _ in group], [r for _, r in group], 4)
+
+
 # -- ROUGE-L ------------------------------------------------------------------
 
 

@@ -81,8 +81,8 @@ def test_beam_log_probs_replayable(rng):
         prev = model.start_index
         total = 0.0
         for tok in h.tokens:
-            state, top = model.decoder.step(np.asarray([prev]), state)
-            logp = model.decoder.log_distribution(top.value)[0]
+            state = model.decoder.step(np.asarray([prev]), *state)
+            logp = model.decoder.log_distribution(state[0])[0]
             total += float(logp[tok])
             prev = tok
         assert abs(total - h.log_prob) < 1e-12
@@ -132,6 +132,26 @@ def test_beam_matches_sort_reference_on_tied_tables(data):
     end = data.draw(st.integers(0, size - 1), label="end_index")
     n = (t_max + 1) * (size + 1) * size
     cells = data.draw(st.lists(st.sampled_from(_LEVELS), min_size=n, max_size=n))
+    table = np.asarray(cells).reshape(t_max + 1, size + 1, size)
+    got = beam_search(DepthTableScorer(table), width, t_max, end)
+    want = reference_beam.beam_search(DepthTableScorer(table), width, t_max, end)
+    assert _ranked(got) == _ranked(want)
+
+
+# NaN and +inf are not candidates; a step that holds one, or fewer finite
+# entries than the width left, takes the search's finite-only fallback
+_NONFINITE_LEVELS = (-np.inf, np.nan, np.inf, -0.5, -1.0, -0.1, -0.2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_beam_matches_sort_reference_on_nonfinite_tables(data):
+    size = data.draw(st.integers(1, 6), label="|X|")
+    t_max = data.draw(st.integers(1, 5), label="t_max")
+    width = data.draw(st.integers(1, 12), label="width")
+    end = data.draw(st.integers(0, size - 1), label="end_index")
+    n = (t_max + 1) * (size + 1) * size
+    cells = data.draw(st.lists(st.sampled_from(_NONFINITE_LEVELS), min_size=n, max_size=n))
     table = np.asarray(cells).reshape(t_max + 1, size + 1, size)
     got = beam_search(DepthTableScorer(table), width, t_max, end)
     want = reference_beam.beam_search(DepthTableScorer(table), width, t_max, end)

@@ -158,7 +158,7 @@ def test_failed_save_keeps_previous_files(tmp_path, monkeypatch):
     path = str(tmp_path / "src.vocab")
     v.save(path)
     main, meta = v.to_bytes()
-    # the main file's write raises; then, with the main file written, the meta file's
+    # the main file's bytes fail to hash for the meta file; then the meta file's write raises
     for failing in ((None, meta), (main, "not bytes")):
         monkeypatch.setattr(Vocabulary, "to_bytes", lambda self, f=failing: f)
         with pytest.raises(TypeError):
@@ -167,3 +167,44 @@ def test_failed_save_keeps_previous_files(tmp_path, monkeypatch):
     loaded = Vocabulary.load(path)
     assert loaded.content_hash() == v.content_hash() and loaded.fallbacks == v.fallbacks
     assert sorted(os.listdir(tmp_path)) == ["src.vocab", "src.vocab.meta.json"]
+
+
+def test_meta_file_of_another_token_list_is_refused(tmp_path, monkeypatch, capsys):
+    # the meta file is written first; a main write that fails after it
+    # leaves w's meta file beside v's token list, the mixed pair of
+    # test_failed_save_keeps_previous_files, and load refuses it
+    import json
+    from triples2text import cli, fileio
+    rare = [Triple(tk.ITEM, "dbo:p", "dbr:Rare", "entity", object_type="dbo:T")] * 5
+    v = build_source_vocab([triple_example(rare)], min_count=20)
+    w = build_source_vocab([triple_example(rare + [Triple(tk.ITEM, "dbo:q", "dbr:B")] * 20)],
+                           min_count=20)
+    path = str(tmp_path / "src.vocab")
+    v.save(path)
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if dst == path:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr(fileio.os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        w.save(path)
+    monkeypatch.undo()
+    assert (tmp_path / "src.vocab").read_bytes() == v.to_bytes()[0]
+    meta = json.loads((tmp_path / "src.vocab.meta.json").read_text())
+    assert set(meta["entity_tokens"]) == w.entity_tokens != v.entity_tokens
+    with pytest.raises(ValueError, match="another token list"):
+        Vocabulary.load(path)
+    target = str(tmp_path / "tgt.vocab")
+    build_target_vocab([example_from_tokens(words("a"))], max_size=5).save(target)
+    assert cli.main(["neighbors", "--checkpoint", str(tmp_path / "ckpt"), "--source-vocab",
+                     path, "--target-vocab", target, "--token", "dbr:B", "--k", "1"]) == 2
+    assert "another token list" in capsys.readouterr().err
+    # a meta file without the hash, as older saves wrote it, still loads
+    v.save(path)
+    (tmp_path / "src.vocab.meta.json").write_bytes(v.to_bytes()[1])
+    assert Vocabulary.load(path).content_hash() == v.content_hash()
+    w.save(path)
+    assert Vocabulary.load(path).content_hash() == w.content_hash()
