@@ -103,15 +103,17 @@ class Vocabulary:
 
     # -- serialisation ------------------------------------------------
 
-    def to_bytes(self) -> tuple[bytes, bytes | None]:
+    def to_bytes(self, stamp: bool = False) -> tuple[bytes, bytes | None]:
+        """File bytes; ``stamp`` puts the list's SHA-256 in the meta, as ``save`` does."""
         lines = ["\t".join([_FORMAT, _VERSION, self.kind, ",".join(SPECIAL_TOKENS)])]
         lines += [f"{tok}\t{self.frequencies.get(tok, 0)}" for tok in self.tokens]
         main = ("\n".join(lines) + "\n").encode("utf-8")
         meta = None
         if self.kind == "source":
-            meta = json.dumps(
-                {"fallbacks": self.fallbacks, "entity_tokens": sorted(self.entity_tokens)},
-                sort_keys=True).encode("utf-8")
+            fields = {"fallbacks": self.fallbacks, "entity_tokens": sorted(self.entity_tokens)}
+            if stamp:
+                fields["list_sha256"] = hashlib.sha256(main).hexdigest()
+            meta = json.dumps(fields, sort_keys=True).encode("utf-8")
         return main, meta
 
     def content_hash(self) -> str:
@@ -123,11 +125,10 @@ class Vocabulary:
         return h.hexdigest()
 
     def save(self, path: str) -> None:
-        main, meta = self.to_bytes()
-        if meta is not None:  # list_sha256 sorts after meta's keys: still sorted JSON
-            stamp = hashlib.sha256(main).hexdigest().encode()
+        main, meta = self.to_bytes(stamp=True)
+        if meta is not None:
             with atomic_open(path + ".meta.json", "wb") as fh:
-                fh.write(meta[:-1] + b', "list_sha256": "%s"}' % stamp)
+                fh.write(meta)
         with atomic_open(path, "wb") as fh:
             fh.write(main)
 

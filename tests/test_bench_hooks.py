@@ -1,8 +1,7 @@
 """The benchmark's tracer wraps functions of the program by name. A rename
-here must fail these tests, not only a traced benchmark run."""
+here must fail this test, not only a traced benchmark run."""
 
 import importlib.util
-import inspect
 import os
 
 from triples2text import nn
@@ -27,16 +26,3 @@ def test_every_traced_target_exists():
                if not callable(getattr(owner, attr, None))]
     assert not missing, f"traced functions not found: {missing}"
 
-
-def test_tracer_installs_and_restores():
-    tracing = load_tracing()
-    targets = [(owner, attr) for owner, attr, _, _ in tracing._targets(tracing.Tracer())]
-    before = [inspect.getattr_static(owner, attr) for owner, attr in targets]
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        assert all(inspect.getattr_static(owner, attr) is not raw
-                   for (owner, attr), raw in zip(targets, before))
-    finally:
-        tracer.uninstall()
-    assert [inspect.getattr_static(owner, attr) for owner, attr in targets] == before

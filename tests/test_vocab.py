@@ -157,10 +157,10 @@ def test_failed_save_keeps_previous_files(tmp_path, monkeypatch):
     v = build_source_vocab([triple_example(triples)], min_count=20)
     path = str(tmp_path / "src.vocab")
     v.save(path)
-    main, meta = v.to_bytes()
-    # the main file's bytes fail to hash for the meta file; then the meta file's write raises
+    main, meta = v.to_bytes(stamp=True)
+    # the main file's write raises after the meta file is written; then the meta file's
     for failing in ((None, meta), (main, "not bytes")):
-        monkeypatch.setattr(Vocabulary, "to_bytes", lambda self, f=failing: f)
+        monkeypatch.setattr(Vocabulary, "to_bytes", lambda self, stamp=False, f=failing: f)
         with pytest.raises(TypeError):
             v.save(path)
     monkeypatch.undo()
@@ -192,6 +192,7 @@ def test_meta_file_of_another_token_list_is_refused(tmp_path, monkeypatch, capsy
     with pytest.raises(OSError):
         w.save(path)
     monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path)) == ["src.vocab", "src.vocab.meta.json"]
     assert (tmp_path / "src.vocab").read_bytes() == v.to_bytes()[0]
     meta = json.loads((tmp_path / "src.vocab.meta.json").read_text())
     assert set(meta["entity_tokens"]) == w.entity_tokens != v.entity_tokens
