@@ -75,10 +75,6 @@ class TripleEncoder:
             h = nn.batch_norm(tape, h, self.bn_hidden, training, update_running)
         return nn.relu(tape, h)
 
-    def encode_triple(self, spo: tuple[int, int, int]) -> Array:
-        """Inference-mode vector for a single triple (running batch-norm stats)."""
-        return self.encode_triples(None, np.asarray([spo]), training=False).value[0]
-
     def aggregate(self, tape: nn.Tape | None, h_triples: nn.Node,
                   example_idx: Array, slot_idx: Array, n_examples: int,
                   training: bool, update_running: bool = True) -> nn.Node:

@@ -84,13 +84,22 @@ def bleu_n(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[st
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
-        prev = cur
-    return prev[-1]
+    """Length of the longest common subsequence, bit-parallel over ``a``.
+
+    Bit i of ``v`` stands for position i of ``a``, and the clear bits count
+    the LCS of ``a`` with the tokens of ``b`` seen so far (Allison and Dix
+    1986, in the form of Hyyrö 2004). One big-integer update per token of
+    ``b`` replaces a row of the O(|a|·|b|) table, with the same result.
+    """
+    matches: dict[str, int] = {}
+    for i, x in enumerate(a):
+        matches[x] = matches.get(x, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        u = v & matches.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]],

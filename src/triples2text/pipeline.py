@@ -21,12 +21,14 @@ Input formats:
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fileio import atomic_open
 from .tokens import (END, ITEM, RARE, SPECIAL_TOKENS, START, UNK, YEAR, ZERO,
@@ -62,8 +64,12 @@ class EmptySummaryError(PipelineError):
     pass
 
 
-@dataclass(frozen=True)
-class Triple:
+# The per-token and per-triple records are named tuples: a corpus build
+# makes hundreds of thousands of them, and a tuple is cheaper to build
+# than a dataclass instance.
+
+
+class Triple(NamedTuple):
     subject: str
     predicate: str
     object: str
@@ -75,8 +81,7 @@ class Triple:
         return (self.subject, self.predicate, self.object)
 
 
-@dataclass
-class Annotation:
+class Annotation(NamedTuple):
     sentence: int
     start: int
     end: int  # exclusive
@@ -103,8 +108,7 @@ class AnnotatedSummary:
         return any(a.uri == self.main_entity for a in self.annotations)
 
 
-@dataclass
-class SummaryToken:
+class SummaryToken(NamedTuple):
     kind: str
     text: str
     uri: str | None = None
@@ -154,10 +158,21 @@ class PipelineConfig:
 
 _NUMBER_RE = re.compile(r"[+-]?\d+(?:[.,]\d+)*")
 _DATE_RE = re.compile(r"(\d{1,4})-(\d{2})-(\d{2})")
+_YEAR_RE = re.compile(r"\d{4}")
 _NUMERIC_DATATYPES = ("integer", "decimal", "double", "float", "int", "long",
                       "short", "byte", "nonNegativeInteger", "positiveInteger",
                       "negativeInteger", "nonPositiveInteger", "unsignedInt", "gYear")
 _DATE_DATATYPES = ("date", "dateTime")
+
+
+def _may_be_number(token: str) -> bool:
+    """Whether the first character lets ``_NUMBER_RE`` or ``_DATE_RE`` match.
+
+    Both start with ``[+-]`` or ``\\d``, and ``\\d`` is the Unicode ``Nd``
+    category that ``str.isdecimal`` tests, so most words skip the regex.
+    """
+    c = token[:1]
+    return c.isdecimal() or c == "+" or c == "-"
 
 
 def classify_literal(lexical: str, datatype: str | None) -> str:
@@ -167,10 +182,11 @@ def classify_literal(lexical: str, datatype: str | None) -> str:
             return DATE
         if local in _NUMERIC_DATATYPES:
             return NUMBER
-    if _DATE_RE.fullmatch(lexical.split("T")[0]) and "-" in lexical:
-        return DATE
-    if _NUMBER_RE.fullmatch(lexical):
-        return NUMBER
+    if _may_be_number(lexical):
+        if _DATE_RE.fullmatch(lexical.split("T")[0]) and "-" in lexical:
+            return DATE
+        if _NUMBER_RE.fullmatch(lexical):
+            return NUMBER
     return OTHER_LITERAL
 
 
@@ -290,14 +306,16 @@ def encode_date_triple(t: Triple) -> list[Triple]:
         raise MalformedLiteralError(
             f"object of ({t.subject}, {t.predicate}) has month {month} outside 1..12")
     return [
-        replace(t, predicate=t.predicate + "Month", object=str(month), object_kind=MONTH),
-        replace(t, predicate=t.predicate + "Year", object=YEAR, object_kind=YEAR_KIND),
+        Triple(t.subject, t.predicate + "Month", str(month), MONTH,
+               t.subject_type, t.object_type),
+        Triple(t.subject, t.predicate + "Year", YEAR, YEAR_KIND,
+               t.subject_type, t.object_type),
     ]
 
 
 def normalize_numeric(token: str, year_min: int = 1000, year_max: int = 2100) -> str:
     """``<year>`` for a plausible 4-digit year, the token ``0`` otherwise."""
-    if re.fullmatch(r"\d{4}", token) and year_min <= int(token) <= year_max:
+    if _YEAR_RE.fullmatch(token) and year_min <= int(token) <= year_max:
         return YEAR
     return ZERO
 
@@ -309,8 +327,9 @@ def normalize_triples(triples: Sequence[Triple], cfg: PipelineConfig) -> list[Tr
             out.extend(encode_date_triple(t))
         elif t.object_kind == NUMBER:
             norm = normalize_numeric(t.object, cfg.year_min, cfg.year_max)
-            out.append(replace(t, object=norm,
-                               object_kind=YEAR_KIND if norm == YEAR else NUMBER))
+            out.append(Triple(t.subject, t.predicate, norm,
+                              YEAR_KIND if norm == YEAR else NUMBER,
+                              t.subject_type, t.object_type))
         else:
             out.append(t)
     return out
@@ -320,12 +339,14 @@ def substitute_item_in_triples(triples: Sequence[Triple], main: str) -> tuple[li
     hit = False
     out = []
     for t in triples:
-        subj, obj = t.subject, t.object
-        if subj == main:
-            subj, hit = ITEM, True
-        if obj == main and t.object_kind == ENTITY:
-            obj, hit = ITEM, True
-        out.append(replace(t, subject=subj, object=obj) if (subj, obj) != (t.subject, t.object) else t)
+        subj_hit = t.subject == main
+        obj_hit = t.object == main and t.object_kind == ENTITY
+        if subj_hit or obj_hit:
+            hit = True
+            t = Triple(ITEM if subj_hit else t.subject, t.predicate,
+                       ITEM if obj_hit else t.object, t.object_kind,
+                       t.subject_type, t.object_type)
+        out.append(t)
     return out, hit
 
 
@@ -411,7 +432,7 @@ def truncate_summary(s: AnnotatedSummary) -> AnnotatedSummary:
 
 
 def _looks_number(token: str) -> bool:
-    return _NUMBER_RE.fullmatch(token) is not None
+    return _may_be_number(token) and _NUMBER_RE.fullmatch(token) is not None
 
 
 def _ordered_annotations(s: AnnotatedSummary) -> dict[int, list[Annotation]]:
@@ -518,13 +539,31 @@ def make_surface_tuples(tokens: Sequence[SummaryToken],
 # corpus assembly
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring its previous state.
+
+    Building a corpus allocates hundreds of thousands of records, and each
+    full collection walks every one built so far, so the sweeps grow with
+    the corpus. The records hold no reference cycles; reference counting
+    still frees everything the build discards.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def attach_types(triples: Sequence[Triple], types: Mapping[str, str]) -> list[Triple]:
     out = []
     for t in triples:
         st = types.get(t.subject) if t.subject != ITEM else None
         ot = types.get(t.object) if (t.object_kind == ENTITY and t.object != ITEM) else None
         if st or ot:
-            t = replace(t, subject_type=st, object_type=ot)
+            t = Triple(t.subject, t.predicate, t.object, t.object_kind, st, ot)
         out.append(t)
     return out
 
@@ -540,6 +579,7 @@ def _reference_tokens(s: AnnotatedSummary, year_min: int, year_max: int) -> list
     return out
 
 
+@_gc_paused()
 def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
                  types: Mapping[str, str],
                  config: PipelineConfig) -> tuple[list[AlignedExample], CorpusStats, dict[str, str]]:
@@ -710,6 +750,7 @@ def write_corpus(path: str, examples: Sequence[AlignedExample]) -> None:
             }, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+@_gc_paused()
 def read_corpus(path: str) -> list[AlignedExample]:
     out: list[AlignedExample] = []
     with open(path, "r", encoding="utf-8") as fh:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,12 @@ def make_vocab(kind: str, extra: int, prefix: str) -> Vocabulary:
     for i in range(extra):
         v._append(f"{prefix}{i}", extra - i)
     return v
+
+
+def read_jsonl(path) -> list:
+    """The records of a JSON Lines file."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
 
 
 def make_model(seed: int = 0, cell: str = "gru", m: int = 4, e_max: int = 2,

@@ -4,10 +4,12 @@ import json
 import os
 import struct
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import read_jsonl
 from triples2text import cli, evaluation, generation, nn, training
 from triples2text.model import Seq2Seq
 from triples2text.tokens import END
@@ -40,7 +42,7 @@ def test_demo_corpus_deterministic(tmp_path):
     assert run(["demo-corpus", "--out-dir", a, "--size", "12", "--seed", "3"]) == 0
     assert run(["demo-corpus", "--out-dir", b, "--size", "12", "--seed", "3"]) == 0
     for name in ("triples.nt", "summaries.jsonl", "instance_types.tsv", "genders.tsv"):
-        assert open(os.path.join(a, name)).read() == open(os.path.join(b, name)).read()
+        assert Path(a, name).read_bytes() == Path(b, name).read_bytes()
 
 
 def test_demo_corpus_size_floor(tmp_path):
@@ -59,7 +61,7 @@ def test_build_corpus_happy_path_and_idempotence(demo_dir, tmp_path):
     assert code == 0
     assert os.path.exists(out)
     assert file_hashes(inputs) == before  # inputs never mutated
-    stats = json.load(open(tmp_path / "stats.json"))
+    stats = json.loads((tmp_path / "stats.json").read_text())
     assert stats["n_articles"] == 30
 
 
@@ -88,7 +90,7 @@ def test_build_vocab_and_train_and_generate(demo_dir, tmp_path):
                 "--target-vocab", tvocab, "--lexicon", lexicon,
                 "--from-corpus", corpus, "--limit", "2", "--beam", "3",
                 "--t-max", "25", "--out", out]) == 0
-    rows = [json.loads(l) for l in open(out)]
+    rows = read_jsonl(out)
     assert rows and all("final_text" in r for r in rows)
     # evaluate and baseline commands produce reports
     report = str(tmp_path / "report.json")
@@ -96,9 +98,9 @@ def test_build_vocab_and_train_and_generate(demo_dir, tmp_path):
                 "--target-vocab", tvocab, "--corpus", corpus, "--lexicon", lexicon,
                 "--beam", "2", "--t-max", "25", "--out", report,
                 "--curve-csv", str(tmp_path / "curve.csv")]) == 0
-    rep = json.load(open(report))
+    rep = json.loads(Path(report).read_text())
     assert "bleu" in rep and "perplexity" in rep
-    n_inputs = sum(1 for line in open(corpus) if line.strip())
+    n_inputs = len(read_jsonl(corpus))
     timing, beam = rep["timing"], rep["beam"]
     assert set(timing) == {"perplexity_s", "generate_s", "inputs_per_s"}
     assert timing["perplexity_s"] > 0 and timing["generate_s"] > 0
@@ -113,11 +115,11 @@ def test_build_vocab_and_train_and_generate(demo_dir, tmp_path):
     assert run(["generate", "--checkpoint", ckpt, "--source-vocab", svocab,
                 "--target-vocab", tvocab, "--lexicon", lexicon, "--from-corpus", corpus,
                 *short, out]) == 0
-    tops = [r for r in map(json.loads, open(out)) if r["rank"] == 0]
+    tops = [r for r in read_jsonl(out) if r["rank"] == 0]
     assert len(tops) == n_inputs
-    assert json.load(open(report))["beam"]["forced_top1"] == sum(
+    assert json.loads(Path(report).read_text())["beam"]["forced_top1"] == sum(
         r["tokens"] != [END] for r in tops)
-    assert open(tmp_path / "curve.csv").readline().strip() == "triple_count,bleu4"
+    assert (tmp_path / "curve.csv").read_text().splitlines()[0] == "triple_count,bleu4"
     assert run(["baseline", "--kind", "random", "--train-corpus", corpus,
                 "--eval-corpus", corpus, "--lexicon", lexicon,
                 "--samples", "2", "--out", str(tmp_path / "rb.json")]) == 0
@@ -169,7 +171,7 @@ def test_bad_stats_exit_two(demo_dir, tmp_path, capsys):
     tvocab, svocab = str(tmp_path / "t.vocab"), str(tmp_path / "s.vocab")
     assert run(["--config", cfg, "build-vocab", "--corpus", corpus,
                 "--target-out", tvocab, "--source-out", svocab]) == 0
-    good = json.load(open(stats))
+    good = json.loads(Path(stats).read_text())
     bad = str(tmp_path / "bad.json")
     for record in ({}, [], {**good, "e_std": None}, {**good, "e_max": "8"}):
         with open(bad, "w") as fh:
@@ -210,10 +212,10 @@ def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path, monkeypatch):
     assert run(["--config", cfg, "build-vocab", "--corpus", corpus,
                 "--target-out", tvocab, "--source-out", svocab]) == 0
     bad = str(tmp_path / "bad.bin")
-    open(bad, "wb").write(b"junkjunkjunk")
+    Path(bad).write_bytes(b"junkjunkjunk")
     assert run(["generate", "--checkpoint", bad, "--source-vocab", svocab,
                 "--target-vocab", tvocab, "--from-corpus", corpus]) == 3
-    open(bad, "wb").write(b"T2TB" + struct.pack("<II", 1, 2) + b"\xff\xfe")  # non-UTF-8 header
+    Path(bad).write_bytes(b"T2TB" + struct.pack("<II", 1, 2) + b"\xff\xfe")  # non-UTF-8 header
     assert run(["generate", "--checkpoint", bad, "--source-vocab", svocab,
                 "--target-vocab", tvocab, "--from-corpus", corpus]) == 3
     # Checkpoints of decoders this code no longer builds, written by the
@@ -297,11 +299,11 @@ def test_failed_report_writes_keep_previous_files(demo_dir, tmp_path, monkeypatc
              (baseline, base, evaluation.MetricReport, "to_json", fail)]
     for argv, path, owner, attr, broken in cases:
         assert run(argv) == 0
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         with monkeypatch.context() as patched:
             patched.setattr(owner, attr, broken)
             assert run(argv) == 3, path
-        assert open(path, "rb").read() == before, path
+        assert Path(path).read_bytes() == before, path
     assert rows_written  # the generate case did fail part-way
     assert not [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
 
@@ -328,7 +330,7 @@ def test_generate_single_triple_set(demo_dir, tmp_path):
                 "--max-timestep", "30", "--seed", "0"]) == 0
     ckpt = os.path.join(run_dir, "checkpoint_best.bin")
     # one raw triple set from the demo dump, selected by its main entity
-    main = json.loads(open(os.path.join(demo_dir, "summaries.jsonl")).readline())["main_entity"]
+    main = read_jsonl(os.path.join(demo_dir, "summaries.jsonl"))[0]["main_entity"]
     out = str(tmp_path / "single.jsonl")
     assert run(["generate", "--checkpoint", ckpt, "--source-vocab", svocab,
                 "--target-vocab", tvocab, "--lexicon", lexicon,
@@ -336,7 +338,7 @@ def test_generate_single_triple_set(demo_dir, tmp_path):
                 "--triples", os.path.join(demo_dir, "triples.nt"),
                 "--main", main, "--beam", "2", "--t-max", "25",
                 "--out", out]) == 0
-    rows = [json.loads(l) for l in open(out)]
+    rows = read_jsonl(out)
     assert rows and rows[0]["input_id"] == main
 
 

@@ -17,9 +17,14 @@ def encoder_no_bn(source_size=8, m=2, e_max=3):
     return TripleEncoder(source_size, m, e_max, use_batch_norm=False)
 
 
+def encode_one(enc, triples):
+    """The decoder initialisation vector of one triple set."""
+    return enc.encode_batch(None, [triples], training=False).value[0]
+
+
 def test_encode_triple_zero_parameters_gives_zero():
     enc = encoder_no_bn()
-    assert np.allclose(enc.encode_triple((1, 2, 3)), 0.0)
+    assert np.allclose(encode_one(enc, [(1, 2, 3)]), 0.0)
 
 
 def test_encode_triple_hand_case():
@@ -35,25 +40,32 @@ def test_encode_triple_hand_case():
     w[3, 1] = 1.0   # out[1] = p[1]
     w[4, 1] = 1.0   #        + o[0]
     enc.hidden.value[...] = w
-    h = enc.encode_triple((1, 2, 3))
+    enc.aggregate_w.value[:2] = np.eye(2)  # slot 0 passes through
+    h = encode_one(enc, [(1, 2, 3)])
     # concat = [1,0, 0,1, 1,1]; out = [1+0, 1+1] = [1, 2]
     assert np.allclose(h, [1.0, 2.0])
 
 
 def test_encode_triple_direction_sensitive():
-    enc = encoder_no_bn()
+    enc = encoder_no_bn(m=4)
     rng = np.random.default_rng(0)
     enc.embed.value[...] = rng.normal(size=enc.embed.value.shape)
     enc.hidden.value[...] = rng.normal(size=enc.hidden.value.shape)
-    fwd = enc.encode_triple((1, 2, 3))
-    rev = enc.encode_triple((3, 2, 1))
+    enc.aggregate_w.value[...] = rng.normal(size=enc.aggregate_w.value.shape)
+    fwd = encode_one(enc, [(1, 2, 3)])
+    rev = encode_one(enc, [(3, 2, 1)])
     assert not np.allclose(fwd, rev)
+    # the set is read in slot order, so swapping two triples changes it too
+    ab = encode_one(enc, [(1, 2, 3), (4, 5, 6)])
+    ba = encode_one(enc, [(4, 5, 6), (1, 2, 3)])
+    assert not np.allclose(ab, 0.0) and not np.allclose(ab, ba)
 
 
 def test_encode_triple_index_out_of_range():
     enc = encoder_no_bn()
-    with pytest.raises(nn.ShapeError, match="out of range"):
-        enc.encode_triple((99, 0, 0))
+    for bad in [(99, 0, 0), (0, -1, 0), (0, 0, 8)]:
+        with pytest.raises(nn.ShapeError, match="out of range"):
+            encode_one(enc, [(1, 2, 3), bad])
 
 
 def test_aggregate_pads_with_zero_vectors():

@@ -140,6 +140,35 @@ def test_rouge_disjoint_zero_and_empty_reference_skipped():
     assert score == 100.0  # the empty-reference pair is skipped
 
 
+def table_lcs_length(a, b):
+    """The O(|a|·|b|) dynamic-programming table that ``_lcs_length`` replaced."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[-1]))
+        prev = cur
+    return prev[-1]
+
+
+lcs_tokens = st.lists(st.sampled_from(["a", "b", "c", "the", ""]), max_size=90)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lcs_tokens, lcs_tokens)
+def test_bit_parallel_lcs_equals_the_table(a, b):
+    assert ev._lcs_length(a, b) == table_lcs_length(a, b)
+    assert ev._lcs_length(b, a) == table_lcs_length(a, b)
+
+
+def test_bit_parallel_lcs_edge_cases():
+    long = [f"w{i % 7}" for i in range(300)]
+    cases = [([], []), ([], ["a"]), (["a"], []), (["a"] * 70, ["a"] * 65),
+             (["a", "b"] * 40, ["b", "a"] * 40), (long, long[::-1]), (long, long[5:])]
+    for a, b in cases:
+        assert ev._lcs_length(a, b) == table_lcs_length(a, b), (len(a), len(b))
+
+
 # -- perplexity ----------------------------------------------------------------
 
 

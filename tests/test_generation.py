@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_beam
-from conftest import make_model
+from conftest import make_model, read_jsonl
 from triples2text import generation as gen
 from triples2text import tokens as tk
 from triples2text.generation import (GenerationInputError, ModelScorer, Scorer,
@@ -277,7 +277,6 @@ def test_write_results_jsonl(tmp_path):
     results = gen.generate(model, triples, {}, "X", beam_width=2, t_max=4, input_id="in0")
     path = str(tmp_path / "out.jsonl")
     gen.write_results(path, results)
-    import json
-    rows = [json.loads(l) for l in open(path)]
+    rows = read_jsonl(path)
     assert rows and rows[0]["input_id"] == "in0"
     assert {"rank", "log_prob", "tokens", "final_text"} <= set(rows[0])

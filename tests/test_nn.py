@@ -280,11 +280,11 @@ def test_block_container_roundtrip(tmp_path):
 def test_block_container_truncation_and_magic(tmp_path):
     path = str(tmp_path / "blocks.bin")
     nn.write_blocks(path, {}, [("a", np.ones((4, 4)))])
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-9])
+    data = pathlib.Path(path).read_bytes()
+    pathlib.Path(path).write_bytes(data[:-9])
     with pytest.raises(nn.BadCheckpointError, match="truncated"):
         nn.read_blocks(path)
-    open(path, "wb").write(b"XXXX" + data[4:])
+    pathlib.Path(path).write_bytes(b"XXXX" + data[4:])
     with pytest.raises(nn.BadCheckpointError, match="magic"):
         nn.read_blocks(path)
 

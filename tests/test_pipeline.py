@@ -1,6 +1,12 @@
+import gc
+import hashlib
 import json
 import os
+import re
+import sys
 from dataclasses import replace
+from itertools import compress, repeat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,7 @@ from hypothesis import strategies as st
 
 from triples2text import pipeline as pl
 from triples2text import tokens as tk
+from triples2text.demo import demo_corpus
 from triples2text.pipeline import (AlignedExample, Annotation, AnnotatedSummary,
                                    CorpusStats, PipelineConfig, SummaryToken, Triple)
 
@@ -36,6 +43,30 @@ def test_parse_ntriples_kinds():
 def test_parse_ntriples_bad_line_reports_location():
     with pytest.raises(pl.PipelineError, match="triples.nt:2"):
         pl.parse_ntriples(["dbr:A dbo:p dbr:B .", "not a triple"], where="triples.nt")
+
+
+def test_first_character_filter_agrees_with_the_regexes_on_every_code_point():
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    digits = set(re.findall(r"\d", everything))  # the regex engine's own \d
+    assert "٣" in digits and "7" in digits
+    assert set(compress(everything, map(pl._may_be_number, everything))) == digits | {"+", "-"}
+
+    # the token streams are made twice rather than held: a million strings each
+    def kept(fn, make_tokens):
+        return set(compress(make_tokens(), map(fn, make_tokens())))
+
+    def kinds(make_tokens):
+        found = map(pl.classify_literal, make_tokens(), repeat(None))
+        return {t: k for t, k in zip(make_tokens(), found) if k != pl.OTHER_LITERAL}
+
+    assert kept(pl._looks_number, lambda: everything) == digits
+    assert kinds(lambda: everything) == dict.fromkeys(digits, pl.NUMBER)
+    for sign in "+-":
+        assert kept(pl._looks_number, lambda: map(sign.__add__, everything)) == {
+            sign + d for d in digits}
+    # a date exactly when the first character is a \d digit
+    assert kinds(lambda: (c + "-01-01" for c in everything)) == {
+        d + "-01-01": pl.DATE for d in digits}
 
 
 # -- filter ------------------------------------------------------------------
@@ -381,6 +412,79 @@ def test_token_accounting_every_annotation_covered():
     assert len(covered) == 3
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_and_read_corpus_pause_and_restore_the_collector(tmp_path, monkeypatch, enabled):
+    was_enabled = gc.isenabled()
+    seen = []
+
+    def articles(fail):
+        seen.append(gc.isenabled())
+        yield make_article()
+        if fail:
+            raise pl.PipelineError("dump cut short")
+
+    def example(*args):
+        seen.append(gc.isenabled())
+        return AlignedExample(*args)
+
+    cfg = PipelineConfig(target_vocab_size=100)
+    path = str(tmp_path / "corpus.jsonl")
+    try:
+        (gc.enable if enabled else gc.disable)()
+        examples, _, _ = pl.build_corpus(articles(False), {}, cfg)
+        assert gc.isenabled() is enabled
+        pl.write_corpus(path, examples)
+        with monkeypatch.context() as patched:
+            patched.setattr(pl, "AlignedExample", example)
+            assert pl.read_corpus(path) == examples
+        assert gc.isenabled() is enabled
+        assert seen == [False, False]  # paused while each one ran
+        with pytest.raises(pl.PipelineError, match="cut short"):
+            pl.build_corpus(articles(True), {}, cfg)
+        assert gc.isenabled() is enabled
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        with pytest.raises(pl.PipelineError, match="corpus.jsonl:2"):
+            pl.read_corpus(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# SHA-256 of the files written for demo_corpus(seed 11, 60 articles), as
+# written by the dataclass records before they became named tuples
+DEMO_DIGESTS = {
+    pl.MODE_URI: {
+        "corpus": "62f19a6a834a5452eb3bd788dae2a679fa8e0b4e36823f90ceac57a2fd08b1e3",
+        "stats": "872b99f32cc599edfd33992500417ef282cd7528271190baf1150e72249873f0",
+        "lexicon": "526c0e3bd5f1e85754a2089ef8a1303c96e8b366c205d74138b08081e10cd2d7",
+    },
+    pl.MODE_TUPLES: {
+        "corpus": "e1b451eef5f5ee5631debd1d6ec7afffa94431ac13fbd50e96b7637e65b457d5",
+        "stats": "872b99f32cc599edfd33992500417ef282cd7528271190baf1150e72249873f0",
+        "lexicon": "526c0e3bd5f1e85754a2089ef8a1303c96e8b366c205d74138b08081e10cd2d7",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", pl.MODES)
+def test_demo_corpus_outputs_are_pinned(tmp_path, mode):
+    paths = demo_corpus(11, 60, str(tmp_path / "demo"))
+    cfg = PipelineConfig(mode=mode, target_vocab_min_count=2,
+                         gender_lexicon=pl.read_tsv_map(paths["genders"]))
+    examples, stats, lexicon = pl.build_corpus(
+        pl.read_articles(paths["triples"], paths["summaries"]),
+        pl.read_tsv_map(paths["instance_types"]), cfg)
+    digests = {}
+    for name, write, value in (("corpus", pl.write_corpus, examples),
+                               ("stats", pl.write_stats, stats),
+                               ("lexicon", pl.write_lexicon, lexicon)):
+        path = tmp_path / name
+        write(str(path), value)
+        digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == DEMO_DIGESTS[mode]
+
+
 # -- tokeniser fallback ----------------------------------------------------------
 
 
@@ -424,10 +528,10 @@ def test_failed_writes_keep_previous_file(tmp_path):
     for i, (write, good, bad) in enumerate(cases):
         path = str(tmp_path / f"out{i}")
         write(path, good)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         with pytest.raises((AttributeError, TypeError, KeyError)):
             write(path, bad)
-        assert open(path, "rb").read() == before, write.__name__
+        assert Path(path).read_bytes() == before, write.__name__
     assert sorted(os.listdir(tmp_path)) == ["out0", "out1", "out2"]  # no temp file left
 
 

@@ -1,11 +1,11 @@
-import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_model, make_vocab
+from conftest import make_model, make_vocab, read_jsonl
 from triples2text import nn, pipeline, training
 from triples2text.demo import demo_corpus
 from triples2text.model import EncodedExample, ModelConfig, Seq2Seq
@@ -137,7 +137,7 @@ def test_training_log_boundary_lrs_match_schedule(tmp_path):
                                out_dir=str(tmp_path / "run"))
     expected = boundary_lr_schedule(cfg, 6)
     assert result.boundary_lrs == expected
-    records = [json.loads(l) for l in open(result.log_path)]
+    records = read_jsonl(result.log_path)
     logged = [r["lr_boundary"] for r in records if r["type"] == "epoch_start"]
     assert logged == expected
 
@@ -161,7 +161,7 @@ def test_reproducibility_same_seed_same_curve(tmp_path):
         cfg = small_config(epochs=3, seed=7)
         _, result = training.train(examples, examples[:3], cfg, sv, tv,
                                    out_dir=str(tmp_path / f"r{run}"))
-        records = [json.loads(l) for l in open(result.log_path)]
+        records = read_jsonl(result.log_path)
         curves.append([r["cost"] for r in records if r["type"] == "batch"])
     assert curves[0] == curves[1]
 
@@ -239,8 +239,8 @@ def test_checkpoint_truncated_rejected(tmp_path):
     model = make_model(seed=4)
     path = str(tmp_path / "model.bin")
     model.save(path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) // 2])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) // 2])
     with pytest.raises(nn.BadCheckpointError):
         Seq2Seq.load(path, model.source_vocab, model.target_vocab)
 
@@ -356,7 +356,7 @@ def test_fixed_seed_run_matches_pinned_numerics(cell, tmp_path):
                       patience=None)
     out = str(tmp_path / "run")
     model, _ = training.train(examples[:25], examples[25:], cfg, source, target, out_dir=out)
-    costs = [r["cost"] for r in map(json.loads, open(os.path.join(out, "train_log.jsonl")))
+    costs = [r["cost"] for r in read_jsonl(os.path.join(out, "train_log.jsonl"))
              if r["type"] == "batch"]
     norms = {p.name: float(np.linalg.norm(p.value)) for p in model.parameters()}
     want_costs, want_norms = PINNED_RUNS[cell]
