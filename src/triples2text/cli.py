@@ -292,10 +292,24 @@ def _load_vocabs(args) -> tuple[Vocabulary, Vocabulary]:
     return Vocabulary.load(args.source_vocab), Vocabulary.load(args.target_vocab)
 
 
+def _at_least(flag: str, value: int | None, low: int) -> None:
+    """Refuse a numeric argument below its lower bound, before any file is read."""
+    if value is not None and value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
+def _check_search(args) -> None:
+    _at_least("--beam", args.beam, 1)
+    _at_least("--t-max", args.t_max, 1)
+
+
 def cmd_train(args, cfg):
     max_timestep = _pick(args.max_timestep, cfg, "max_timestep", int, TrainConfig.max_timestep)
-    if max_timestep < 1:
-        raise UsageError(f"--max-timestep must be at least 1, got {max_timestep}")
+    batch_size = _pick(args.batch_size, cfg, "batch_size", int, TrainConfig.batch_size)
+    m = _pick(args.m, cfg, "m", int, TrainConfig.m)
+    _at_least("--max-timestep", max_timestep, 1)
+    _at_least("--batch-size", batch_size, 2)  # batch normalisation needs two rows
+    _at_least("--m", m, 1)
     examples = pipeline.read_corpus(args.corpus)
     source_vocab, target_vocab = _load_vocabs(args)
     if args.valid:
@@ -320,7 +334,7 @@ def cmd_train(args, cfg):
     if clip_norm is not None and clip_norm <= 0:
         clip_norm = None  # zero or negative disables clipping
     tcfg = TrainConfig(
-        batch_size=_pick(args.batch_size, cfg, "batch_size", int, TrainConfig.batch_size),
+        batch_size=batch_size,
         max_timestep=max_timestep,
         learning_rate=_pick(args.lr, cfg, "learning_rate", float, TrainConfig.learning_rate),
         decay_factor=_pick(args.decay_factor, cfg, "decay_factor", float,
@@ -330,7 +344,7 @@ def cmd_train(args, cfg):
         epochs=_pick(args.epochs, cfg, "epochs", int, TrainConfig.epochs),
         seed=_pick(args.seed, cfg, "seed", int, TrainConfig.seed),
         cell_kind=_pick(args.cell, cfg, "cell", str, TrainConfig.cell_kind),
-        m=_pick(args.m, cfg, "m", int, TrainConfig.m),
+        m=m,
         e_max=e_max,
         l2=_pick(args.l2, cfg, "l2", float, TrainConfig.l2),
         clip_norm=clip_norm,
@@ -358,12 +372,14 @@ def _load_lexicon(args) -> dict[str, str]:
 
 
 def cmd_generate(args, cfg):
+    _check_search(args)
+    _at_least("--limit", args.limit, 1)
     model, _, _ = _load_model(args)
     lexicon = _load_lexicon(args)
     results = []
     if args.from_corpus:
         examples = pipeline.read_corpus(args.from_corpus)
-        if args.limit:
+        if args.limit is not None:
             examples = examples[:args.limit]
         for i, ex in enumerate(examples):
             item_surface = evaluation.item_surface_for(ex, lexicon)
@@ -391,6 +407,7 @@ def cmd_generate(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
+    _check_search(args)
     model, _, _ = _load_model(args)
     lexicon = _load_lexicon(args)
     examples = pipeline.read_corpus(args.corpus)
@@ -427,6 +444,7 @@ def cmd_evaluate(args, cfg):
 
 
 def cmd_baseline(args, cfg):
+    _check_search(args)
     train_examples = pipeline.read_corpus(args.train_corpus)
     eval_examples = pipeline.read_corpus(args.eval_corpus)
     lexicon = _load_lexicon(args)

@@ -56,6 +56,67 @@ def _gru_cell(z: Array, xc: Array, h_prev: Array, cand_hh_w: Array) -> tuple[Arr
     return (1.0 - u) * h_prev + u * cand, (r, u, rh, cand)
 
 
+def _product(first: Array, *rest: Array) -> Array:
+    """first * rest[0] * rest[1] * ..., multiplied left to right (so in the
+    rounding order of the written-out expression) into one new array."""
+    out = first * rest[0]
+    for factor in rest[1:]:
+        out *= factor
+    return out
+
+
+# The reverse sweeps of Decoder.sequence. Each reads the activations the
+# forward pass stored, one [T, B, m] block per activation, computes every
+# factor that depends on them alone for all steps before the sweep, writes
+# the gate pre-activation gradients into dz [T, B, gates] and returns the
+# gradient of the initial hidden state. Every product keeps the
+# left-to-right order of the per-step formula it replaced, so the results
+# are bit for bit those of computing the factors inside the sweep. The
+# factors are freed when a sweep returns, before the weight-gradient GEMMs.
+
+
+def _lstm_sweep(d_out: Array, acts: Array, cs: Array, w_h_t: Array, dz: Array) -> Array:
+    """cs [T+1, B, m] holds the cell state entering each step."""
+    i, f, o, g, tc = acts
+    one_i, one_f, one_o = 1.0 - acts[:3]
+    squares = np.square(acts[3:])
+    one_g2, one_tc2 = np.subtract(1.0, squares, out=squares)
+    m = d_out.shape[2]
+    dh, dc = np.zeros(d_out.shape[1:]), np.zeros(d_out.shape[1:])
+    for t in reversed(range(d_out.shape[0])):
+        dh += d_out[t]
+        dc += _product(dh, o[t], one_tc2[t])
+        dzt = dz[t]
+        dzt[:, :m] = _product(dc, g[t], i[t], one_i[t])
+        dzt[:, m:2 * m] = _product(dc, cs[t], f[t], one_f[t])
+        dzt[:, 2 * m:3 * m] = _product(dh, tc[t], o[t], one_o[t])
+        dzt[:, 3 * m:] = _product(dc, i[t], one_g2[t])
+        dc *= f[t]
+        dh = dzt @ w_h_t
+    return dh
+
+
+def _gru_sweep(d_out: Array, acts: Array, hs: Array, w_h_t: Array, cand_hh_t: Array,
+               dz: Array, da: Array) -> Array:
+    """Also writes the candidate pre-activation gradients into da [T, B, m];
+    turns the candidate block of acts into 1 - candidate²."""
+    r, u, _, cand = acts
+    one_r, one_u = 1.0 - acts[:2]
+    cand_h = cand - hs[:-1]
+    one_cand2 = np.subtract(1.0, np.square(cand, out=cand), out=cand)
+    m = d_out.shape[2]
+    dh = np.zeros(d_out.shape[1:])
+    for t in reversed(range(d_out.shape[0])):
+        dh += d_out[t]
+        da[t] = _product(dh, u[t], one_cand2[t])
+        drh = da[t] @ cand_hh_t
+        dzt = dz[t]
+        dzt[:, :m] = _product(drh, hs[t], r[t], one_r[t])
+        dzt[:, m:] = _product(dh, cand_h[t], u[t], one_u[t])
+        dh = dh * one_u[t] + drh * r[t] + dzt @ w_h_t
+    return dh
+
+
 class Decoder:
 
     def __init__(self, target_size: int, m: int, cell_kind: str = LSTM, pad_index: int = 0):
@@ -110,76 +171,63 @@ class Decoder:
         Returns every step's hidden vectors as one [T*B, m] node in
         time-major order (row t*B + b). The input half of every gate
         pre-activation, x_t @ W_x + b, is one GEMM over all T*B rows; only
-        h_{t-1} @ W_h runs per step. Backward is one reverse sweep through
-        the cached activations, after which each weight gradient is one
-        GEMM over all rows.
+        h_{t-1} @ W_h runs per step. The forward pass keeps the cell
+        activations in [T, B, ...] arrays. Backward first computes, over all
+        steps at once, every factor that reads only those activations (such
+        as 1 - u), then runs one reverse sweep whose per-step products keep
+        their left-to-right order; each weight gradient is then one GEMM
+        over all rows.
         """
         inputs = self._tokens(inputs)
         steps, b = inputs.shape
         m, gates = self.m, self.gate_w.value.shape[1]
         lstm = self.cell_kind == LSTM
+        taped = tape is not None
         flat = inputs.reshape(-1)
         emb = self.embed.value[flat]  # [T*B, m]
         w_x, w_h = self.gate_w.value[:m], self.gate_w.value[m:]
         zx = (emb @ w_x + self.gate_b.value).reshape(steps, b, gates)
-        if not lstm:
-            xc = (emb @ self.cand_in_w.value + self.cand_in_b.value).reshape(steps, b, m)
         hs = np.empty((steps + 1, b, m))  # hs[t] is the hidden state entering step t
         hs[0] = h0.value
-        cs = [np.zeros((b, m))] if lstm else None
-        acts = []
+        if lstm:
+            cs = np.empty((steps + 1, b, m))  # cs[t] is the cell state entering step t
+            cs[0] = 0.0
+        else:
+            xc = (emb @ self.cand_in_w.value + self.cand_in_b.value).reshape(steps, b, m)
+        if taped:  # each cell activation over all steps, as one contiguous [T, B, m] block
+            acts = np.empty((5 if lstm else 4, steps, b, m))
         for t in range(steps):
             z = zx[t] + hs[t] @ w_h
             if lstm:
-                hs[t + 1], c, act = _lstm_cell(z, cs[t])
-                cs.append(c)
+                hs[t + 1], cs[t + 1], act = _lstm_cell(z, cs[t])
             else:
                 hs[t + 1], act = _gru_cell(z, xc[t], hs[t], self.cand_hh_w.value)
-            if tape is not None:
-                acts.append(act)
+            if taped:
+                acts[:, t] = act
         out = nn.Node(hs[1:].reshape(steps * b, m))
-        if tape is None:
+        if not taped:
             return out
 
         def bwd():
             if out.grad is None or not steps:
                 return
             d_out = out.grad.reshape(steps, b, m)
-            dz = np.empty_like(zx)  # gate pre-activation gradients, every step
-            da = None if lstm else np.empty((steps, b, m))  # candidate's, GRU
-            dh = np.zeros((b, m))
-            dc = np.zeros((b, m)) if lstm else None
-            for t in reversed(range(steps)):
-                dh += d_out[t]
-                if lstm:
-                    i, f, o, g, tc = acts[t]
-                    dc += dh * o * (1.0 - tc * tc)
-                    dz[t, :, :m] = dc * g * i * (1.0 - i)
-                    dz[t, :, m:2 * m] = dc * cs[t] * f * (1.0 - f)
-                    dz[t, :, 2 * m:3 * m] = dh * tc * o * (1.0 - o)
-                    dz[t, :, 3 * m:] = dc * i * (1.0 - g * g)
-                    dc *= f
-                    dh = dz[t] @ w_h.T
-                else:
-                    r, u, _, cand = acts[t]
-                    h_prev = hs[t]
-                    da[t] = dh * u * (1.0 - cand * cand)
-                    drh = da[t] @ self.cand_hh_w.value.T
-                    dz[t, :, :m] = drh * h_prev * r * (1.0 - r)
-                    dz[t, :, m:] = dh * (cand - h_prev) * u * (1.0 - u)
-                    dh = dh * (1.0 - u) + drh * r + dz[t] @ w_h.T
-            dz = dz.reshape(steps * b, gates)
+            # the gate and candidate gradients go into the spent buffers zx and xc
+            if lstm:
+                dh = _lstm_sweep(d_out, acts, cs, w_h.T, zx)
+            else:
+                dh = _gru_sweep(d_out, acts, hs, w_h.T, self.cand_hh_w.value.T, zx, xc)
+            dz = zx.reshape(steps * b, gates)
             h_prev_rows = hs[:-1].reshape(steps * b, m)
             self.gate_w.grad[:m] += emb.T @ dz
             self.gate_w.grad[m:] += h_prev_rows.T @ dz
             self.gate_b.grad += dz.sum(axis=0, keepdims=True)
             d_emb = dz @ w_x.T
             if not lstm:
-                da = da.reshape(steps * b, m)
-                rh = np.concatenate([act[2] for act in acts])
+                da = xc.reshape(steps * b, m)
                 self.cand_in_w.grad += emb.T @ da
                 self.cand_in_b.grad += da.sum(axis=0, keepdims=True)
-                self.cand_hh_w.grad += rh.T @ da
+                self.cand_hh_w.grad += acts[2].reshape(steps * b, m).T @ da
                 d_emb += da @ self.cand_in_w.value.T
             np.add.at(self.embed.grad, flat, d_emb)
             nn._acc(h0, dh)

@@ -9,6 +9,10 @@ capacity) and mapped to the vector that initialises the decoder.
 Batch normalisation sits after each fully-connected map: on the shared
 embedding output, before the ReLU, and after the aggregation map. It can
 be switched off for hand-computable verification.
+
+The whole encoder runs on plain arrays and, given a tape, records one op
+whose hand-written backward writes every encoder gradient from the
+activations cached by the forward pass.
 """
 
 from __future__ import annotations
@@ -48,70 +52,82 @@ class TripleEncoder:
     def batch_norms(self) -> list[nn.BatchNorm]:
         return [self.bn_embed, self.bn_hidden, self.bn_out] if self.use_batch_norm else []
 
-    def encode_triples(self, tape: nn.Tape | None, spo: Array, training: bool,
-                       update_running: bool = True) -> nn.Node:
-        """Vector representations for a [n, 3] array of source index triples.
-
-        The three components go through the shared embedding (and one
-        shared batch-norm state, applied to all component vectors at once),
-        are concatenated to a [n, 3m] block and mapped through the unbiased
-        hidden layer with batch norm before the ReLU.
-        """
-        spo = np.asarray(spo)
-        if spo.ndim != 2 or spo.shape[1] != 3:
-            raise nn.ShapeError(f"encode_triples: expected [n, 3] indices, got {spo.shape}")
-        if spo.size and (spo.min() < 0 or spo.max() >= self.source_size):
-            raise nn.ShapeError(
-                f"encode_triples: source index out of range [0, {self.source_size})")
-        n = spo.shape[0]
-        flat = nn.rows_lookup(tape, self.embed, spo.T.reshape(-1))  # [3n, m]: all s, all p, all o
-        flat = nn.add_bias(tape, flat, self.embed_bias)
-        if self.use_batch_norm:
-            flat = nn.batch_norm(tape, flat, self.bn_embed, training, update_running)
-        parts = [nn.slice_rows(tape, flat, k * n, (k + 1) * n) for k in range(3)]
-        h = nn.hstack(tape, parts)  # [n, 3m]
-        h = nn.matmul(tape, h, self.hidden)
-        if self.use_batch_norm:
-            h = nn.batch_norm(tape, h, self.bn_hidden, training, update_running)
-        return nn.relu(tape, h)
-
-    def aggregate(self, tape: nn.Tape | None, h_triples: nn.Node,
-                  example_idx: Array, slot_idx: Array, n_examples: int,
-                  training: bool, update_running: bool = True) -> nn.Node:
-        """Concatenate per-triple vectors per example, pad with zero vectors
-        up to e_max slots, and map to the decoder initialisation vector.
-
-        h_triples holds one row per real triple; example_idx / slot_idx give
-        each row's example and its position within that example's set.
-        """
-        if slot_idx.size and slot_idx.max() >= self.e_max:
-            raise ValueError(
-                f"aggregate: {int(slot_idx.max()) + 1} triples exceed the capacity e_max={self.e_max}")
-        packed = nn.pack_slots(tape, h_triples, example_idx, slot_idx, n_examples, self.e_max)
-        out = nn.affine(tape, packed, self.aggregate_w, self.aggregate_b)
-        if self.use_batch_norm:
-            out = nn.batch_norm(tape, out, self.bn_out, training, update_running)
-        return out
-
     def encode_batch(self, tape: nn.Tape | None, triple_sets: list[list[tuple[int, int, int]]],
                      training: bool, update_running: bool = True) -> nn.Node:
-        """Decoder initialisation vectors for a batch of triple sets."""
-        rows, ex_idx, slot_idx = [], [], []
+        """Decoder initialisation vectors [len(triple_sets), m] for a batch
+        of triple sets, as one recorded op.
+
+        The three components of every triple go through the shared
+        embedding and one batch-norm state (all subjects, then all
+        predicates, then all objects), are concatenated to one [n, 3m] row
+        per triple and mapped through the unbiased hidden layer with batch
+        norm before the ReLU. Triple j of set i fills slot j of row i of a
+        zero-padded [len(triple_sets), e_max*m] block, which the aggregate
+        affine map and the last batch norm turn into the output.
+        """
         for i, triples in enumerate(triple_sets):
             if len(triples) > self.e_max:
                 raise ValueError(
                     f"example {i}: {len(triples)} triples exceed the capacity e_max={self.e_max}")
-            for j, t in enumerate(triples):
-                rows.append(t)
-                ex_idx.append(i)
-                slot_idx.append(j)
-        n = len(triple_sets)
-        if rows:
-            h = self.encode_triples(tape, np.asarray(rows), training, update_running)
-        else:
-            h = nn.leaf(np.zeros((0, self.m)))
-        return self.aggregate(tape, h, np.asarray(ex_idx, dtype=int),
-                              np.asarray(slot_idx, dtype=int), n, training, update_running)
+        counts = [len(triples) for triples in triple_sets]
+        n_sets, n, m = len(triple_sets), sum(counts), self.m
+        spo = np.asarray([t for triples in triple_sets for t in triples], dtype=int)
+        if n and (spo.ndim != 2 or spo.shape[1] != 3):
+            raise nn.ShapeError(f"encode_batch: expected [n, 3] indices, got {spo.shape}")
+        if n and (spo.min() < 0 or spo.max() >= self.source_size):
+            raise nn.ShapeError(
+                f"encode_batch: source index out of range [0, {self.source_size})")
+        ex_idx = np.repeat(np.arange(n_sets), counts)
+        slot_idx = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        bns = self.use_batch_norm
+        packed = np.zeros((n_sets, self.e_max, m))
+        if n:
+            idx = spo.T.reshape(-1)  # [3n]: all subjects, all predicates, all objects
+            flat = self.embed.value[idx]
+            flat += self.embed_bias.value
+            if bns:
+                flat, xhat_e, inv_e = nn.batch_norm_forward(flat, self.bn_embed, training,
+                                                            update_running)
+            joint = flat.reshape(3, n, m).transpose(1, 0, 2).reshape(n, 3 * m)  # [s; p; o]
+            pre = joint @ self.hidden.value
+            if bns:
+                pre, xhat_h, inv_h = nn.batch_norm_forward(pre, self.bn_hidden, training,
+                                                           update_running)
+            packed[ex_idx, slot_idx] = np.maximum(pre, 0.0)
+        packed = packed.reshape(n_sets, self.e_max * m)
+        agg = packed @ self.aggregate_w.value + self.aggregate_b.value
+        if bns:
+            agg, xhat_o, inv_o = nn.batch_norm_forward(agg, self.bn_out, training,
+                                                       update_running)
+        out = nn.Node(agg)
+        if tape is None:
+            return out
+
+        def bwd():
+            g = out.grad
+            if g is None:
+                return
+            if bns:
+                g = nn.batch_norm_backward(g, self.bn_out, xhat_o, inv_o, training)
+            self.aggregate_b.grad += g.sum(axis=0, keepdims=True)
+            self.aggregate_w.grad += packed.T @ g
+            if not n:
+                return
+            g = (g @ self.aggregate_w.value.T).reshape(n_sets, self.e_max, m)[ex_idx, slot_idx]
+            g = g * (pre > 0.0)
+            if bns:
+                g = nn.batch_norm_backward(g, self.bn_hidden, xhat_h, inv_h, training)
+            self.hidden.grad += joint.T @ g
+            g = (g @ self.hidden.value.T).reshape(n, 3, m).transpose(1, 0, 2).reshape(3 * n, m)
+            if bns:
+                g = nn.batch_norm_backward(g, self.bn_embed, xhat_e, inv_e, training)
+            self.embed_bias.grad += g.sum(axis=0, keepdims=True)
+            # one bincount adds the rows of each index in the order np.add.at would
+            keys = (idx[:, None] * m + np.arange(m)).reshape(-1)
+            self.embed.grad += np.bincount(keys, g.reshape(-1),
+                                           self.source_size * m).reshape(self.source_size, m)
+        tape.record(bwd)
+        return out
 
     def embedding_rows(self) -> Array:
         """The learned source-token vectors, one row per source-vocab token."""

@@ -7,10 +7,12 @@ a :class:`Tape`; ``Tape.backward`` replays them in reverse order and
 accumulates gradients into the nodes' ``grad`` buffers. A
 :class:`Parameter` is itself a node, whose buffer persists across passes,
 so every operation takes a parameter directly. There is no graph
-compiler: the operation set is exactly what the triple encoder, batch
-normalisation, the decoder's output layer and the loss need; the
-decoder's recurrence records its own fused op. Passing ``tape=None``
-runs the same code as a pure forward evaluation.
+compiler: the triple encoder and the decoder's recurrence each record one
+fused op with a hand-written backward (the encoder through the
+batch-normalisation kernels here), and the recorded operations cover
+what is left: the decoder's output layer and the loss. A training batch
+records 7 closures. Passing ``tape=None`` runs the same code as a pure
+forward evaluation.
 """
 
 from __future__ import annotations
@@ -73,16 +75,11 @@ class Parameter(Node):
         return f"Parameter({self.name!r}, {self.value.shape[0]}x{self.value.shape[1]})"
 
 
-def _grad(node: Node) -> Array:
-    """The node's gradient buffer, allocated as zeros on first use."""
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    return node.grad
-
-
 def _acc(node: Node, g: Array) -> None:
-    grad = _grad(node)
-    grad += g
+    if node.grad is None:
+        node.grad = g + 0.0  # a new array, bit for bit zeros + g
+    else:
+        node.grad += g
 
 
 class Tape:
@@ -98,15 +95,18 @@ class Tape:
     def backward(self, loss: Node) -> None:
         """Populate gradients of every recorded input of ``loss``.
 
-        Raises TapeError when called a second time: the recorded closures
+        Each closure is dropped once it has run, so the arrays it cached are
+        freed during the sweep rather than after it; that keeps a batch's
+        peak memory, and the fresh pages it touches, lower. Raises
+        TapeError when called a second time: the recorded closures
         accumulate, so replaying them again would double every gradient.
         """
         if self._spent:
             raise TapeError("backward() called twice on the same tape; run a new forward pass")
         self._spent = True
         loss.grad = np.ones_like(loss.value)
-        for fn in reversed(self._ops):
-            fn()
+        while self._ops:
+            self._ops.pop()()
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:
@@ -160,71 +160,6 @@ def scale_shift(tape: Tape | None, x: Node, scale: float, shift: float = 0.0) ->
     if tape is not None:
         def bwd():
             _acc(x, out.grad * scale)
-        tape.record(bwd)
-    return out
-
-
-def rows_lookup(tape: Tape | None, w: Node, idx: Array) -> Node:
-    """Select rows of w by index; the embedding realisation of one-hot input."""
-    idx = np.asarray(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= w.value.shape[0]):
-        raise ShapeError(
-            f"rows_lookup: index out of range [0, {w.value.shape[0]}) in {np.sort(np.unique(idx))[:5]}..."
-        )
-    out = Node(w.value[idx])
-    if tape is not None:
-        def bwd():
-            np.add.at(_grad(w), idx, out.grad)
-        tape.record(bwd)
-    return out
-
-
-def hstack(tape: Tape | None, parts: Sequence[Node]) -> Node:
-    widths = [p.value.shape[1] for p in parts]
-    out = Node(np.concatenate([p.value for p in parts], axis=1))
-    if tape is not None:
-        def bwd():
-            off = 0
-            for p, w in zip(parts, widths):
-                _acc(p, out.grad[:, off:off + w])
-                off += w
-        tape.record(bwd)
-    return out
-
-
-def slice_rows(tape: Tape | None, x: Node, start: int, stop: int) -> Node:
-    out = Node(x.value[start:stop])
-    if tape is not None:
-        def bwd():
-            _grad(x)[start:stop] += out.grad
-        tape.record(bwd)
-    return out
-
-
-def pack_slots(tape: Tape | None, x: Node, example_idx: Array, slot_idx: Array,
-               n_examples: int, n_slots: int) -> Node:
-    """Scatter rows of x into a zero-padded [n_examples, n_slots*width] layout.
-
-    Row r of x lands in example example_idx[r], slot slot_idx[r]. Unfilled
-    slots stay zero, which realises padding-with-zero-vectors.
-    """
-    width = x.value.shape[1]
-    buf = np.zeros((n_examples, n_slots, width))
-    buf[example_idx, slot_idx] = x.value
-    out = Node(buf.reshape(n_examples, n_slots * width))
-    if tape is not None:
-        def bwd():
-            g3 = out.grad.reshape(n_examples, n_slots, width)
-            _acc(x, g3[example_idx, slot_idx])
-        tape.record(bwd)
-    return out
-
-
-def relu(tape: Tape | None, x: Node) -> Node:
-    out = Node(np.maximum(x.value, 0.0))
-    if tape is not None:
-        def bwd():
-            _acc(x, out.grad * (x.value > 0.0))
         tape.record(bwd)
     return out
 
@@ -321,39 +256,45 @@ class BatchNorm:
                 (f"{self.name}.running_var", self.running_var)]
 
 
-def batch_norm(tape: Tape | None, x: Node, bn: BatchNorm, training: bool,
-               update_running: bool = True) -> Node:
-    if x.value.shape[1] != bn.width:
-        raise ShapeError(f"batch_norm {bn.name}: width {x.value.shape[1]} != {bn.width}")
-    n = x.value.shape[0]
+def batch_norm_forward(x: Array, bn: BatchNorm, training: bool,
+                       update_running: bool = True) -> tuple[Array, Array, Array]:
+    """Normalise the rows of x by ``bn``: (output, normalised rows, 1/std).
+
+    The variance is np.var's own arithmetic on the centred rows, so it
+    equals ``x.var(axis=0)`` bit for bit without a second centring pass.
+    """
+    if x.shape[1] != bn.width:
+        raise ShapeError(f"batch_norm {bn.name}: width {x.shape[1]} != {bn.width}")
+    n = x.shape[0]
     if training:
         if n < 2:
             raise ValueError(f"batch_norm {bn.name}: training needs a batch of >= 2 rows, got {n}")
-        mean = x.value.mean(axis=0, keepdims=True)
-        var = x.value.var(axis=0, keepdims=True)
+        mean = x.mean(axis=0, keepdims=True)
+        xc = x - mean
+        var = np.square(xc).sum(axis=0, keepdims=True) / n
         if update_running:
             bn.running_mean[...] = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
             bn.running_var[...] = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
     else:
-        mean, var = bn.running_mean, bn.running_var
+        xc, var = x - bn.running_mean, bn.running_var
     inv = 1.0 / np.sqrt(var + bn.eps)
-    xhat = (x.value - mean) * inv
-    out = Node(bn.scale.value * xhat + bn.shift.value)
-    if tape is not None:
-        def bwd():
-            g = out.grad
-            _acc(bn.shift, g.sum(axis=0, keepdims=True))
-            _acc(bn.scale, (g * xhat).sum(axis=0, keepdims=True))
-            dxhat = g * bn.scale.value
-            if training:  # the batch statistics depend on x too
-                dx = inv / n * (n * dxhat
-                                - dxhat.sum(axis=0, keepdims=True)
-                                - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
-            else:
-                dx = dxhat * inv
-            _acc(x, dx)
-        tape.record(bwd)
-    return out
+    xhat = xc * inv
+    return bn.scale.value * xhat + bn.shift.value, xhat, inv
+
+
+def batch_norm_backward(g: Array, bn: BatchNorm, xhat: Array, inv: Array,
+                        training: bool) -> Array:
+    """The input gradient of :func:`batch_norm_forward` for the output
+    gradient g; the scale and shift gradients are added to their buffers."""
+    bn.shift.grad += g.sum(axis=0, keepdims=True)
+    bn.scale.grad += (g * xhat).sum(axis=0, keepdims=True)
+    dxhat = g * bn.scale.value
+    if not training:
+        return dxhat * inv
+    n = g.shape[0]  # the batch statistics depend on every row too
+    return inv / n * (n * dxhat
+                      - dxhat.sum(axis=0, keepdims=True)
+                      - xhat * (dxhat * xhat).sum(axis=0, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2 (batch normalisation)")
         if self.max_timestep < 1:
             raise ValueError("max_timestep must be >= 1")
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if not 0.0 < self.decay_factor < 1.0:
             raise ValueError("decay_factor must lie in (0, 1)")
 

@@ -5,16 +5,19 @@ kept as the reference the fused recurrence is compared with.
 records its embedding lookup, joint gate GEMM, gate slices and
 elementwise cell ops on the tape, and each step gets its own output layer
 and masked softmax-NLL. The elementwise tape ops it needs no longer exist
-in ``triples2text.nn`` and are kept here as they were.
+in ``triples2text.nn`` and are kept here as they were; the row lookup and
+stacking ops and the taped encoder come from ``reference_encoder``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import reference_encoder
+from reference_encoder import _grad, hstack, rows_lookup
 from triples2text import nn
 from triples2text.decoder import LSTM
-from triples2text.nn import Node, Tape, _acc, _grad, sigmoid_array
+from triples2text.nn import Node, Tape, _acc, sigmoid_array
 
 # ---------------------------------------------------------------------------
 # the elementwise tape ops of the per-step cell
@@ -82,9 +85,9 @@ def step(dec, tape: nn.Tape | None, x, h_prev: Node, c_prev: Node | None
     x = np.asarray(x)
     if x.size and (x.min() < 0 or x.max() >= dec.target_size):
         raise nn.ShapeError(f"decoder step: token index out of range [0, {dec.target_size})")
-    emb = nn.rows_lookup(tape, dec.embed, x)
+    emb = rows_lookup(tape, dec.embed, x)
     m = dec.m
-    joint = nn.hstack(tape, [emb, h_prev])
+    joint = hstack(tape, [emb, h_prev])
     z = nn.affine(tape, joint, dec.gate_w, dec.gate_b)
     if dec.cell_kind == LSTM:
         in_g = sigmoid(tape, slice_cols(tape, z, 0, m))
@@ -111,8 +114,8 @@ def batch_loss(model, tape: nn.Tape | None, batch, training: bool,
     softmax-NLL per timestep."""
     if not batch:
         raise ValueError("empty batch")
-    h0 = model.encoder.encode_batch(tape, [ex.triples for ex in batch],
-                                    training, update_running)
+    h0 = reference_encoder.encode_batch(model.encoder, tape, [ex.triples for ex in batch],
+                                        training, update_running)
     h = h0
     c = nn.leaf(np.zeros(h0.value.shape)) if model.decoder.cell_kind == LSTM else None
     steps = max(len(ex.target) for ex in batch) - 1

@@ -156,6 +156,57 @@ def test_train_max_timestep_below_one_is_usage_error(tmp_path, value, capsys):
         TrainConfig(max_timestep=int(value))
 
 
+@pytest.mark.parametrize("value", ["0", "1"])
+def test_train_batch_size_below_two_is_usage_error(tmp_path, value, capsys):
+    missing = str(tmp_path / "missing")
+    assert run(["train", "--corpus", missing, "--source-vocab", missing,
+                "--target-vocab", missing, "--out-dir", str(tmp_path / "run"),
+                f"--batch-size={value}"]) == 1
+    assert "--batch-size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_train_m_below_one_is_usage_error(tmp_path, value, capsys):
+    missing = str(tmp_path / "missing")
+    assert run(["train", "--corpus", missing, "--source-vocab", missing,
+                "--target-vocab", missing, "--out-dir", str(tmp_path / "run"),
+                f"--m={value}"]) == 1
+    assert "--m must" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="m must"):
+        TrainConfig(m=int(value))
+
+
+def search_command(command, missing):
+    """The arguments of a beam-search command whose files do not exist."""
+    if command == "baseline":
+        return ["baseline", "--kind", "kn", "--train-corpus", missing, "--eval-corpus", missing]
+    files = ["--checkpoint", missing, "--source-vocab", missing, "--target-vocab", missing]
+    if command == "generate":
+        return ["generate", *files, "--from-corpus", missing]
+    return ["evaluate", *files, "--corpus", missing]
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate", "baseline"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_beam_below_one_is_usage_error(tmp_path, command, value, capsys):
+    assert run([*search_command(command, str(tmp_path / "missing")), f"--beam={value}"]) == 1
+    assert "--beam" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "evaluate", "baseline"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_t_max_below_one_is_usage_error(tmp_path, command, value, capsys):
+    assert run([*search_command(command, str(tmp_path / "missing")), f"--t-max={value}"]) == 1
+    assert "--t-max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_generate_limit_below_one_is_usage_error(tmp_path, value, capsys):
+    assert run([*search_command("generate", str(tmp_path / "missing")),
+                f"--limit={value}"]) == 1
+    assert "--limit" in capsys.readouterr().err
+
+
 def test_data_errors_exit_two(tmp_path):
     missing = str(tmp_path / "nope.jsonl")
     assert run(["build-vocab", "--corpus", missing,

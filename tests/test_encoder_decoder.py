@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_decoder
+import reference_encoder
 from conftest import make_model
 from triples2text import nn
 from triples2text.decoder import Decoder
@@ -68,31 +69,36 @@ def test_encode_triple_index_out_of_range():
             encode_one(enc, [(1, 2, 3), bad])
 
 
+def encoder_passing_subjects(m=2, e_max=3):
+    """An encoder without batch norm whose per-triple vector is the
+    subject's embedding row (kept non-negative, so the ReLU passes it)."""
+    enc = encoder_no_bn(m=m, e_max=e_max)
+    enc.hidden.value[:m] = np.eye(m)
+    return enc
+
+
 def test_aggregate_pads_with_zero_vectors():
-    enc = encoder_no_bn(m=2, e_max=3)
+    enc = encoder_passing_subjects(m=2, e_max=3)
     rng = np.random.default_rng(1)
     enc.aggregate_w.value[...] = rng.normal(size=enc.aggregate_w.value.shape)
-    h1 = np.array([[0.7, -0.3]])
-    packed = nn.pack_slots(None, nn.leaf(h1), np.array([0]), np.array([0]), 1, 3)
-    expected = packed.value @ enc.aggregate_w.value
-    out = enc.aggregate(None, nn.leaf(h1), np.array([0]), np.array([0]), 1,
-                        training=False)
-    assert np.allclose(out.value, expected)
-    # the padded slots contribute nothing
-    assert np.allclose(packed.value[0, 2:], 0.0)
+    h1 = np.array([0.7, 0.3])
+    enc.embed.value[1] = h1
+    out = encode_one(enc, [(1, 0, 0)])
+    # the padded slots 1 and 2 contribute nothing
+    assert np.allclose(out, h1 @ enc.aggregate_w.value[:2])
 
 
 def test_aggregate_hand_case_e_max_two():
-    enc = encoder_no_bn(m=2, e_max=2)
+    enc = encoder_passing_subjects(m=2, e_max=2)
+    enc.embed.value[1] = [1.0, 2.0]
+    enc.embed.value[2] = [3.0, 4.0]
     enc.aggregate_w.value[...] = np.array([[1.0, 0.0],
                                            [0.0, 1.0],
                                            [1.0, 1.0],
                                            [2.0, 0.0]])
-    hs = nn.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = enc.aggregate(None, hs, np.array([0, 0]), np.array([0, 1]), 1,
-                        training=False)
+    out = encode_one(enc, [(1, 0, 0), (2, 0, 0)])
     # concat [1,2,3,4]: out = [1*1+2*0+3*1+4*2, 1*0+2*1+3*1+4*0] = [12, 5]
-    assert np.allclose(out.value, [[12.0, 5.0]])
+    assert np.allclose(out, [12.0, 5.0])
 
 
 def test_aggregate_zero_inputs_zero_bias_gives_zero():
@@ -141,6 +147,117 @@ def test_gradients_reach_all_three_embeddings():
     tape.backward(nn.sum_all(tape, out))
     for row in (1, 2, 3, 4, 5, 6):
         assert np.any(enc.embed.grad[row] != 0.0), f"no gradient at row {row}"
+
+
+# -- the fused encoder against the taped reference ------------------------------
+
+ORACLE_SOURCE, ORACLE_M, ORACLE_E_MAX = 9, 4, 3
+
+
+def oracle_encoder(use_batch_norm: bool) -> TripleEncoder:
+    """An encoder with random parameters and running statistics; every
+    call builds the same one."""
+    enc = TripleEncoder(ORACLE_SOURCE, ORACLE_M, ORACLE_E_MAX, use_batch_norm)
+    nn.init_uniform(enc.parameters(), -0.5, 0.5, seed=5)
+    rng = np.random.default_rng(6)
+    for bn in enc.batch_norms():
+        bn.running_mean[...] = rng.normal(size=bn.running_mean.shape)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, size=bn.running_var.shape)
+    return enc
+
+
+def run_encoder(enc, encode, triple_sets, training, update_running):
+    """The output, running statistics afterwards and every parameter
+    gradient of one taped pass with a fixed, row-varying output gradient."""
+    params = enc.parameters()
+    nn.zero_grads(params)
+    tape = nn.Tape()
+    out = encode(tape, triple_sets, training, update_running)
+    g = np.random.default_rng(7).normal(size=out.value.shape)
+    tape.record(lambda: nn._acc(out, g))
+    tape.backward(nn.leaf(np.zeros((1, 1))))
+    stats = [a.copy() for bn in enc.batch_norms() for _, a in bn.state_blocks()]
+    return out.value, stats, {p.name: p.grad.copy() for p in params}
+
+
+def assert_fused_encoder_is_reference(use_batch_norm, training, update_running, triple_sets):
+    fused, ref = oracle_encoder(use_batch_norm), oracle_encoder(use_batch_norm)
+    got = run_encoder(fused, fused.encode_batch, triple_sets, training, update_running)
+    want = run_encoder(ref, functools.partial(reference_encoder.encode_batch, ref),
+                       triple_sets, training, update_running)
+    assert np.array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+    assert list(got[2]) == list(want[2])
+    for name, grad in got[2].items():
+        assert np.array_equal(grad, want[2][name]), name
+    # the untaped forward pass (corpus_nll, init_generation) is the same one
+    fresh = oracle_encoder(use_batch_norm)
+    untaped = fresh.encode_batch(None, triple_sets, training, update_running).value
+    assert np.array_equal(untaped, want[0])
+
+
+ORACLE_BATCHES = {
+    "ragged": [[(1, 2, 3), (4, 5, 6)], [], [(8, 0, 7)], [(2, 2, 2), (0, 1, 0), (3, 8, 5)]],
+    "empty": [[], []],
+    "full": [[(1, 2, 3)] * ORACLE_E_MAX, [(4, 5, 6), (6, 5, 4), (0, 0, 8)]],
+}
+
+
+@pytest.mark.parametrize("use_batch_norm", [True, False])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("update_running", [True, False])
+@pytest.mark.parametrize("batch", sorted(ORACLE_BATCHES))
+def test_fused_encoder_matches_taped_reference(use_batch_norm, training, update_running, batch):
+    assert_fused_encoder_is_reference(use_batch_norm, training, update_running,
+                                      ORACLE_BATCHES[batch])
+
+
+@st.composite
+def triple_batches(draw):
+    component = st.integers(min_value=0, max_value=ORACLE_SOURCE - 1)
+    triple = st.tuples(component, component, component)
+    sets = draw(st.lists(st.lists(triple, max_size=ORACLE_E_MAX), min_size=2, max_size=6))
+    only = [t for triples in sets for t in triples]
+    if len(only) == 1:  # training batch norm needs two triples or none
+        sets.append(only)
+    return sets
+
+
+@settings(max_examples=40, deadline=None)
+@given(triple_batches(), st.booleans(), st.booleans(), st.booleans())
+def test_fused_encoder_matches_taped_reference_on_drawn_batches(
+        triple_sets, use_batch_norm, training, update_running):
+    assert_fused_encoder_is_reference(use_batch_norm, training, update_running, triple_sets)
+
+
+@pytest.mark.parametrize("encode", ["fused", "reference"])
+def test_encoder_input_errors_match_reference(encode):
+    enc = oracle_encoder(True)
+    run = (enc.encode_batch if encode == "fused"
+           else functools.partial(reference_encoder.encode_batch, enc))
+    with pytest.raises(nn.ShapeError, match="out of range"):
+        run(nn.Tape(), [[(1, 2, 3)], [(0, ORACLE_SOURCE, 0)]], True)
+    with pytest.raises(nn.ShapeError, match="out of range"):
+        run(None, [[(-1, 2, 3)], []], False)
+    with pytest.raises(ValueError, match="e_max"):
+        run(nn.Tape(), [[(1, 2, 3)] * (ORACLE_E_MAX + 1), [(1, 2, 3)]], True)
+
+
+def test_training_batch_records_seven_closures():
+    class CountingTape(nn.Tape):
+        def __init__(self):
+            super().__init__()
+            self.recorded = 0
+
+        def record(self, fn):
+            self.recorded += 1
+            super().record(fn)
+
+    model = make_model(seed=3, cell="gru", m=6, e_max=3, target_extra=9)
+    tape = CountingTape()
+    model.batch_loss(tape, ragged_batch(model, [3, 7, 5], seed=0), training=True)
+    assert tape.recorded == 7
 
 
 # -- decoder cells -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Static checks that every import and every module-level private name
-in the package's modules is used.
+in the package's modules is used, and every import of the tests and
+scripts.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree with the standard library. A name bound by an import must be
@@ -15,8 +16,11 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "triples2text"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "triples2text"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_AND_SCRIPT_MODULES = sorted([*(ROOT / "tests").glob("*.py"),
+                                  *(ROOT / "scripts").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -41,6 +45,13 @@ def test_checker_flags_only_unused_imports():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_package_module_has_no_unused_import(path):
+    unused = unused_imports(path.read_text(encoding="utf-8"))
+    assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+@pytest.mark.parametrize("path", TEST_AND_SCRIPT_MODULES,
+                         ids=[f"{p.parent.name}/{p.name}" for p in TEST_AND_SCRIPT_MODULES])
+def test_test_and_script_module_has_no_unused_import(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
 

@@ -4,8 +4,7 @@ behaviour on toy training runs."""
 import math
 
 from triples2text import demo, evaluation, pipeline, training
-from triples2text.pipeline import (AlignedExample, Annotation, AnnotatedSummary,
-                                   PipelineConfig, Triple)
+from triples2text.pipeline import Annotation, AnnotatedSummary, PipelineConfig, Triple
 from triples2text.tokens import END, ITEM, START, parse_placeholder
 from triples2text.vocab import build_source_vocab, build_target_vocab
 

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from triples2text.pipeline import AlignedExample, SummaryToken, Triple
 from triples2text import tokens as tk
-from triples2text.vocab import (KIND_ENTITY, KIND_PLACEHOLDER, KIND_SPECIAL,
-                                KIND_WORD, Vocabulary, build_source_vocab,
-                                build_target_vocab)
+from triples2text.vocab import (KIND_ENTITY, KIND_PLACEHOLDER, KIND_WORD, Vocabulary,
+                                build_source_vocab, build_target_vocab)
 
 
 def example_from_tokens(token_specs, triples=()):
