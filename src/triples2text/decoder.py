@@ -12,8 +12,10 @@ map and uses a tanh cell candidate. Parameter blocks keep the
 ``decoder.l0.`` prefix of the checkpoint format.
 
 Training runs the whole teacher-forced recurrence as one recorded op
-(:meth:`Decoder.sequence`); beam search advances one step at a time
-(:meth:`Decoder.step`). Both go through the same cell kernel.
+(:meth:`Decoder.sequence`) and the output layer with the loss as another
+(:meth:`Decoder.output_loss`); beam search advances one step at a time
+(:meth:`Decoder.step`) through the same cell kernel. The two training
+ops take their large arrays from an ``nn.Workspace`` when given one.
 """
 
 from __future__ import annotations
@@ -164,7 +166,8 @@ class Decoder:
         xc = emb @ self.cand_in_w.value + self.cand_in_b.value
         return _gru_cell(z, xc, h, self.cand_hh_w.value)[0], None
 
-    def sequence(self, tape: nn.Tape | None, inputs: Array, h0: nn.Node) -> nn.Node:
+    def sequence(self, tape: nn.Tape | None, inputs: Array, h0: nn.Node,
+                 ws: nn.Workspace | None = None) -> nn.Node:
         """Run the recurrence over a [T, B] array of token indices from the
         initial hidden vectors h0 [B, m], as one recorded op.
 
@@ -184,20 +187,26 @@ class Decoder:
         lstm = self.cell_kind == LSTM
         taped = tape is not None
         flat = inputs.reshape(-1)
-        emb = self.embed.value[flat]  # [T*B, m]
+        emb = np.take(self.embed.value, flat, axis=0, out=nn.empty(ws, "emb", (flat.size, m)),
+                      mode="clip")  # in range (_tokens); "clip" writes out unbuffered
         w_x, w_h = self.gate_w.value[:m], self.gate_w.value[m:]
-        zx = (emb @ w_x + self.gate_b.value).reshape(steps, b, gates)
-        hs = np.empty((steps + 1, b, m))  # hs[t] is the hidden state entering step t
+        zx = np.matmul(emb, w_x, out=nn.empty(ws, "zx", (flat.size, gates)))
+        zx += self.gate_b.value
+        zx = zx.reshape(steps, b, gates)
+        hs = nn.empty(ws, "hs", (steps + 1, b, m))  # hs[t] is the hidden state entering step t
         hs[0] = h0.value
         if lstm:
-            cs = np.empty((steps + 1, b, m))  # cs[t] is the cell state entering step t
+            cs = nn.empty(ws, "cs", (steps + 1, b, m))  # cs[t] is the cell state entering step t
             cs[0] = 0.0
         else:
-            xc = (emb @ self.cand_in_w.value + self.cand_in_b.value).reshape(steps, b, m)
+            xc = np.matmul(emb, self.cand_in_w.value, out=nn.empty(ws, "xc", (flat.size, m)))
+            xc += self.cand_in_b.value
+            xc = xc.reshape(steps, b, m)
         if taped:  # each cell activation over all steps, as one contiguous [T, B, m] block
-            acts = np.empty((5 if lstm else 4, steps, b, m))
+            acts = nn.empty(ws, "acts", (5 if lstm else 4, steps, b, m))
         for t in range(steps):
-            z = zx[t] + hs[t] @ w_h
+            z = zx[t]  # the backward pass overwrites zx, so the sum can go in place
+            z += hs[t] @ w_h
             if lstm:
                 hs[t + 1], cs[t + 1], act = _lstm_cell(z, cs[t])
             else:
@@ -234,12 +243,42 @@ class Decoder:
         tape.record(bwd)
         return out
 
-    def logits(self, tape: nn.Tape | None, h: nn.Node) -> nn.Node:
-        return nn.affine(tape, h, self.out_w, self.out_b)
+    def logits(self, h: Array, out: Array | None = None) -> Array:
+        """h @ out_w + out_b for hidden rows h [N, m], written into ``out``
+        when given."""
+        s = np.matmul(h, self.out_w.value, out=out)
+        s += self.out_b.value
+        return s
+
+    def output_loss(self, tape: nn.Tape | None, hidden: nn.Node, targets: Array,
+                    weights: Array, scale: float, ws: nn.Workspace | None = None
+                    ) -> tuple[nn.Node, float]:
+        """The output layer and the loss over hidden rows [N, m] as one
+        recorded op: the [1, 1] cost node, ``scale`` times the weighted sum
+        of the rows' target NLLs, and that sum. Backward turns the
+        probabilities into the logit gradient in place, then writes the
+        out_w, out_b and (sole consumer of ``hidden``) hidden gradients."""
+        h = hidden.value
+        probs = self.logits(h, nn.empty(ws, "logits", (h.shape[0], self.target_size)))
+        total = float(nn.masked_softmax_nll(probs, targets, weights, self.pad_index).sum())
+        cost = nn.Node(np.array([[total * scale + 0.0]]))  # 0.0, not -0.0, for no tokens
+        if tape is None:
+            return cost, total
+
+        def bwd():
+            g = weights * (cost.grad[0, 0] * scale)
+            np.multiply(probs, g[:, None], out=probs)
+            probs[np.arange(len(targets)), targets] -= g
+            self.out_b.grad += probs.sum(axis=0, keepdims=True)
+            self.out_w.grad += h.T @ probs
+            hidden.grad = np.matmul(probs, self.out_w.value.T,
+                                    out=nn.empty(ws, "d_hidden", h.shape))
+        tape.record(bwd)
+        return cost, total
 
     def log_distribution(self, h: Array) -> Array:
         """Log probabilities over the target vocabulary with padding masked
-        out: ``nn.masked_log_softmax``'s operations, in place on the logits."""
+        out: a masked log softmax, computed in place on the logits."""
         s = h @ self.out_w.value
         s += self.out_b.value
         s[:, self.pad_index] = -np.inf

@@ -132,14 +132,15 @@ class Seq2Seq:
 
     def batch_loss(self, tape: nn.Tape | None,
                    batch: Sequence[EncodedExample], training: bool,
-                   max_timestep: int | None = None,
-                   update_running: bool = True) -> tuple[nn.Node, float, int]:
+                   max_timestep: int | None = None, update_running: bool = True,
+                   ws: nn.Workspace | None = None) -> tuple[nn.Node, float, int]:
         """Teacher-forced sequence cost over one padded batch.
 
         Returns (cost node, total negative log-likelihood, predicted token
         count). The cost is the per-example sum of token losses averaged
         over the batch; <start> is input only, <end> is predicted, padding
-        is weighted out.
+        is weighted out. A taped pass records 3 closures (encoder,
+        recurrence, output head), on arrays from ``ws`` when given.
         """
         if not batch:
             raise ValueError("empty batch")
@@ -160,13 +161,10 @@ class Seq2Seq:
             targets[:n, i] = seq[1:n + 1]
             weights[:n, i] = 1.0
         weights[targets == self.pad_index] = 0.0  # appended padding is never predicted
-        hidden = self.decoder.sequence(tape, inputs, h0)
-        logits = self.decoder.logits(tape, hidden)
-        nll, _ = nn.masked_softmax_nll(tape, logits, targets.reshape(-1), weights.reshape(-1),
-                                       [self.pad_index])
-        total = nn.sum_all(tape, nll)
-        cost = nn.scale_shift(tape, total, 1.0 / b)
-        return cost, float(total.value[0, 0]), int(weights.sum())
+        hidden = self.decoder.sequence(tape, inputs, h0, ws)
+        cost, total = self.decoder.output_loss(tape, hidden, targets.reshape(-1),
+                                               weights.reshape(-1), 1.0 / b, ws)
+        return cost, total, int(weights.sum())
 
     def corpus_nll(self, examples: Sequence[EncodedExample], batch_size: int = 32,
                    max_timestep: int | None = None) -> tuple[float, int]:

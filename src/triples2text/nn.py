@@ -7,17 +7,22 @@ a :class:`Tape`; ``Tape.backward`` replays them in reverse order and
 accumulates gradients into the nodes' ``grad`` buffers. A
 :class:`Parameter` is itself a node, whose buffer persists across passes,
 so every operation takes a parameter directly. There is no graph
-compiler: the triple encoder and the decoder's recurrence each record one
-fused op with a hand-written backward (the encoder through the
-batch-normalisation kernels here), and the recorded operations cover
-what is left: the decoder's output layer and the loss. A training batch
-records 7 closures. Passing ``tape=None`` runs the same code as a pure
+compiler: the triple encoder, the decoder's recurrence and its output
+layer with the loss each record one fused op with a hand-written
+backward (the encoder through the batch-normalisation kernels here, the
+output head through :func:`masked_softmax_nll`), so a training batch
+records 3 closures. Passing ``tape=None`` runs the same code as a pure
 forward evaluation.
+
+A :class:`Workspace` lends those ops their large arrays from buffers it
+keeps (``training.train`` keeps one per epoch's batches); without one
+every array is fresh.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from typing import Callable, Iterable, Sequence
@@ -134,45 +139,6 @@ def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
     return out
 
 
-def add_bias(tape: Tape | None, x: Node, b: Node) -> Node:
-    """Add a [1, n] bias row to every row of x."""
-    if b.value.shape != (1, x.value.shape[1]):
-        raise ShapeError(f"add_bias: bias {b.value.shape} onto {x.value.shape}")
-    out = Node(x.value + b.value)
-    if tape is not None:
-        def bwd():
-            _acc(x, out.grad)
-            _acc(b, out.grad.sum(axis=0, keepdims=True))
-        tape.record(bwd)
-    return out
-
-
-def affine(tape: Tape | None, x: Node, w: Node, b: Node | None) -> Node:
-    """x @ w (+ b broadcast over the batch)."""
-    out = matmul(tape, x, w)
-    if b is not None:
-        out = add_bias(tape, out, b)
-    return out
-
-
-def scale_shift(tape: Tape | None, x: Node, scale: float, shift: float = 0.0) -> Node:
-    out = Node(x.value * scale + shift)
-    if tape is not None:
-        def bwd():
-            _acc(x, out.grad * scale)
-        tape.record(bwd)
-    return out
-
-
-def sum_all(tape: Tape | None, x: Node) -> Node:
-    out = Node(np.array([[x.value.sum()]]))
-    if tape is not None:
-        def bwd():
-            _acc(x, np.full_like(x.value, out.grad[0, 0]))
-        tape.record(bwd)
-    return out
-
-
 def sigmoid_array(x: Array) -> Array:
     """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, so exp
     never overflows; both branches share e = exp(-|x|)."""
@@ -180,46 +146,18 @@ def sigmoid_array(x: Array) -> Array:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _masked_shifted(logits: Array, masked_cols: Sequence[int]) -> Array:
-    """Logits with the given columns set to -inf, minus each row's maximum."""
-    z = logits.copy()
-    if len(masked_cols):
-        z[:, list(masked_cols)] = -np.inf
-    return z - z.max(axis=1, keepdims=True)
-
-
-def masked_log_softmax(logits: Array, masked_cols: Sequence[int]) -> Array:
-    """Row-wise log softmax with the given columns excluded (probability 0)."""
-    s = _masked_shifted(logits, masked_cols)
-    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-
-
-def masked_softmax_nll(tape: Tape | None, logits: Node, targets: Array,
-                       weights: Array, masked_cols: Sequence[int]) -> tuple[Node, Array]:
-    """Per-row negative log probability of `targets`, with masked columns
-    renormalised away and rows weighted (weight 0 = padding, no loss).
-
-    Returns the [batch, 1] loss node and the probability matrix.
-    """
-    b, _ = logits.value.shape
+def masked_softmax_nll(logits: Array, targets: Array, weights: Array, masked: int) -> Array:
+    """Per-row negative log probability of `targets`, with the masked
+    column renormalised away and rows weighted (weight 0 = padding, no
+    loss). In place: the [batch, |X|] logits become the probabilities."""
+    logits[:, masked] = -np.inf
     with np.errstate(invalid="ignore"):  # -inf - -inf on masked columns is fine
-        e = np.exp(_masked_shifted(logits.value, masked_cols))
-        total = e.sum(axis=1, keepdims=True)
-        probs = e / total
-    rows = np.arange(b)
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
     # weight-0 rows may point at a masked target; keep the log argument sane
-    ptar = probs[rows, targets]
-    safe = np.where(weights > 0.0, ptar, 1.0)
-    nll = -(np.log(safe) * weights)[:, None]
-    out = Node(nll)
-    if tape is not None:
-        def bwd():
-            g = out.grad[:, 0] * weights
-            d = probs * g[:, None]
-            d[rows, targets] -= g
-            _acc(logits, d)
-        tape.record(bwd)
-    return out, probs
+    safe = np.where(weights > 0.0, logits[np.arange(len(targets)), targets], 1.0)
+    return -(np.log(safe) * weights)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +253,28 @@ def init_uniform(params: Iterable[Parameter], low: float = -0.001, high: float =
         p.value[...] = rng.uniform(low, high, size=p.value.shape)
 
 
-def _scratch(params: Sequence[Parameter], count: int) -> list[Array]:
-    """``count`` flat buffers, each as large as the largest parameter."""
-    size = max((p.value.size for p in params), default=0)
-    return [np.empty(size) for _ in range(count)]
+_BLOCK = 1 << 14  # values per cache-sized block of an elementwise update
 
 
-def _like(buf: Array, a: Array) -> Array:
-    """The leading part of a flat scratch buffer, viewed in a's shape."""
-    return buf[:a.size].reshape(a.shape)
+class Workspace:
+    """Flat float64 buffers by key, lent as contiguous arrays of any shape
+    that fits and grown when one does not. An array lent for a key is
+    overwritten by the next loan of that key, so whatever holds one (a
+    node, a recorded closure) must be spent before the next pass."""
+
+    def __init__(self):
+        self._buffers: dict[str, Array] = {}
+
+    def take(self, key: str, shape: tuple[int, ...]) -> Array:
+        size = math.prod(shape)
+        if key not in self._buffers or self._buffers[key].size < size:
+            self._buffers[key] = np.empty(size)
+        return self._buffers[key][:size].reshape(shape)
+
+
+def empty(ws: Workspace | None, key: str, shape: tuple[int, ...]) -> Array:
+    """``ws``'s buffer for ``key`` in the given shape, or a fresh array."""
+    return np.empty(shape) if ws is None else ws.take(key, shape)
 
 
 def clip_gradients(params: Iterable[Parameter], max_norm: float | None) -> tuple[float, float]:
@@ -334,10 +285,11 @@ def clip_gradients(params: Iterable[Parameter], max_norm: float | None) -> tuple
     with max_norm=None).
     """
     params = list(params)
-    (buf,) = _scratch(params, 1)
+    buf = np.empty(max((p.grad.size for p in params), default=0))
     total = 0.0
     for p in params:
-        total += float(np.multiply(p.grad, p.grad, out=_like(buf, p.grad)).sum())
+        sq = np.multiply(p.grad, p.grad, out=buf[:p.grad.size].reshape(p.grad.shape))
+        total += float(sq.sum())
     norm = total ** 0.5
     if max_norm is None or norm <= max_norm or norm == 0.0:
         return norm, 1.0
@@ -356,27 +308,29 @@ def rmsprop_step(params: Iterable[Parameter], learning_rate: float,
     both the accumulator and the step, so zero gradient with zero l2 is a
     fixed point. Every accumulator decays, rows with zero gradient too.
 
-    The update runs in place in two scratch buffers, in the operation
-    order of acc = rho*acc + ((1-rho)*g)*g and
-    value -= (lr*g) / sqrt(acc + eps), so it is bit-identical to that
-    formula written with temporaries.
+    The update runs in place, in cache-sized blocks of each flattened
+    parameter and two scratch buffers, in the operation order of
+    acc = rho*acc + ((1-rho)*g)*g and value -= (lr*g) / sqrt(acc + eps);
+    every operation is elementwise, so it is bit-identical to that formula
+    written with temporaries.
     """
-    params = list(params)
-    buf_a, buf_b = _scratch(params, 2)
+    buf_a, buf_b = np.empty(_BLOCK), np.empty(_BLOCK)
     for p in params:
-        a, b = _like(buf_a, p.value), _like(buf_b, p.value)
-        g = p.grad
-        if l2_coefficient:
-            g = np.add(g, np.multiply(p.value, 2.0 * l2_coefficient, out=a), out=a)
-        np.multiply(g, 1.0 - decay_rho, out=b)
-        b *= g
-        p.rms_acc *= decay_rho
-        p.rms_acc += b
-        np.add(p.rms_acc, epsilon, out=b)
-        np.sqrt(b, out=b)
-        np.multiply(g, learning_rate, out=a)
-        a /= b
-        p.value -= a
+        value, grad, acc = p.value.reshape(-1), p.grad.reshape(-1), p.rms_acc.reshape(-1)
+        for lo in range(0, value.size, _BLOCK):
+            v, g, r = value[lo:lo + _BLOCK], grad[lo:lo + _BLOCK], acc[lo:lo + _BLOCK]
+            a, b = buf_a[:v.size], buf_b[:v.size]
+            if l2_coefficient:
+                g = np.add(g, np.multiply(v, 2.0 * l2_coefficient, out=a), out=a)
+            np.multiply(g, 1.0 - decay_rho, out=b)
+            b *= g
+            r *= decay_rho
+            r += b
+            np.add(r, epsilon, out=b)
+            np.sqrt(b, out=b)
+            np.multiply(g, learning_rate, out=a)
+            a /= b
+            v -= a
 
 
 def gradient_check(loss_fn: Callable[[bool], float], params: Sequence[Parameter],

@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+import resource
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -172,16 +173,18 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
             n_batches = len(batches)
             log({"type": "epoch_start", "epoch": epoch, "lr_boundary": lr,
                  "n_batches": n_batches})
+            ws = nn.Workspace()  # the batches' large arrays, reused within this epoch
             for b, batch in enumerate(batches):
                 # apply every decay instant at or before this batch's start
                 while next_decay <= Fraction(epoch) + Fraction(b, max(n_batches, 1)):
                     lr *= cfg.decay_factor
                     next_decay += DECAY_PERIOD
                 start = time.perf_counter()
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 tape = nn.Tape()
                 nn.zero_grads(params)
                 cost, _, tokens = model.batch_loss(tape, batch, training=True,
-                                                   max_timestep=cfg.max_timestep)
+                                                   max_timestep=cfg.max_timestep, ws=ws)
                 value = float(cost.value[0, 0])
                 if not math.isfinite(value):
                     raise TrainingDivergedError(
@@ -192,7 +195,9 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
                 final_cost = value
                 log({"type": "batch", "epoch": epoch, "batch": b, "lr": lr, "cost": value,
                      "grad_norm": grad_norm, "clip_scale": clip_scale, "tokens": tokens,
-                     "wall_s": time.perf_counter() - start})
+                     "wall_s": time.perf_counter() - start,
+                     "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults})
+            del ws  # validation and checkpoint arrays would stack on it at peak memory
             # instants strictly inside the epoch but after the last batch
             # started; one landing exactly on the boundary applies after the
             # next epoch's boundary record instead

@@ -1,26 +1,35 @@
-"""The per-step taped training loss that ``Decoder.sequence`` replaced,
-kept as the reference the fused recurrence is compared with.
+"""The per-step taped training loss that ``Decoder.sequence`` and
+``Decoder.output_loss`` replaced, kept as the reference the fused
+recurrence and output head are compared with.
 
 ``batch_loss`` walks the decoder one timestep at a time: each step
 records its embedding lookup, joint gate GEMM, gate slices and
 elementwise cell ops on the tape, and each step gets its own output layer
-and masked softmax-NLL. The elementwise tape ops it needs no longer exist
-in ``triples2text.nn`` and are kept here as they were; the row lookup and
-stacking ops and the taped encoder come from ``reference_encoder``.
+and masked softmax-NLL. ``output_loss`` is the taped chain the fused head
+replaced: the affine output layer, the softmax-NLL, the sum and the
+scale, one closure each. ``masked_log_softmax`` is the reference of
+``Decoder.log_distribution``. The elementwise tape ops they need no longer
+exist in ``triples2text.nn`` and are kept here as they were; the row
+lookup, stacking and affine ops and the taped encoder come from
+``reference_encoder``.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 import reference_encoder
-from reference_encoder import _grad, hstack, rows_lookup
+from reference_encoder import _grad, affine, hstack, rows_lookup
 from triples2text import nn
 from triples2text.decoder import LSTM
 from triples2text.nn import Node, Tape, _acc, sigmoid_array
 
+Array = np.ndarray
+
 # ---------------------------------------------------------------------------
-# the elementwise tape ops of the per-step cell
+# the elementwise tape ops of the per-step cell and the loss
 
 
 def add(tape: Tape | None, x: Node, y: Node) -> Node:
@@ -74,6 +83,75 @@ def tanh(tape: Tape | None, x: Node) -> Node:
     return out
 
 
+def scale_shift(tape: Tape | None, x: Node, scale: float, shift: float = 0.0) -> Node:
+    out = Node(x.value * scale + shift)
+    if tape is not None:
+        def bwd():
+            _acc(x, out.grad * scale)
+        tape.record(bwd)
+    return out
+
+
+def sum_all(tape: Tape | None, x: Node) -> Node:
+    out = Node(np.array([[x.value.sum()]]))
+    if tape is not None:
+        def bwd():
+            _acc(x, np.full_like(x.value, out.grad[0, 0]))
+        tape.record(bwd)
+    return out
+
+
+def masked_softmax_nll(tape: Tape | None, logits: Node, targets: Array,
+                       weights: Array, masked_cols: Sequence[int]) -> tuple[Node, Array]:
+    """Per-row negative log probability of `targets`, with masked columns
+    renormalised away and rows weighted (weight 0 = padding, no loss).
+
+    Returns the [batch, 1] loss node and the probability matrix.
+    """
+    b, _ = logits.value.shape
+    with np.errstate(invalid="ignore"):  # -inf - -inf on masked columns is fine
+        z = logits.value.copy()
+        if len(masked_cols):
+            z[:, list(masked_cols)] = -np.inf
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        total = e.sum(axis=1, keepdims=True)
+        probs = e / total
+    rows = np.arange(b)
+    # weight-0 rows may point at a masked target; keep the log argument sane
+    ptar = probs[rows, targets]
+    safe = np.where(weights > 0.0, ptar, 1.0)
+    nll = -(np.log(safe) * weights)[:, None]
+    out = Node(nll)
+    if tape is not None:
+        def bwd():
+            g = out.grad[:, 0] * weights
+            d = probs * g[:, None]
+            d[rows, targets] -= g
+            _acc(logits, d)
+        tape.record(bwd)
+    return out, probs
+
+
+def masked_log_softmax(logits: Array, masked_cols: Sequence[int]) -> Array:
+    """Row-wise log softmax with the given columns excluded (probability
+    0): the operations ``Decoder.log_distribution`` runs in place."""
+    s = logits.copy()
+    if len(masked_cols):
+        s[:, list(masked_cols)] = -np.inf
+    s -= s.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+
+def output_loss(dec, tape: Tape | None, hidden: Node, targets: Array, weights: Array,
+                scale: float) -> tuple[Node, float]:
+    """``Decoder.output_loss`` as the taped chain it replaced: the output
+    layer, the softmax-NLL, the sum and the scale."""
+    logits = affine(tape, hidden, dec.out_w, dec.out_b)
+    nll, _ = masked_softmax_nll(tape, logits, targets, weights, [dec.pad_index])
+    total = sum_all(tape, nll)
+    return scale_shift(tape, total, scale), float(total.value[0, 0])
+
+
 # ---------------------------------------------------------------------------
 # the per-step decoder and loss
 
@@ -88,7 +166,7 @@ def step(dec, tape: nn.Tape | None, x, h_prev: Node, c_prev: Node | None
     emb = rows_lookup(tape, dec.embed, x)
     m = dec.m
     joint = hstack(tape, [emb, h_prev])
-    z = nn.affine(tape, joint, dec.gate_w, dec.gate_b)
+    z = affine(tape, joint, dec.gate_w, dec.gate_b)
     if dec.cell_kind == LSTM:
         in_g = sigmoid(tape, slice_cols(tape, z, 0, m))
         f_g = sigmoid(tape, slice_cols(tape, z, m, 2 * m))
@@ -100,10 +178,10 @@ def step(dec, tape: nn.Tape | None, x, h_prev: Node, c_prev: Node | None
     u_g = sigmoid(tape, slice_cols(tape, z, m, 2 * m))
     cand = tanh(tape, add(
         tape,
-        nn.affine(tape, emb, dec.cand_in_w, dec.cand_in_b),
+        affine(tape, emb, dec.cand_in_w, dec.cand_in_b),
         nn.matmul(tape, mul(tape, r_g, h_prev), dec.cand_hh_w),
     ))
-    keep = nn.scale_shift(tape, u_g, -1.0, 1.0)  # 1 - u
+    keep = scale_shift(tape, u_g, -1.0, 1.0)  # 1 - u
     return add(tape, mul(tape, keep, h_prev), mul(tape, u_g, cand)), None
 
 
@@ -136,10 +214,10 @@ def batch_loss(model, tape: nn.Tape | None, batch, training: bool,
     total_nll = 0.0
     for t in range(steps):
         h, c = step(model.decoder, tape, inputs[:, t], h, c)
-        logits = model.decoder.logits(tape, h)
-        nll, _ = nn.masked_softmax_nll(tape, logits, targets[:, t], weights[:, t],
-                                       [model.pad_index])
+        logits = affine(tape, h, model.decoder.out_w, model.decoder.out_b)
+        nll, _ = masked_softmax_nll(tape, logits, targets[:, t], weights[:, t],
+                                    [model.pad_index])
         total_nll += float(nll.value.sum())
         total = nll if total is None else add(tape, total, nll)
-    cost = nn.scale_shift(tape, nn.sum_all(tape, total), 1.0 / b)
+    cost = scale_shift(tape, sum_all(tape, total), 1.0 / b)
     return cost, total_nll, int(weights.sum())

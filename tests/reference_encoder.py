@@ -6,7 +6,8 @@ a bias, batch norm over the 3n component rows, three row slices stacked
 side by side, the hidden map, batch norm and ReLU, slot packing, the
 aggregate affine map and the last batch norm. Each records its own
 closure. The ops that no code in ``triples2text`` calls any more are kept
-here as they were, and the per-step decoder reference uses them too.
+here as they were (``add_bias`` and ``affine`` since the decoder's output
+layer became one op), and the per-step decoder reference uses them too.
 """
 
 from __future__ import annotations
@@ -44,6 +45,27 @@ def rows_lookup(tape: Tape | None, w: Node, idx: Array) -> Node:
         def bwd():
             np.add.at(_grad(w), idx, out.grad)
         tape.record(bwd)
+    return out
+
+
+def add_bias(tape: Tape | None, x: Node, b: Node) -> Node:
+    """Add a [1, n] bias row to every row of x."""
+    if b.value.shape != (1, x.value.shape[1]):
+        raise nn.ShapeError(f"add_bias: bias {b.value.shape} onto {x.value.shape}")
+    out = Node(x.value + b.value)
+    if tape is not None:
+        def bwd():
+            _acc(x, out.grad)
+            _acc(b, out.grad.sum(axis=0, keepdims=True))
+        tape.record(bwd)
+    return out
+
+
+def affine(tape: Tape | None, x: Node, w: Node, b: Node | None) -> Node:
+    """x @ w (+ b broadcast over the batch)."""
+    out = nn.matmul(tape, x, w)
+    if b is not None:
+        out = add_bias(tape, out, b)
     return out
 
 
@@ -153,7 +175,7 @@ def encode_triples(enc, tape: nn.Tape | None, spo: Array, training: bool,
             f"encode_triples: source index out of range [0, {enc.source_size})")
     n = spo.shape[0]
     flat = rows_lookup(tape, enc.embed, spo.T.reshape(-1))  # [3n, m]: all s, all p, all o
-    flat = nn.add_bias(tape, flat, enc.embed_bias)
+    flat = add_bias(tape, flat, enc.embed_bias)
     if enc.use_batch_norm:
         flat = batch_norm(tape, flat, enc.bn_embed, training, update_running)
     parts = [slice_rows(tape, flat, k * n, (k + 1) * n) for k in range(3)]
@@ -177,7 +199,7 @@ def aggregate(enc, tape: nn.Tape | None, h_triples: nn.Node,
         raise ValueError(
             f"aggregate: {int(slot_idx.max()) + 1} triples exceed the capacity e_max={enc.e_max}")
     packed = pack_slots(tape, h_triples, example_idx, slot_idx, n_examples, enc.e_max)
-    out = nn.affine(tape, packed, enc.aggregate_w, enc.aggregate_b)
+    out = affine(tape, packed, enc.aggregate_w, enc.aggregate_b)
     if enc.use_batch_norm:
         out = batch_norm(tape, out, enc.bn_out, training, update_running)
     return out

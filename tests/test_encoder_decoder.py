@@ -144,7 +144,7 @@ def test_gradients_reach_all_three_embeddings():
     nn.zero_grads(params)
     out = enc.encode_batch(tape, [[(1, 2, 3)], [(4, 5, 6)]], training=True,
                            update_running=False)
-    tape.backward(nn.sum_all(tape, out))
+    tape.backward(reference_decoder.sum_all(tape, out))
     for row in (1, 2, 3, 4, 5, 6):
         assert np.any(enc.embed.grad[row] != 0.0), f"no gradient at row {row}"
 
@@ -244,7 +244,7 @@ def test_encoder_input_errors_match_reference(encode):
         run(nn.Tape(), [[(1, 2, 3)] * (ORACLE_E_MAX + 1), [(1, 2, 3)]], True)
 
 
-def test_training_batch_records_seven_closures():
+def test_training_batch_records_three_closures():
     class CountingTape(nn.Tape):
         def __init__(self):
             super().__init__()
@@ -257,7 +257,7 @@ def test_training_batch_records_seven_closures():
     model = make_model(seed=3, cell="gru", m=6, e_max=3, target_extra=9)
     tape = CountingTape()
     model.batch_loss(tape, ragged_batch(model, [3, 7, 5], seed=0), training=True)
-    assert tape.recorded == 7
+    assert tape.recorded == 3  # the encoder, the recurrence and the output head
 
 
 # -- decoder cells -------------------------------------------------------------
@@ -411,13 +411,14 @@ def test_output_distribution_zero_weights_uniform():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_log_distribution_equals_masked_log_softmax(seed):
-    # the in-place output layer runs nn.masked_log_softmax's operations in order
+    # the in-place output layer runs the reference's operations in order
     rng = np.random.default_rng(seed)
     dec = zero_decoder("lstm", m=3, target=11)
     for p in dec.parameters():
         p.value[...] = rng.normal(scale=3.0, size=p.value.shape)
     h = rng.normal(size=(5, 3))
-    want = nn.masked_log_softmax(h @ dec.out_w.value + dec.out_b.value, [dec.pad_index])
+    want = reference_decoder.masked_log_softmax(h @ dec.out_w.value + dec.out_b.value,
+                                                [dec.pad_index])
     assert np.array_equal(dec.log_distribution(h), want)
 
 
@@ -495,3 +496,105 @@ def test_sequence_hidden_rows_equal_beam_steps(cell):
         np.testing.assert_allclose(rows[2 * t:2 * t + 2], h, rtol=1e-12, atol=1e-15)
     with pytest.raises(nn.ShapeError):
         model.decoder.sequence(None, np.array([[1, 99]]), h0)
+
+
+# -- the fused output head against the taped chain ------------------------------
+
+
+def head_inputs(model, rows, seed):
+    """Hidden rows, targets and weights with zero-weight padding rows, one
+    of them pointing at the padding target."""
+    rng = np.random.default_rng(seed)
+    hidden = rng.normal(size=(rows, model.config.m))
+    targets = rng.integers(1, len(model.target_vocab), rows)
+    weights = np.ones(rows)
+    weights[[1, rows - 1]] = 0.0
+    targets[rows - 1] = model.pad_index
+    return hidden, targets, weights
+
+
+def run_head(loss_fn, model, hidden, targets, weights, scale):
+    params = model.parameters()
+    nn.zero_grads(params)
+    h = nn.Node(hidden.copy())
+    tape = nn.Tape()
+    cost, total = loss_fn(tape, h, targets, weights, scale)
+    tape.backward(cost)
+    dec = model.decoder
+    return cost.value, total, dec.out_w.grad.copy(), dec.out_b.grad.copy(), h.grad
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+@pytest.mark.parametrize("workspace", [False, True])
+def test_fused_head_matches_taped_chain(cell, workspace):
+    model = make_model(seed=5, cell=cell, m=7, target_extra=30)
+    dec = model.decoder
+    hidden, targets, weights = head_inputs(model, 12, seed=2)
+    ws = nn.Workspace() if workspace else None
+    if ws is not None:  # stale contents of a larger earlier pass
+        ws.take("logits", (40, 64))[...] = np.nan
+        ws.take("d_hidden", (40, 64))[...] = np.nan
+    got = run_head(functools.partial(dec.output_loss, ws=ws), model, hidden, targets,
+                   weights, 1.0 / 3)
+    want = run_head(functools.partial(reference_decoder.output_loss, dec), model, hidden,
+                    targets, weights, 1.0 / 3)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    for g, w in zip(got[2:], want[2:]):
+        assert np.array_equal(g, w)
+    assert np.all(dec.out_w.grad[:, model.pad_index] == 0.0)  # the -inf column gets none
+    untaped_cost, untaped_total = dec.output_loss(None, nn.Node(hidden), targets, weights,
+                                                  1.0 / 3, ws)
+    assert np.array_equal(untaped_cost.value, want[0]) and untaped_total == want[1]
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+@pytest.mark.parametrize("use_batch_norm", [True, False])
+def test_gradient_check_through_fused_head(cell, use_batch_norm):
+    # criterion 1 on a batch with explicit padding targets and ragged lengths
+    model = make_model(seed=8, cell=cell, m=5, e_max=3, target_extra=6,
+                       use_batch_norm=use_batch_norm)
+    batch = ragged_batch(model, [2, 4, 1], seed=1)
+
+    def loss_fn(compute):
+        tape = nn.Tape() if compute else None
+        cost, _, _ = model.batch_loss(tape, batch, training=True, update_running=False)
+        if compute:
+            tape.backward(cost)
+        return float(cost.value[0, 0])
+
+    assert nn.gradient_check(loss_fn, model.parameters()) < 1e-4
+
+
+# -- the workspace ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_passes_without_workspace_do_not_overwrite_each_other(cell):
+    model = make_model(seed=6, cell=cell, m=5, e_max=3, target_extra=9)
+    first, second = ragged_batch(model, [4, 6], seed=1), ragged_batch(model, [5, 2, 3], seed=2)
+    h0 = nn.leaf(np.random.default_rng(3).normal(size=(2, 5)))
+    rows = model.decoder.sequence(None, np.array([[1, 6], [7, 8]]), h0)
+    kept = rows.value.copy()
+    model.decoder.sequence(None, np.array([[2, 3], [4, 5], [9, 9]]), h0)
+    assert np.array_equal(rows.value, kept)
+    # two taped passes alive at once, spent in reverse order, give the
+    # gradients each gives alone
+    alone = [taped_loss(model, model.batch_loss, batch, None)[3] for batch in (first, second)]
+    tapes = [nn.Tape(), nn.Tape()]
+    costs = [model.batch_loss(tape, batch, True, update_running=False)[0]
+             for tape, batch in zip(tapes, (first, second))]
+    for tape, cost, want in reversed(list(zip(tapes, costs, alone))):
+        nn.zero_grads(model.parameters())
+        tape.backward(cost)
+        for p in model.parameters():
+            assert np.array_equal(p.grad, want[p.name]), p.name
+
+
+def test_workspace_hands_out_its_buffers_again():
+    model = make_model(seed=6, cell="lstm", m=5, target_extra=9)
+    ws = nn.Workspace()
+    h0 = nn.leaf(np.zeros((2, 5)))
+    rows = model.decoder.sequence(None, np.array([[1, 6], [7, 8], [2, 2]]), h0, ws)
+    again = model.decoder.sequence(None, np.array([[3, 4]]), h0, ws)
+    assert np.shares_memory(rows.value, again.value)  # the aliasing train() keeps to itself
+    assert ws.take("hs", (2, 3)).base is ws.take("hs", (4,)).base

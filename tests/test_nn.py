@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_encoder import relu
+from reference_decoder import sum_all
+from reference_encoder import affine, relu
 from triples2text import nn
 
 
@@ -16,11 +17,11 @@ def test_affine_identity_and_bias():
     tape = nn.Tape()
     w = nn.leaf(np.eye(3))
     x = nn.leaf(np.array([[1.0, -2.0, 3.0]]))
-    out = nn.affine(tape, x, w, None)
+    out = affine(tape, x, w, None)
     assert np.allclose(out.value, x.value)
     b = nn.leaf(np.array([[5.0, 5.0, 5.0]]))
     zero_w = nn.leaf(np.zeros((3, 3)))
-    out2 = nn.affine(tape, x, zero_w, b)
+    out2 = affine(tape, x, zero_w, b)
     assert np.allclose(out2.value, 5.0)
 
 
@@ -28,7 +29,7 @@ def test_affine_hand_case():
     # [[1,2],[3,4]] @ [1,1]^T = [3, 7]^T
     w = nn.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]).T)
     x = nn.leaf(np.array([[1.0, 1.0]]))
-    out = nn.affine(None, x, w, None)
+    out = affine(None, x, w, None)
     assert np.allclose(out.value, [[3.0, 7.0]])
 
 
@@ -49,17 +50,20 @@ def test_activation_values():
 
 def test_softmax_uniform_on_zero_row():
     v = 7
-    probs = np.exp(nn.masked_log_softmax(np.zeros((2, v)), []))
-    assert np.allclose(probs, 1.0 / v)
+    probs = np.zeros((2, v))
+    nn.masked_softmax_nll(probs, np.array([1, 2]), np.ones(2), 0)
+    assert np.all(probs[:, 0] == 0.0)
+    assert np.allclose(probs[:, 1:], 1.0 / (v - 1))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.lists(st.floats(min_value=-50, max_value=50),
                          min_size=3, max_size=3), min_size=1, max_size=5))
 def test_softmax_rows_sum_to_one(rows):
-    probs = np.exp(nn.masked_log_softmax(np.array(rows), []))
+    probs = np.array(rows)
+    nll = nn.masked_softmax_nll(probs, np.ones(len(rows), dtype=int), np.ones(len(rows)), 0)
     assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
-    assert np.all(np.isfinite(probs))
+    assert np.all(np.isfinite(probs)) and np.all(np.isfinite(nll))
 
 
 def test_batch_norm_constant_batch_gives_shift():
@@ -97,7 +101,7 @@ def test_batch_norm_rejects_training_batch_of_one():
 def test_backward_twice_is_an_error():
     tape = nn.Tape()
     p = nn.Parameter("p", 1, 2)
-    loss = nn.sum_all(tape, nn.sum_all(tape, p))
+    loss = sum_all(tape, sum_all(tape, p))
     tape.backward(loss)
     with pytest.raises(nn.TapeError):
         tape.backward(loss)
@@ -109,7 +113,7 @@ def test_gradient_zero_for_unused_parameter():
     unused = nn.Parameter("unused", 1, 2)
     tape = nn.Tape()
     nn.zero_grads([used, unused])
-    loss = nn.sum_all(tape, used)
+    loss = sum_all(tape, used)
     tape.backward(loss)
     assert np.allclose(used.grad, 1.0)
     assert np.allclose(unused.grad, 0.0)
@@ -121,7 +125,7 @@ def test_hand_gradient_of_sum_wx():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     tape = nn.Tape()
     nn.zero_grads([w])
-    loss = nn.sum_all(tape, nn.matmul(tape, nn.leaf(x), w))
+    loss = sum_all(tape, nn.matmul(tape, nn.leaf(x), w))
     tape.backward(loss)
     assert np.allclose(w.grad, [[4.0, 4.0], [6.0, 6.0]])
 
@@ -204,6 +208,24 @@ def test_rmsprop_in_place_equals_formula_exactly(l2):
             assert np.array_equal(got[0].value[2], want[0].value[2])
 
 
+@pytest.mark.parametrize("l2", [1e-5, 0.0])
+def test_rmsprop_blocks_equal_formula_exactly(l2):
+    # parameters spanning several cache-sized blocks, the last one partial
+    rng = np.random.default_rng(5)
+    got = [nn.Parameter("wide", 7, 5000), nn.Parameter("block", 1, nn._BLOCK)]
+    want = [nn.Parameter(p.name, *p.value.shape) for p in got]
+    for p, q in zip(got, want):
+        p.value[...] = q.value[...] = rng.normal(size=p.value.shape)
+        p.rms_acc[...] = q.rms_acc[...] = rng.uniform(0.0, 2.0, size=p.value.shape)
+        p.grad[...] = q.grad[...] = rng.normal(size=p.value.shape)
+    nn.rmsprop_step(got, 0.01, decay_rho=0.9, epsilon=1e-6, l2_coefficient=l2)
+    for q in want:
+        rmsprop_with_temporaries(q, 0.01, 0.9, 1e-6, l2)
+    for p, q in zip(got, want):
+        assert np.array_equal(p.value, q.value) and np.array_equal(p.rms_acc, q.rms_acc)
+        assert np.array_equal(p.grad, q.grad)
+
+
 def test_clip_gradients_equals_formula_exactly():
     rng = np.random.default_rng(4)
     ps = [nn.Parameter("a", 5, 3), nn.Parameter("b", 1, 7)]
@@ -257,14 +279,14 @@ def test_clip_gradients_noop_cases():
 
 
 def test_masked_softmax_nll_masks_and_weights():
-    logits = nn.leaf(np.zeros((2, 4)))
+    probs = np.zeros((2, 4))  # the logits, turned into probabilities in place
     targets = np.array([1, 2])
     weights = np.array([1.0, 0.0])
-    nll, probs = nn.masked_softmax_nll(None, logits, targets, weights, [0])
+    nll = nn.masked_softmax_nll(probs, targets, weights, 0)
     assert np.allclose(probs[:, 0], 0.0)
     assert np.allclose(probs[:, 1:].sum(axis=1), 1.0)
-    assert abs(nll.value[0, 0] - np.log(3.0)) < 1e-12
-    assert nll.value[1, 0] == 0.0
+    assert abs(nll[0] - np.log(3.0)) < 1e-12
+    assert nll[1] == 0.0
 
 
 def test_block_container_roundtrip(tmp_path):
@@ -364,7 +386,7 @@ def test_gradient_check_catches_a_broken_gradient():
 
     def good(compute):
         tape = nn.Tape() if compute else None
-        loss = nn.sum_all(tape, relu(tape, nn.matmul(tape, p, w)))
+        loss = sum_all(tape, relu(tape, nn.matmul(tape, p, w)))
         if compute:
             tape.backward(loss)
         return float(loss.value[0, 0])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,97 @@ def test_early_stopping_respects_patience(tmp_path):
                                out_dir=str(tmp_path / "run"), model=model)
     assert result.epochs_run == 4
     assert result.best_epoch == 0
+
+
+# -- the run's workspace -----------------------------------------------------------
+
+
+def ragged_examples(n, lengths, seed, prefix="dbr:P"):
+    """Examples whose summaries have a number of words drawn from ``lengths``."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        words = [SummaryToken("word", f"w{int(v)}")
+                 for v in rng.integers(0, 9, int(rng.integers(*lengths)))]
+        toks = [SummaryToken("special", "<start>"), SummaryToken("special", "<item>"),
+                *words, SummaryToken("special", "<end>")]
+        out.append(AlignedExample(f"{prefix}{i}", [Triple("<item>", "dbo:p", f"dbr:O{i % 4}")],
+                                  toks, ["x"]))
+    return out
+
+
+def _workspace_run(cell, tmp_path, name):
+    # batches of 10, 10 and 3 rows whose lengths go up and down, and
+    # validation at batch 32 (a batch of 32 and one of 8) with longer
+    # summaries after each epoch
+    train_set = ragged_examples(23, (1, 9), seed=1)
+    valid_set = ragged_examples(40, (6, 14), seed=2, prefix="dbr:V")
+    sv, tv = build_vocabs(train_set + valid_set)
+    cfg = small_config(epochs=3, batch_size=10, cell_kind=cell, m=6, seed=5)
+    out = tmp_path / name
+    model, _ = training.train(train_set, valid_set, cfg, sv, tv, out_dir=str(out))
+    return read_jsonl(out / "train_log.jsonl"), model
+
+
+def _without_timing(records):
+    return [{k: v for k, v in r.items() if k not in ("wall_s", "minor_faults")}
+            for r in records]
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_workspace_reuse_matches_fresh_arrays(cell, tmp_path, monkeypatch):
+    # every loan fresh and full of NaN: a read of a stale value would show
+    monkeypatch.setattr(nn.Workspace, "take", lambda self, key, shape: np.full(shape, np.nan))
+    fresh_records, fresh_model = _workspace_run(cell, tmp_path, "fresh")
+    monkeypatch.undo()
+    made = []
+
+    class Recorded(nn.Workspace):
+        def __init__(self):
+            super().__init__()
+            self.rows = []
+            made.append(self)
+
+        def take(self, key, shape):
+            if key == "logits":
+                self.rows.append(shape[0])
+            return super().take(key, shape)
+
+    monkeypatch.setattr(nn, "Workspace", Recorded)
+    records, model = _workspace_run(cell, tmp_path, "reused")
+    assert [len(ws.rows) for ws in made] == [3, 3, 3]  # one workspace per epoch's batches
+    steps = [b - a for ws in made for a, b in zip(ws.rows, ws.rows[1:])]
+    assert min(steps) < 0 < max(steps)  # buffers lent smaller, then larger again
+    # costs, gradient norms and validation perplexities
+    assert _without_timing(records) == _without_timing(fresh_records)
+    for (name, a), (_, b) in zip(model.state_blocks(), fresh_model.state_blocks()):
+        assert np.array_equal(a, b), name
+
+
+def test_workspace_does_not_outlive_train(tmp_path, monkeypatch):
+    alive = []
+
+    class Recorded(nn.Workspace):
+        def __init__(self):
+            super().__init__()
+            alive.append(weakref.ref(self))
+
+        def take(self, key, shape):
+            out = super().take(key, shape)
+            alive.append(weakref.ref(out.base))
+            return out
+
+    monkeypatch.setattr(nn, "Workspace", Recorded)
+    _workspace_run("lstm", tmp_path, "run")
+    assert len(alive) > 3
+    assert all(ref() is None for ref in alive)
+
+
+def test_batch_records_count_minor_faults(tmp_path):
+    records, _ = _workspace_run("gru", tmp_path, "run")
+    batches = [r for r in records if r["type"] == "batch"]
+    assert len(batches) == 9
+    assert all(type(r["minor_faults"]) is int and r["minor_faults"] >= 0 for r in batches)
 
 
 # -- checkpoints -----------------------------------------------------------------
