@@ -32,7 +32,7 @@ import numpy as np
 
 from . import evaluation, generation, nn, pipeline, training
 from .decoder import CELL_KINDS, GRU
-from .demo import demo_corpus
+from .demo import MIN_SIZE, demo_corpus
 from .fileio import atomic_open
 from .model import CheckpointMismatchError, ModelConfig, Seq2Seq
 from .pipeline import MODE_TUPLES, MODE_URI, PipelineConfig, PipelineError
@@ -221,6 +221,7 @@ def _require(value, flag: str):
 
 
 def cmd_demo_corpus(args, cfg):
+    _at_least("--size", args.size, MIN_SIZE)
     paths = demo_corpus(args.seed, args.size, args.out_dir)
     for key, path in paths.items():
         logger.info("wrote %s: %s", key, path)
@@ -310,12 +311,14 @@ def cmd_train(args, cfg):
     _at_least("--max-timestep", max_timestep, 1)
     _at_least("--batch-size", batch_size, 2)  # batch normalisation needs two rows
     _at_least("--m", m, 1)
+    if args.valid_fraction is not None and not 0.0 < args.valid_fraction < 1.0:
+        raise UsageError(f"--valid-fraction must lie in (0, 1), got {args.valid_fraction}")
     examples = pipeline.read_corpus(args.corpus)
     source_vocab, target_vocab = _load_vocabs(args)
     if args.valid:
         valid = pipeline.read_corpus(args.valid)
         corpus = examples
-    elif args.valid_fraction:
+    elif args.valid_fraction is not None:
         n_valid = max(1, int(len(examples) * args.valid_fraction))
         corpus, valid = examples[:-n_valid], examples[-n_valid:]
     else:
@@ -391,7 +394,7 @@ def cmd_generate(args, cfg):
         raw = pipeline.read_ntriples(args.triples)
         pcfg = _pipeline_config(args, cfg, model.config.mode)
         triples = generation.prepare_raw_triples(raw, main, pcfg)
-        item_surface = args.item_surface or lexicon.get(main) or generation.prettify_uri(main)
+        item_surface = args.item_surface or generation.surface_for(main, lexicon)
         results.extend(generation.generate(model, triples, lexicon, item_surface,
                                            args.beam, args.t_max, input_id=main))
     else:
@@ -445,6 +448,8 @@ def cmd_evaluate(args, cfg):
 
 def cmd_baseline(args, cfg):
     _check_search(args)
+    _at_least("--samples", args.samples, 1)
+    _at_least("--order", args.order, 1)
     train_examples = pipeline.read_corpus(args.train_corpus)
     eval_examples = pipeline.read_corpus(args.eval_corpus)
     lexicon = _load_lexicon(args)
@@ -462,6 +467,7 @@ def cmd_baseline(args, cfg):
 
 
 def cmd_neighbors(args, cfg):
+    _at_least("--k", args.k, 1)
     model, _, _ = _load_model(args)
     for token, similarity in evaluation.nearest_neighbors(model, args.token, args.k):
         print(f"{token}\t{similarity:.6f}")
@@ -470,6 +476,9 @@ def cmd_neighbors(args, cfg):
 
 def cmd_gradcheck(args, cfg):
     from .model import EncodedExample
+    _at_least("--m", args.m, 1)
+    _at_least("--e-max", args.e_max, 1)
+    _at_least("--batch", args.batch, 2)  # batch normalisation needs two rows
     rng = np.random.default_rng(args.seed)
     config = ModelConfig(cell_kind=args.cell, m=args.m, e_max=args.e_max)
     source = Vocabulary._with_specials("source")
@@ -494,7 +503,7 @@ def cmd_gradcheck(args, cfg):
 
     def loss_fn(compute_grads: bool) -> float:
         tape = nn.Tape() if compute_grads else None
-        cost, _, _ = model.batch_loss(tape, batch, training=True, update_running=False)
+        cost, _, _ = model.batch_loss(tape, batch, training=True)
         if compute_grads:
             tape.backward(cost)
         return float(cost.value[0, 0])

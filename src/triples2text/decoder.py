@@ -279,8 +279,7 @@ class Decoder:
     def log_distribution(self, h: Array) -> Array:
         """Log probabilities over the target vocabulary with padding masked
         out: a masked log softmax, computed in place on the logits."""
-        s = h @ self.out_w.value
-        s += self.out_b.value
+        s = self.logits(h)
         s[:, self.pad_index] = -np.inf
         s -= s.max(axis=1, keepdims=True)
         s -= np.log(np.exp(s).sum(axis=1, keepdims=True))

@@ -62,6 +62,7 @@ _WORK_ADJ = ["Silent", "Hollow", "Amber", "Restless", "Paper", "Violet",
 _MONTHS = ["January", "February", "March", "April", "May", "June", "July",
            "August", "September", "October", "November", "December"]
 _MONTH_WEIGHTS = [0.05, 0.05, 0.40, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05, 0.10]
+MIN_SIZE = 10  # articles
 
 
 def _choice(rng, items, weights):
@@ -71,8 +72,8 @@ def _choice(rng, items, weights):
 
 def demo_corpus(seed: int, size: int, out_dir: str) -> dict[str, str]:
     """Generate the corpus files under out_dir; returns the path map."""
-    if size < 10:
-        raise ValueError("size must be at least 10")
+    if size < MIN_SIZE:
+        raise ValueError(f"size must be at least {MIN_SIZE}")
     rng = np.random.default_rng(seed)
     os.makedirs(out_dir, exist_ok=True)
 

@@ -21,8 +21,6 @@ import numpy as np
 
 from . import nn
 
-Array = np.ndarray
-
 
 class TripleEncoder:
 
@@ -53,7 +51,7 @@ class TripleEncoder:
         return [self.bn_embed, self.bn_hidden, self.bn_out] if self.use_batch_norm else []
 
     def encode_batch(self, tape: nn.Tape | None, triple_sets: list[list[tuple[int, int, int]]],
-                     training: bool, update_running: bool = True) -> nn.Node:
+                     training: bool) -> nn.Node:
         """Decoder initialisation vectors [len(triple_sets), m] for a batch
         of triple sets, as one recorded op.
 
@@ -86,19 +84,16 @@ class TripleEncoder:
             flat = self.embed.value[idx]
             flat += self.embed_bias.value
             if bns:
-                flat, xhat_e, inv_e = nn.batch_norm_forward(flat, self.bn_embed, training,
-                                                            update_running)
+                flat, xhat_e, inv_e = nn.batch_norm_forward(flat, self.bn_embed, training)
             joint = flat.reshape(3, n, m).transpose(1, 0, 2).reshape(n, 3 * m)  # [s; p; o]
             pre = joint @ self.hidden.value
             if bns:
-                pre, xhat_h, inv_h = nn.batch_norm_forward(pre, self.bn_hidden, training,
-                                                           update_running)
+                pre, xhat_h, inv_h = nn.batch_norm_forward(pre, self.bn_hidden, training)
             packed[ex_idx, slot_idx] = np.maximum(pre, 0.0)
         packed = packed.reshape(n_sets, self.e_max * m)
         agg = packed @ self.aggregate_w.value + self.aggregate_b.value
         if bns:
-            agg, xhat_o, inv_o = nn.batch_norm_forward(agg, self.bn_out, training,
-                                                       update_running)
+            agg, xhat_o, inv_o = nn.batch_norm_forward(agg, self.bn_out, training)
         out = nn.Node(agg)
         if tape is None:
             return out
@@ -128,7 +123,3 @@ class TripleEncoder:
                                            self.source_size * m).reshape(self.source_size, m)
         tape.record(bwd)
         return out
-
-    def embedding_rows(self) -> Array:
-        """The learned source-token vectors, one row per source-vocab token."""
-        return self.embed.value

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .generation import Scorer, beam_search, postprocess
+from .generation import Scorer, beam_search, postprocess, surface_for
 from .model import Seq2Seq
 from .pipeline import AlignedExample
 from .tokens import END, START
@@ -212,8 +212,7 @@ def reference_final(example: AlignedExample) -> list[str]:
 
 
 def item_surface_for(example: AlignedExample, lexicon: Mapping[str, str]) -> str:
-    from .generation import prettify_uri
-    return lexicon.get(example.main_entity) or prettify_uri(example.main_entity)
+    return surface_for(example.main_entity, lexicon)
 
 
 def random_baseline(train_examples: Sequence[AlignedExample],
@@ -454,7 +453,7 @@ def nearest_neighbors(model: Seq2Seq, token: str, k: int) -> list[tuple[str, flo
     sv = model.source_vocab
     if token not in sv.index:
         raise ValueError(f"token {token!r} is not in the source vocabulary")
-    emb = model.encoder.embedding_rows()
+    emb = model.encoder.embed.value
     q = emb[sv.index[token]]
     qn = np.linalg.norm(q)
     scored = []

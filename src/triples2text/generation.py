@@ -185,7 +185,8 @@ def prettify_uri(uri: str) -> str:
     return local or uri
 
 
-def _surface_for(uri: str, lexicon: Mapping[str, str]) -> str:
+def surface_for(uri: str, lexicon: Mapping[str, str]) -> str:
+    """The lexicon's surface form of an entity, or its prettified URI."""
     return lexicon.get(uri) or prettify_uri(uri)
 
 
@@ -217,7 +218,7 @@ def postprocess(tokens: Sequence[str], triples: Sequence[Triple],
                 if entity == ITEM:
                     continue
                 used.add(i)
-                resolved = _surface_for(entity, lexicon)
+                resolved = surface_for(entity, lexicon)
                 break
             if resolved is not None:
                 surface(resolved.split(" "))

@@ -132,7 +132,7 @@ class Seq2Seq:
 
     def batch_loss(self, tape: nn.Tape | None,
                    batch: Sequence[EncodedExample], training: bool,
-                   max_timestep: int | None = None, update_running: bool = True,
+                   max_timestep: int | None = None,
                    ws: nn.Workspace | None = None) -> tuple[nn.Node, float, int]:
         """Teacher-forced sequence cost over one padded batch.
 
@@ -144,8 +144,7 @@ class Seq2Seq:
         """
         if not batch:
             raise ValueError("empty batch")
-        h0 = self.encoder.encode_batch(tape, [ex.triples for ex in batch],
-                                       training, update_running)
+        h0 = self.encoder.encode_batch(tape, [ex.triples for ex in batch], training)
         steps = max(len(ex.target) for ex in batch) - 1
         if max_timestep is not None:
             steps = min(steps, max_timestep)

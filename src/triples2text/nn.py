@@ -194,8 +194,7 @@ class BatchNorm:
                 (f"{self.name}.running_var", self.running_var)]
 
 
-def batch_norm_forward(x: Array, bn: BatchNorm, training: bool,
-                       update_running: bool = True) -> tuple[Array, Array, Array]:
+def batch_norm_forward(x: Array, bn: BatchNorm, training: bool) -> tuple[Array, Array, Array]:
     """Normalise the rows of x by ``bn``: (output, normalised rows, 1/std).
 
     The variance is np.var's own arithmetic on the centred rows, so it
@@ -210,9 +209,8 @@ def batch_norm_forward(x: Array, bn: BatchNorm, training: bool,
         mean = x.mean(axis=0, keepdims=True)
         xc = x - mean
         var = np.square(xc).sum(axis=0, keepdims=True) / n
-        if update_running:
-            bn.running_mean[...] = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
-            bn.running_var[...] = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
+        bn.running_mean[...] = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
+        bn.running_var[...] = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
     else:
         xc, var = x - bn.running_mean, bn.running_var
     inv = 1.0 / np.sqrt(var + bn.eps)

@@ -13,9 +13,10 @@ Input formats:
   * triples: N-Triples-like text, one ``subject predicate object .`` per
     line (UTF-8; bare prefixed names or <...> URIs; literals quoted with
     an optional ``^^datatype`` or ``@lang`` suffix).
-  * summaries: JSON Lines with ``main_entity``, ``sentences`` (lists of
-    token strings) and ``annotations`` (token spans: sentence index,
-    start, end exclusive, uri, surface).
+  * summaries: JSON Lines with ``main_entity`` (a string), ``sentences``
+    (lists of token strings) and ``annotations`` (token spans: int
+    sentence index, start and end exclusive; string uri and surface).
+    A field of another type is a :class:`PipelineError`.
   * instance types / genders: two-column tab-separated files.
 """
 
@@ -27,7 +28,7 @@ import math
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fileio import atomic_open
@@ -47,16 +48,14 @@ YEAR_KIND = "year"
 MONTH = "month"
 OTHER_LITERAL = "other_literal"
 
+GENDER_PREDICATE = "foaf:gender"  # predicate of the appended gender triple
+
 
 class PipelineError(ValueError):
     """Malformed pipeline input, reported with the offending article/line."""
 
 
 class MalformedLiteralError(PipelineError):
-    pass
-
-
-class MainEntityAbsentError(PipelineError):
     pass
 
 
@@ -149,7 +148,6 @@ class PipelineConfig:
     target_vocab_min_count: int = 1
     year_min: int = 1000
     year_max: int = 2100
-    gender_predicate: str = "foaf:gender"
     gender_lexicon: Mapping[str, str] | None = None
 
 
@@ -227,28 +225,43 @@ def read_ntriples(path: str) -> list[Triple]:
         return parse_ntriples(fh, where=path)
 
 
+def _summary_record(rec) -> AnnotatedSummary:
+    """One summary line's JSON value, its field types checked."""
+    if not isinstance(rec, dict):
+        raise TypeError("a record must be a JSON object")
+    main, sentences = rec["main_entity"], rec["sentences"]
+    if type(main) is not str:
+        raise TypeError("main_entity must be a string")
+    if type(sentences) is not list or any(
+            type(s) is not list or not {*map(type, s)} <= {str} for s in sentences):
+        raise TypeError("sentences must be lists of strings")
+    anns = []
+    for a in rec.get("annotations", []):
+        ann = (Annotation(a["sentence_idx"], a["start"], a["end"], a["uri"], a["surface"])
+               if isinstance(a, dict) else Annotation(*a))
+        sentence, start, end, uri, surface = ann
+        if not (type(sentence) is type(start) is type(end) is int  # a bool is not an int
+                and type(uri) is type(surface) is str):
+            raise TypeError("an annotation's sentence_idx, start and end must be ints, "
+                            "its uri and surface strings")
+        anns.append(ann)
+    # exact-size copies: the JSON decoder's lists keep their append slack
+    return AnnotatedSummary(main, [list(s) for s in sentences], anns)
+
+
 def read_summaries(path: str) -> Iterator[AnnotatedSummary]:
+    """Summaries of a JSON Lines file; a malformed line, or a field of the
+    wrong type, raises PipelineError naming path:line."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-                anns = []
-                for a in rec.get("annotations", []):
-                    if isinstance(a, dict):
-                        anns.append(Annotation(a["sentence_idx"], a["start"], a["end"],
-                                               a["uri"], a["surface"]))
-                    else:
-                        anns.append(Annotation(*a))
-                yield AnnotatedSummary(
-                    main_entity=rec["main_entity"],
-                    sentences=[list(s) for s in rec["sentences"]],
-                    annotations=anns,
-                )
+                summary = _summary_record(json.loads(line))
             except (KeyError, TypeError, ValueError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad summary record: {exc}") from exc
+            yield summary
 
 
 def read_tsv_map(path: str) -> dict[str, str]:
@@ -263,22 +276,6 @@ def read_tsv_map(path: str) -> dict[str, str]:
                 raise PipelineError(f"{path}:{lineno}: expected two tab-separated columns")
             out[parts[0]] = parts[1]
     return out
-
-
-# ---------------------------------------------------------------------------
-# fallback tokenisation for synthetic corpora (inputs normally arrive
-# pre-tokenised and pre-split)
-
-_TOKEN_RE = re.compile(r"\w+(?:[-'’]\w+)*|[^\w\s]")
-
-
-def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text)
-
-
-def split_sentences(text: str) -> list[str]:
-    parts = re.split(r"(?<=[.!?])\s+", text.strip())
-    return [p for p in parts if p]
 
 
 # ---------------------------------------------------------------------------
@@ -350,36 +347,18 @@ def substitute_item_in_triples(triples: Sequence[Triple], main: str) -> tuple[li
     return out, hit
 
 
-def substitute_item(example: AlignedExample, main: str) -> AlignedExample:
-    """Replace the main entity with <item> in triples and summary tokens."""
-    triples, hit_triples = substitute_item_in_triples(example.triples, main)
-    toks = []
-    hit_text = False
-    for tok in example.summary_tokens:
-        if tok.uri == main:
-            toks.append(SummaryToken(KIND_SPECIAL, ITEM, uri=main, surface=tok.surface))
-            hit_text = True
-        else:
-            toks.append(tok)
-    if not hit_triples and not hit_text:
-        raise MainEntityAbsentError(
-            f"{main}: main entity appears in neither the triples nor the text")
-    return replace(example, triples=triples, summary_tokens=toks)
-
-
 def augment_gender(triples: Sequence[Triple], main: str,
-                   gender_lexicon: Mapping[str, str],
-                   predicate: str = "foaf:gender") -> list[Triple]:
-    """Append (<item>, gender predicate, gender) for a known main entity.
+                   gender_lexicon: Mapping[str, str]) -> list[Triple]:
+    """Append (<item>, GENDER_PREDICATE, gender) for a known main entity.
 
     Idempotent: a triple with the gender predicate already present leaves
     the set unchanged.
     """
     triples = list(triples)
     gender = gender_lexicon.get(main)
-    if gender is None or any(t.predicate == predicate for t in triples):
+    if gender is None or any(t.predicate == GENDER_PREDICATE for t in triples):
         return triples
-    triples.append(Triple(ITEM, predicate, gender, ENTITY))
+    triples.append(Triple(ITEM, GENDER_PREDICATE, gender, ENTITY))
     return triples
 
 
@@ -405,7 +384,7 @@ def rewrite_triples(triples: Sequence[Triple], main: str,
     out = normalize_triples(filter_triples(triples), config)
     out, hit = substitute_item_in_triples(out, main)
     if config.gender_lexicon is not None:
-        out = augment_gender(out, main, config.gender_lexicon, config.gender_predicate)
+        out = augment_gender(out, main, config.gender_lexicon)
     return dedup_triples(out), hit
 
 
@@ -453,8 +432,8 @@ def assign_placeholders(s: AnnotatedSummary, triples: Sequence[Triple],
     """Rewrite a truncated summary into target tokens.
 
     Annotated entities: the main entity becomes <item>; an in-vocabulary
-    entity passes through (membership is checked on the URI in URI mode
-    and on the (uri, surface) tuple text in tuple mode); a rare entity
+    entity stays, as its URI in URI mode and as its (uri, surface) tuple
+    token in tuple mode (membership is checked on that text); a rare entity
     matched to a triple becomes the placeholder predicate__subj__Type or
     predicate__obj__Type (first matching triple in list order wins,
     subject checked before object); an unmatched rare entity becomes its
@@ -475,9 +454,12 @@ def assign_placeholders(s: AnnotatedSummary, triples: Sequence[Triple],
                 if a.uri == s.main_entity:
                     out.append(SummaryToken(KIND_SPECIAL, ITEM, uri=a.uri, surface=a.surface))
                     continue
-                key = a.uri if mode == MODE_URI else tuple_token_text(a.uri, a.surface)
+                if mode == MODE_URI:
+                    kind, key = KIND_ENTITY, a.uri
+                else:
+                    kind, key = KIND_TUPLE, tuple_token_text(a.uri, a.surface)
                 if key in target_vocab:
-                    out.append(SummaryToken(KIND_ENTITY, a.uri, uri=a.uri, surface=a.surface))
+                    out.append(SummaryToken(kind, key, uri=a.uri, surface=a.surface))
                     continue
                 matched = None
                 for t in triples:
@@ -510,28 +492,6 @@ def assign_placeholders(s: AnnotatedSummary, triples: Sequence[Triple],
                 out.append(SummaryToken(KIND_WORD, word))
             else:
                 out.append(SummaryToken(KIND_SPECIAL, RARE))
-    return out
-
-
-def make_surface_tuples(tokens: Sequence[SummaryToken],
-                        annotations: Sequence[Annotation] | None = None) -> list[SummaryToken]:
-    """Turn in-vocabulary entity tokens into (URI, surface form) tuple tokens.
-
-    Placeholders, words and specials pass through unchanged. Tokens carry
-    their surfaces from annotation; the optional annotations argument can
-    fill any missing ones by URI.
-    """
-    by_uri = {a.uri: a.surface for a in annotations or []}
-    out = []
-    for tok in tokens:
-        if tok.kind == KIND_ENTITY:
-            surface = tok.surface if tok.surface is not None else by_uri.get(tok.uri)
-            if surface is None:
-                raise PipelineError(f"entity token {tok.text} has no recorded surface form")
-            out.append(SummaryToken(KIND_TUPLE, tuple_token_text(tok.uri, surface),
-                                    uri=tok.uri, surface=surface))
-        else:
-            out.append(tok)
     return out
 
 
@@ -670,8 +630,6 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
         toks = assign_placeholders(summary, triples, types, in_vocab,
                                    mode=config.mode,
                                    year_min=config.year_min, year_max=config.year_max)
-        if config.mode == MODE_TUPLES:
-            toks = make_surface_tuples(toks, summary.annotations)
         toks = ([SummaryToken(KIND_SPECIAL, START)] + toks
                 + [SummaryToken(KIND_SPECIAL, END)])
         examples.append(AlignedExample(

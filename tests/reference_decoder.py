@@ -186,14 +186,13 @@ def step(dec, tape: nn.Tape | None, x, h_prev: Node, c_prev: Node | None
 
 
 def batch_loss(model, tape: nn.Tape | None, batch, training: bool,
-               max_timestep: int | None = None,
-               update_running: bool = True) -> tuple[nn.Node, float, int]:
+               max_timestep: int | None = None) -> tuple[nn.Node, float, int]:
     """``Seq2Seq.batch_loss`` with one taped step, output layer and
     softmax-NLL per timestep."""
     if not batch:
         raise ValueError("empty batch")
     h0 = reference_encoder.encode_batch(model.encoder, tape, [ex.triples for ex in batch],
-                                        training, update_running)
+                                        training)
     h = h0
     c = nn.leaf(np.zeros(h0.value.shape)) if model.decoder.cell_kind == LSTM else None
     steps = max(len(ex.target) for ex in batch) - 1

@@ -119,8 +119,7 @@ def relu(tape: Tape | None, x: Node) -> Node:
     return out
 
 
-def batch_norm(tape: Tape | None, x: Node, bn: nn.BatchNorm, training: bool,
-               update_running: bool = True) -> Node:
+def batch_norm(tape: Tape | None, x: Node, bn: nn.BatchNorm, training: bool) -> Node:
     if x.value.shape[1] != bn.width:
         raise nn.ShapeError(f"batch_norm {bn.name}: width {x.value.shape[1]} != {bn.width}")
     n = x.value.shape[0]
@@ -129,9 +128,8 @@ def batch_norm(tape: Tape | None, x: Node, bn: nn.BatchNorm, training: bool,
             raise ValueError(f"batch_norm {bn.name}: training needs a batch of >= 2 rows, got {n}")
         mean = x.value.mean(axis=0, keepdims=True)
         var = x.value.var(axis=0, keepdims=True)
-        if update_running:
-            bn.running_mean[...] = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
-            bn.running_var[...] = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
+        bn.running_mean[...] = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
+        bn.running_var[...] = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
     else:
         mean, var = bn.running_mean, bn.running_var
     inv = 1.0 / np.sqrt(var + bn.eps)
@@ -158,8 +156,7 @@ def batch_norm(tape: Tape | None, x: Node, bn: nn.BatchNorm, training: bool,
 # the taped encoder
 
 
-def encode_triples(enc, tape: nn.Tape | None, spo: Array, training: bool,
-                   update_running: bool = True) -> nn.Node:
+def encode_triples(enc, tape: nn.Tape | None, spo: Array, training: bool) -> nn.Node:
     """Vector representations for a [n, 3] array of source index triples.
 
     The three components go through the shared embedding (and one
@@ -177,18 +174,18 @@ def encode_triples(enc, tape: nn.Tape | None, spo: Array, training: bool,
     flat = rows_lookup(tape, enc.embed, spo.T.reshape(-1))  # [3n, m]: all s, all p, all o
     flat = add_bias(tape, flat, enc.embed_bias)
     if enc.use_batch_norm:
-        flat = batch_norm(tape, flat, enc.bn_embed, training, update_running)
+        flat = batch_norm(tape, flat, enc.bn_embed, training)
     parts = [slice_rows(tape, flat, k * n, (k + 1) * n) for k in range(3)]
     h = hstack(tape, parts)  # [n, 3m]
     h = nn.matmul(tape, h, enc.hidden)
     if enc.use_batch_norm:
-        h = batch_norm(tape, h, enc.bn_hidden, training, update_running)
+        h = batch_norm(tape, h, enc.bn_hidden, training)
     return relu(tape, h)
 
 
 def aggregate(enc, tape: nn.Tape | None, h_triples: nn.Node,
               example_idx: Array, slot_idx: Array, n_examples: int,
-              training: bool, update_running: bool = True) -> nn.Node:
+              training: bool) -> nn.Node:
     """Concatenate per-triple vectors per example, pad with zero vectors
     up to e_max slots, and map to the decoder initialisation vector.
 
@@ -201,12 +198,12 @@ def aggregate(enc, tape: nn.Tape | None, h_triples: nn.Node,
     packed = pack_slots(tape, h_triples, example_idx, slot_idx, n_examples, enc.e_max)
     out = affine(tape, packed, enc.aggregate_w, enc.aggregate_b)
     if enc.use_batch_norm:
-        out = batch_norm(tape, out, enc.bn_out, training, update_running)
+        out = batch_norm(tape, out, enc.bn_out, training)
     return out
 
 
 def encode_batch(enc, tape: nn.Tape | None, triple_sets: list[list[tuple[int, int, int]]],
-                 training: bool, update_running: bool = True) -> nn.Node:
+                 training: bool) -> nn.Node:
     """Decoder initialisation vectors for a batch of triple sets."""
     rows, ex_idx, slot_idx = [], [], []
     for i, triples in enumerate(triple_sets):
@@ -219,8 +216,8 @@ def encode_batch(enc, tape: nn.Tape | None, triple_sets: list[list[tuple[int, in
             slot_idx.append(j)
     n = len(triple_sets)
     if rows:
-        h = encode_triples(enc, tape, np.asarray(rows), training, update_running)
+        h = encode_triples(enc, tape, np.asarray(rows), training)
     else:
         h = nn.leaf(np.zeros((0, enc.m)))
     return aggregate(enc, tape, h, np.asarray(ex_idx, dtype=int),
-                     np.asarray(slot_idx, dtype=int), n, training, update_running)
+                     np.asarray(slot_idx, dtype=int), n, training)

@@ -54,7 +54,7 @@ def _gradcheck_model(cell: str, seed: int, use_batch_norm: bool = True) -> float
 
     def loss_fn(compute):
         tape = nn.Tape() if compute else None
-        cost, _, _ = model.batch_loss(tape, batch, training=True, update_running=False)
+        cost, _, _ = model.batch_loss(tape, batch, training=True)
         if compute:
             tape.backward(cost)
         return float(cost.value[0, 0])

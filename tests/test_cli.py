@@ -46,7 +46,8 @@ def test_demo_corpus_deterministic(tmp_path):
 
 
 def test_demo_corpus_size_floor(tmp_path):
-    assert run(["demo-corpus", "--out-dir", str(tmp_path / "x"), "--size", "5"]) == 2
+    assert run(["demo-corpus", "--out-dir", str(tmp_path / "x"), "--size", "5"]) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_build_corpus_happy_path_and_idempotence(demo_dir, tmp_path):
@@ -205,6 +206,85 @@ def test_generate_limit_below_one_is_usage_error(tmp_path, value, capsys):
     assert run([*search_command("generate", str(tmp_path / "missing")),
                 f"--limit={value}"]) == 1
     assert "--limit" in capsys.readouterr().err
+
+
+def numeric_flag_command(command, missing):
+    """The arguments of a command whose input files do not exist."""
+    files = ["--checkpoint", missing, "--source-vocab", missing, "--target-vocab", missing]
+    return {
+        "baseline": ["baseline", "--kind", "random", "--train-corpus", missing,
+                     "--eval-corpus", missing],
+        "neighbors": ["neighbors", *files, "--token", "dbr:X"],
+        "train": ["train", "--corpus", missing, "--source-vocab", missing,
+                  "--target-vocab", missing, "--out-dir", missing],
+        "demo-corpus": ["demo-corpus", "--out-dir", missing],
+        "gradcheck": ["gradcheck"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("baseline", "--samples", "0"),
+    ("baseline", "--order", "0"),
+    ("neighbors", "--k", "-1"),
+    ("neighbors", "--k", "0"),
+    ("train", "--valid-fraction", "-0.5"),
+    ("train", "--valid-fraction", "0"),
+    ("train", "--valid-fraction", "1"),
+    ("train", "--valid-fraction", "nan"),
+    ("demo-corpus", "--size", "3"),
+    ("gradcheck", "--m", "0"),
+    ("gradcheck", "--batch", "1"),
+    ("gradcheck", "--e-max", "0"),
+])
+def test_numeric_flag_out_of_range_is_usage_error(tmp_path, command, flag, value, capsys):
+    # refused before any file is read: the missing inputs would exit 2
+    missing = str(tmp_path / "missing")
+    assert run([*numeric_flag_command(command, missing), f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not os.path.exists(missing)
+
+
+SUMMARY = {"main_entity": "dbr:A", "sentences": [["Ann", "met", "Bo", "."]],
+           "annotations": [{"sentence_idx": 0, "start": 0, "end": 1, "uri": "dbr:A",
+                            "surface": "Ann"},
+                           {"sentence_idx": 0, "start": 2, "end": 3, "uri": "dbr:B",
+                            "surface": "Bo"}]}
+
+
+def with_annotation(**fields):
+    return {**SUMMARY, "annotations": [SUMMARY["annotations"][0],
+                                       {**SUMMARY["annotations"][1], **fields}]}
+
+
+@pytest.mark.parametrize("record", [
+    with_annotation(sentence_idx="0"),
+    with_annotation(surface=None),  # ties with the string surface of dbr:B on line 1
+    {**SUMMARY, "sentences": ["Ann met Bo ."]},
+    with_annotation(start=True),
+    with_annotation(end=3.0),
+    with_annotation(uri=7),
+    [0, 0, 1, "dbr:A", "Ann"],
+    {**SUMMARY, "main_entity": ["dbr:A"]},
+    {**SUMMARY, "sentences": [["Ann", "met", 7, "."]]},
+    {**SUMMARY, "sentences": "Ann met Bo ."},
+    {**SUMMARY, "annotations": [[0, 0, 1, "dbr:A", None]]},
+], ids=["string-sentence-idx", "null-surface", "sentence-as-string", "bool-start",
+        "float-end", "int-uri", "record-not-object", "list-main-entity", "int-word",
+        "sentences-as-string", "list-annotation-null-surface"])
+def test_summary_field_of_wrong_type_is_data_error(tmp_path, record, capsys):
+    triples = tmp_path / "triples.nt"
+    triples.write_text("dbr:A dbo:knows dbr:B .\ndbr:A dbo:age 30 .\n")
+    summaries = tmp_path / "summaries.jsonl"
+    good = {**SUMMARY, "main_entity": "dbr:B", "annotations": [
+        {"sentence_idx": 0, "start": 2, "end": 3, "uri": "dbr:B", "surface": "Bo"}]}
+    summaries.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n")
+    out = tmp_path / "corpus.jsonl"
+    assert run(["build-corpus", "--triples", str(triples), "--summaries", str(summaries),
+                "--out", str(out), "--lexicon-out", str(tmp_path / "lexicon.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{summaries}:2: bad summary record" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "lexicon.tsv").exists()
 
 
 def test_data_errors_exit_two(tmp_path):

@@ -142,8 +142,7 @@ def test_gradients_reach_all_three_embeddings():
     params = enc.parameters()
     tape = nn.Tape()
     nn.zero_grads(params)
-    out = enc.encode_batch(tape, [[(1, 2, 3)], [(4, 5, 6)]], training=True,
-                           update_running=False)
+    out = enc.encode_batch(tape, [[(1, 2, 3)], [(4, 5, 6)]], training=True)
     tape.backward(reference_decoder.sum_all(tape, out))
     for row in (1, 2, 3, 4, 5, 6):
         assert np.any(enc.embed.grad[row] != 0.0), f"no gradient at row {row}"
@@ -166,13 +165,13 @@ def oracle_encoder(use_batch_norm: bool) -> TripleEncoder:
     return enc
 
 
-def run_encoder(enc, encode, triple_sets, training, update_running):
+def run_encoder(enc, encode, triple_sets, training):
     """The output, running statistics afterwards and every parameter
     gradient of one taped pass with a fixed, row-varying output gradient."""
     params = enc.parameters()
     nn.zero_grads(params)
     tape = nn.Tape()
-    out = encode(tape, triple_sets, training, update_running)
+    out = encode(tape, triple_sets, training)
     g = np.random.default_rng(7).normal(size=out.value.shape)
     tape.record(lambda: nn._acc(out, g))
     tape.backward(nn.leaf(np.zeros((1, 1))))
@@ -180,11 +179,11 @@ def run_encoder(enc, encode, triple_sets, training, update_running):
     return out.value, stats, {p.name: p.grad.copy() for p in params}
 
 
-def assert_fused_encoder_is_reference(use_batch_norm, training, update_running, triple_sets):
+def assert_fused_encoder_is_reference(use_batch_norm, training, triple_sets):
     fused, ref = oracle_encoder(use_batch_norm), oracle_encoder(use_batch_norm)
-    got = run_encoder(fused, fused.encode_batch, triple_sets, training, update_running)
+    got = run_encoder(fused, fused.encode_batch, triple_sets, training)
     want = run_encoder(ref, functools.partial(reference_encoder.encode_batch, ref),
-                       triple_sets, training, update_running)
+                       triple_sets, training)
     assert np.array_equal(got[0], want[0])
     assert len(got[1]) == len(want[1])
     assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
@@ -193,7 +192,7 @@ def assert_fused_encoder_is_reference(use_batch_norm, training, update_running, 
         assert np.array_equal(grad, want[2][name]), name
     # the untaped forward pass (corpus_nll, init_generation) is the same one
     fresh = oracle_encoder(use_batch_norm)
-    untaped = fresh.encode_batch(None, triple_sets, training, update_running).value
+    untaped = fresh.encode_batch(None, triple_sets, training).value
     assert np.array_equal(untaped, want[0])
 
 
@@ -206,11 +205,9 @@ ORACLE_BATCHES = {
 
 @pytest.mark.parametrize("use_batch_norm", [True, False])
 @pytest.mark.parametrize("training", [True, False])
-@pytest.mark.parametrize("update_running", [True, False])
 @pytest.mark.parametrize("batch", sorted(ORACLE_BATCHES))
-def test_fused_encoder_matches_taped_reference(use_batch_norm, training, update_running, batch):
-    assert_fused_encoder_is_reference(use_batch_norm, training, update_running,
-                                      ORACLE_BATCHES[batch])
+def test_fused_encoder_matches_taped_reference(use_batch_norm, training, batch):
+    assert_fused_encoder_is_reference(use_batch_norm, training, ORACLE_BATCHES[batch])
 
 
 @st.composite
@@ -225,10 +222,10 @@ def triple_batches(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(triple_batches(), st.booleans(), st.booleans(), st.booleans())
+@given(triple_batches(), st.booleans(), st.booleans())
 def test_fused_encoder_matches_taped_reference_on_drawn_batches(
-        triple_sets, use_batch_norm, training, update_running):
-    assert_fused_encoder_is_reference(use_batch_norm, training, update_running, triple_sets)
+        triple_sets, use_batch_norm, training):
+    assert_fused_encoder_is_reference(use_batch_norm, training, triple_sets)
 
 
 @pytest.mark.parametrize("encode", ["fused", "reference"])
@@ -450,7 +447,7 @@ def taped_loss(model, loss_fn, batch, max_timestep):
     params = model.parameters()
     nn.zero_grads(params)
     tape = nn.Tape()
-    cost, total_nll, count = loss_fn(tape, batch, True, max_timestep, update_running=False)
+    cost, total_nll, count = loss_fn(tape, batch, True, max_timestep)
     tape.backward(cost)
     return float(cost.value[0, 0]), total_nll, count, {p.name: p.grad.copy() for p in params}
 
@@ -475,9 +472,8 @@ def test_sequence_matches_per_step_reference(cell, use_batch_norm, max_timestep)
         tol = max(1e-10 * np.abs(want[name]).max(), 1e-15)
         assert np.abs(g - want[name]).max() <= tol, name
     for training in (False, True):  # forward-only (corpus_nll) path
-        got = model.batch_loss(None, batch, training, max_timestep, update_running=False)
-        ref = reference_decoder.batch_loss(model, None, batch, training, max_timestep,
-                                           update_running=False)
+        got = model.batch_loss(None, batch, training, max_timestep)
+        ref = reference_decoder.batch_loss(model, None, batch, training, max_timestep)
         assert got[0].value[0, 0] == pytest.approx(ref[0].value[0, 0], rel=1e-12)
         assert got[1:] == pytest.approx(ref[1:], rel=1e-12)
 
@@ -557,7 +553,7 @@ def test_gradient_check_through_fused_head(cell, use_batch_norm):
 
     def loss_fn(compute):
         tape = nn.Tape() if compute else None
-        cost, _, _ = model.batch_loss(tape, batch, training=True, update_running=False)
+        cost, _, _ = model.batch_loss(tape, batch, training=True)
         if compute:
             tape.backward(cost)
         return float(cost.value[0, 0])
@@ -581,7 +577,7 @@ def test_passes_without_workspace_do_not_overwrite_each_other(cell):
     # gradients each gives alone
     alone = [taped_loss(model, model.batch_loss, batch, None)[3] for batch in (first, second)]
     tapes = [nn.Tape(), nn.Tape()]
-    costs = [model.batch_loss(tape, batch, True, update_running=False)[0]
+    costs = [model.batch_loss(tape, batch, True)[0]
              for tape, batch in zip(tapes, (first, second))]
     for tape, cost, want in reversed(list(zip(tapes, costs, alone))):
         nn.zero_grads(model.parameters())

@@ -1,6 +1,8 @@
 """Static checks that every import and every module-level private name
 in the package's modules is used, and every import of the tests and
-scripts.
+scripts; and that every public module-level function or class of the
+package is read by the program (the package, ``scripts/`` or ``bench/``),
+not only by tests, unless an allow-list entry says why.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree with the standard library. A name bound by an import must be
@@ -21,6 +23,18 @@ PACKAGE = ROOT / "src" / "triples2text"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_AND_SCRIPT_MODULES = sorted([*(ROOT / "tests").glob("*.py"),
                                   *(ROOT / "scripts").glob("*.py")])
+PROGRAM_MODULES = sorted([*MODULES, *(ROOT / "scripts").glob("*.py"),
+                          *(ROOT / "bench").glob("*.py")])
+
+# Public names the program never reads, each kept on purpose.
+TEST_ONLY_PUBLIC = {
+    "nn.leaf": "wraps test arrays as nodes for the tape tests and the taped reference "
+               "chains; it goes with the tape",
+    "training.boundary_lr_schedule": "criterion 7's closed-form oracle for the learning "
+                                     "rates training.train sets",
+    "training.sequence_loss": "an inference-mode cost tested only with stub models",
+    "evaluation.unigram_perplexity": "criterion 8's perplexity proxy for the random baseline",
+}
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -94,6 +108,39 @@ def test_checker_flags_only_unused_private_names():
 def test_package_has_no_unused_private_name():
     unused = unused_private_names({p.name: p.read_text(encoding="utf-8") for p in MODULES})
     assert not unused, ", ".join(unused)
+
+
+def public_definitions(source: str) -> list[str]:
+    """Names of the module-level public functions and classes."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def unread_public_names(package: dict[str, str], program: list[str]) -> list[str]:
+    """``module.name`` of each public definition of ``package`` (module
+    file name to source) that no source of ``program`` reads."""
+    read = set().union(*map(read_names, program))
+    return sorted(f"{module.removesuffix('.py')}.{name}"
+                  for module, source in package.items()
+                  for name in public_definitions(source) if name not in read)
+
+
+def test_checker_flags_only_unread_public_names():
+    package = {"a.py": "def used(): pass\ndef dead(): pass\nclass _Private: pass\n"
+                       "class Kept: pass\n",
+               "b.py": "from a import used\nimport a\nx = used() or a.Kept\n"}
+    assert unread_public_names(package, list(package.values())) == ["a.dead"]
+
+
+def test_every_public_name_is_read_by_the_program():
+    package = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    program = [p.read_text(encoding="utf-8") for p in PROGRAM_MODULES]
+    unread = unread_public_names(package, program)
+    assert unread == sorted(TEST_ONLY_PUBLIC), (
+        "read only by tests, with no allow-list entry: "
+        f"{sorted(set(unread) - set(TEST_ONLY_PUBLIC))}; allow-listed but read by "
+        f"the program: {sorted(set(TEST_ONLY_PUBLIC) - set(unread))}")
 
 
 def write_opens(source: str) -> list[int]:

@@ -129,20 +129,16 @@ def test_normalize_numeric(token, expected):
 
 
 def test_substitute_item_subject_and_object_positions():
-    ex = AlignedExample("dbr:Papa_Roach", [
+    out, hit = pl.substitute_item_in_triples([
         T("dbr:Papa_Roach", "dbo:genre", "dbr:Hard_rock"),
         T("dbr:Infest_(album)", "dbo:artist", "dbr:Papa_Roach"),
-    ], [], [])
-    out = pl.substitute_item(ex, "dbr:Papa_Roach")
-    assert out.triples[0].subject == tk.ITEM
-    assert out.triples[1].object == tk.ITEM
-    assert out.triples[1].subject == "dbr:Infest_(album)"
-
-
-def test_substitute_item_absent_raises():
-    ex = AlignedExample("dbr:A", [T("dbr:B", "dbo:p", "dbr:C")], [], [])
-    with pytest.raises(pl.MainEntityAbsentError):
-        pl.substitute_item(ex, "dbr:A")
+    ], "dbr:Papa_Roach")
+    assert hit
+    assert out[0].subject == tk.ITEM
+    assert out[1].object == tk.ITEM
+    assert out[1].subject == "dbr:Infest_(album)"
+    absent = [T("dbr:B", "dbo:p", "dbr:C")]
+    assert pl.substitute_item_in_triples(absent, "dbr:A") == (absent, False)
 
 
 # -- dedup -------------------------------------------------------------------
@@ -287,15 +283,20 @@ def test_out_of_vocab_word_becomes_rare():
 # -- surface tuples ------------------------------------------------------------
 
 
-def test_make_surface_tuples_converts_entities_only():
-    toks = [SummaryToken("entity_uri", "dbr:United_States",
-                         uri="dbr:United_States", surface="American"),
-            SummaryToken("word", "band"),
-            SummaryToken("placeholder", "p__subj__T")]
-    out = pl.make_surface_tuples(toks)
-    assert out[0].kind == "surface_tuple"
-    assert out[0].text == "(dbr:United_States, American)"
-    assert out[1].text == "band" and out[2].text == "p__subj__T"
+def test_tuple_mode_turns_in_vocab_entities_only_into_tuples():
+    s = summary([["American", "band", "from", "Rare"]],
+                [Annotation(0, 0, 1, "dbr:United_States", "American"),
+                 Annotation(0, 2, 3, "dbr:Main", "from"),
+                 Annotation(0, 3, 4, "dbr:Rare", "Rare")])
+    triples = [T(tk.ITEM, "dbo:origin", "dbr:Rare")]
+    vocab = {"(dbr:United_States, American)", "band", "dbr:Rare"}
+    out = pl.assign_placeholders(s, triples, {}, vocab, mode=pl.MODE_TUPLES)
+    assert out[0] == SummaryToken("surface_tuple", "(dbr:United_States, American)",
+                                  uri="dbr:United_States", surface="American")
+    assert out[1] == SummaryToken("word", "band")
+    assert out[2].text == tk.ITEM
+    # membership is checked on the tuple text, so the bare URI is rare here
+    assert out[3].kind == "placeholder" and out[3].text == f"dbo:origin__obj__{tk.UNK}"
 
 
 # -- gender augmentation -------------------------------------------------------
@@ -483,15 +484,6 @@ def test_demo_corpus_outputs_are_pinned(tmp_path, mode):
         write(str(path), value)
         digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == DEMO_DIGESTS[mode]
-
-
-# -- tokeniser fallback ----------------------------------------------------------
-
-
-def test_fallback_tokenizer_and_splitter():
-    text = "Dr. Who? He said so. Yes."
-    assert pl.tokenize("a b-c, (d)") == ["a", "b-c", ",", "(", "d", ")"]
-    assert pl.split_sentences(text) == ["Dr.", "Who?", "He said so.", "Yes."]
 
 
 # -- corpus serialisation ----------------------------------------------------------

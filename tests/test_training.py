@@ -49,7 +49,7 @@ class UniformStub:
     def __init__(self, x_size):
         self.x = x_size
 
-    def batch_loss(self, tape, batch, training, max_timestep=None, update_running=True):
+    def batch_loss(self, tape, batch, training, max_timestep=None):
         total = 0.0
         count = 0
         for ex in batch:
@@ -70,8 +70,7 @@ def test_sequence_loss_uniform_stub():
 def test_sequence_loss_hand_probabilities():
     # two predicted tokens with probabilities 0.5 and 0.25: ln2 + ln4
     class TwoStep:
-        def batch_loss(self, tape, batch, training, max_timestep=None,
-                       update_running=True):
+        def batch_loss(self, tape, batch, training, max_timestep=None):
             nll = -(math.log(0.5) + math.log(0.25))
             return nn.leaf(np.array([[nll]])), nll, 2
     assert abs(training.sequence_loss([EncodedExample([], [1, 5, 2])], TwoStep())
