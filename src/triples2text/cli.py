@@ -36,6 +36,7 @@ from .demo import MIN_SIZE, demo_corpus
 from .fileio import atomic_open
 from .model import CheckpointMismatchError, ModelConfig, Seq2Seq
 from .pipeline import MODE_TUPLES, MODE_URI, PipelineConfig, PipelineError
+from .tokens import SPECIAL_TOKENS
 from .training import TrainConfig, TrainingDivergedError
 from .vocab import SOURCE_MIN_COUNT, Vocabulary, build_source_vocab, build_target_vocab
 
@@ -479,6 +480,8 @@ def cmd_gradcheck(args, cfg):
     _at_least("--m", args.m, 1)
     _at_least("--e-max", args.e_max, 1)
     _at_least("--batch", args.batch, 2)  # batch normalisation needs two rows
+    _at_least("--source-size", args.source_size, len(SPECIAL_TOKENS))
+    _at_least("--target-size", args.target_size, len(SPECIAL_TOKENS))
     rng = np.random.default_rng(args.seed)
     config = ModelConfig(cell_kind=args.cell, m=args.m, e_max=args.e_max)
     source = Vocabulary._with_specials("source")

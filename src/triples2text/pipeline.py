@@ -9,6 +9,11 @@ rewrite annotated entities into URIs / surface-form tuples / property-type
 placeholders. Corpus statistics and the surface-form lexicon are serial
 reductions over articles in input order, so output is deterministic.
 
+Each read and each build passes every string and immutable record it makes
+through a dict local to the call, so equal values, which recur article after
+article, are one object within that call (hash-consing). Lists and the
+mutable records are never shared.
+
 Input formats:
   * triples: N-Triples-like text, one ``subject predicate object .`` per
     line (UTF-8; bare prefixed names or <...> URIs; literals quoted with
@@ -197,6 +202,9 @@ def _strip_uri(tok: str) -> str:
 
 
 def parse_ntriples(lines: Iterable[str], where: str = "<triples>") -> list[Triple]:
+    """Triples of N-Triples-like lines; equal strings are one object."""
+    canon: dict[str, str] = {}
+    share = canon.setdefault
     out: list[Triple] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -206,17 +214,18 @@ def parse_ntriples(lines: Iterable[str], where: str = "<triples>") -> list[Tripl
         if m is None:
             raise PipelineError(f"{where}:{lineno}: cannot parse triple line: {line!r}")
         subj, pred, obj_raw = _strip_uri(m.group(1)), _strip_uri(m.group(2)), m.group(3)
+        subj, pred = share(subj, subj), share(pred, pred)
         lm = _LITERAL_RE.match(obj_raw)
         if lm is not None:
             lexical = lm.group(1).replace('\\"', '"')
             kind = classify_literal(lexical, lm.group(2))
-            out.append(Triple(subj, pred, lexical, kind))
+            out.append(Triple(subj, pred, share(lexical, lexical), kind))
         else:
             obj = _strip_uri(obj_raw)
             kind = classify_literal(obj, None)
             if kind == OTHER_LITERAL:
                 kind = ENTITY
-            out.append(Triple(subj, pred, obj, kind))
+            out.append(Triple(subj, pred, share(obj, obj), kind))
     return out
 
 
@@ -225,8 +234,9 @@ def read_ntriples(path: str) -> list[Triple]:
         return parse_ntriples(fh, where=path)
 
 
-def _summary_record(rec) -> AnnotatedSummary:
-    """One summary line's JSON value, its field types checked."""
+def _summary_record(rec, share) -> AnnotatedSummary:
+    """One summary line's JSON value, its field types checked; its
+    strings are passed through ``share``."""
     if not isinstance(rec, dict):
         raise TypeError("a record must be a JSON object")
     main, sentences = rec["main_entity"], rec["sentences"]
@@ -237,28 +247,34 @@ def _summary_record(rec) -> AnnotatedSummary:
         raise TypeError("sentences must be lists of strings")
     anns = []
     for a in rec.get("annotations", []):
-        ann = (Annotation(a["sentence_idx"], a["start"], a["end"], a["uri"], a["surface"])
-               if isinstance(a, dict) else Annotation(*a))
-        sentence, start, end, uri, surface = ann
+        sentence, start, end, uri, surface = (
+            (a["sentence_idx"], a["start"], a["end"], a["uri"], a["surface"])
+            if isinstance(a, dict) else a)
         if not (type(sentence) is type(start) is type(end) is int  # a bool is not an int
                 and type(uri) is type(surface) is str):
             raise TypeError("an annotation's sentence_idx, start and end must be ints, "
                             "its uri and surface strings")
-        anns.append(ann)
+        anns.append(Annotation(sentence, start, end, share(uri, uri), share(surface, surface)))
+    for s in sentences:
+        s[:] = map(share, s, s)
     # exact-size copies: the JSON decoder's lists keep their append slack
-    return AnnotatedSummary(main, [list(s) for s in sentences], anns)
+    return AnnotatedSummary(share(main, main), [list(s) for s in sentences], anns)
 
 
 def read_summaries(path: str) -> Iterator[AnnotatedSummary]:
     """Summaries of a JSON Lines file; a malformed line, or a field of the
-    wrong type, raises PipelineError naming path:line."""
+    wrong type, raises PipelineError naming path:line. Equal strings of
+    the file (main entities, words, annotation URIs and surfaces) are one
+    object."""
+    canon: dict[str, str] = {}
+    share = canon.setdefault
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                summary = _summary_record(json.loads(line))
+                summary = _summary_record(json.loads(line), share)
             except (KeyError, TypeError, ValueError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad summary record: {exc}") from exc
             yield summary
@@ -548,10 +564,13 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
     Returns the aligned examples, corpus statistics (with exclusion
     counts by reason), and the per-entity most-frequent surface form
     lexicon. Identical inputs and configuration reproduce the corpus
-    byte-for-byte.
+    byte-for-byte. Equal triples and equal summary tokens of the built
+    examples are one object each.
     """
     if config.mode not in MODES:
         raise ValueError(f"unknown mode {config.mode!r}")
+    canon: dict[tuple, tuple] = {}
+    share = canon.setdefault
     exclusions: Counter[str] = Counter()
     prepared: list[tuple[AnnotatedSummary, list[Triple]]] = []
     for summary, raw in articles:
@@ -572,7 +591,7 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
         except EmptySummaryError:
             exclusions["empty_summary"] += 1
             continue
-        prepared.append((summary, triples))
+        prepared.append((summary, [share(t, t) for t in triples]))
 
     stats = CorpusStats(exclusions=dict(exclusions))
     if not prepared:
@@ -632,6 +651,7 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
                                    year_min=config.year_min, year_max=config.year_max)
         toks = ([SummaryToken(KIND_SPECIAL, START)] + toks
                 + [SummaryToken(KIND_SPECIAL, END)])
+        toks[:] = map(share, toks, toks)
         examples.append(AlignedExample(
             main_entity=summary.main_entity,
             triples=triples,
@@ -658,7 +678,10 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
 
 def read_articles(triples_path: str, summaries_path: str
                   ) -> Iterator[tuple[AnnotatedSummary, list[Triple]]]:
-    """Pair each summary with its allocated triples from a global dump."""
+    """Pair each summary with its allocated triples from a global dump.
+
+    Equal strings of the dump are one object, and so are equal strings of
+    the summaries (main entities, words, annotation URIs and surfaces)."""
     triples = read_ntriples(triples_path)
     by_subject: dict[str, list[Triple]] = {}
     by_object: dict[str, list[Triple]] = {}
@@ -710,6 +733,33 @@ def write_corpus(path: str, examples: Sequence[AlignedExample]) -> None:
 
 @_gc_paused()
 def read_corpus(path: str) -> list[AlignedExample]:
+    """Examples of a corpus file written by :func:`write_corpus`.
+
+    A malformed line, a field of the wrong type or an unknown mode raises
+    PipelineError naming path:line. Equal triples, summary tokens and
+    reference tokens of the file are one object each; each is type-checked
+    once, on its first sighting, before it enters the file's table.
+    """
+    # Only checked values enter the table, and their fields are str or
+    # None, so a Triple (6 fields), a SummaryToken (4) and a string never
+    # compare equal; an unchecked value can only miss or raise TypeError.
+    canon: dict = {}
+    known = canon.get
+
+    def first(value, required=1):
+        """Enter a value seen for the first time once it is checked: a
+        string, or a record whose first ``required`` fields are strings and
+        whose others are strings or None."""
+        fields = value if isinstance(value, tuple) else (value,)
+        for i, v in enumerate(fields):
+            if type(v) is not str and (i < required or v is not None):
+                name = (f"{type(value).__name__}.{value._fields[i]}" if fields is value
+                        else "a reference token")
+                raise TypeError(f"{name} must be a string{'' if i < required else ' or null'}, "
+                                f"got {v!r}")
+        canon[value] = value
+        return value
+
     out: list[AlignedExample] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -718,13 +768,25 @@ def read_corpus(path: str) -> list[AlignedExample]:
                 continue
             try:
                 rec = json.loads(line)
+                main, mode, refs = (rec["main_entity"], rec.get("mode", MODE_URI),
+                                    rec["reference_tokens"])
+                if type(main) is not str:
+                    raise TypeError("main_entity must be a string")
+                if mode not in MODES:
+                    raise ValueError(f"unknown mode {mode!r}")
+                if type(refs) is not list:
+                    raise TypeError("reference_tokens must be a list")
                 triples = [Triple(t["s"], t["p"], t["o"], t.get("kind", ENTITY),
                                   t.get("s_type"), t.get("o_type"))
                            for t in rec["triples"]]
                 toks = [SummaryToken(t["kind"], t["text"], t.get("uri"), t.get("surface"))
                         for t in rec["summary_tokens"]]
-                out.append(AlignedExample(rec["main_entity"], triples, toks,
-                                          rec["reference_tokens"], rec.get("mode", MODE_URI)))
+                # records are non-empty tuples, so ``or`` falls through on a
+                # miss (and on an empty string, which ``first`` enters again)
+                triples = [known(t) or first(t, 4) for t in triples]
+                toks = [known(t) or first(t, 2) for t in toks]
+                refs = [known(w) or first(w) for w in refs]
+                out.append(AlignedExample(main, triples, toks, refs, known(mode) or first(mode)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise PipelineError(f"{path}:{lineno}: bad corpus record: {exc}") from exc
     return out

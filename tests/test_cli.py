@@ -235,6 +235,8 @@ def numeric_flag_command(command, missing):
     ("gradcheck", "--m", "0"),
     ("gradcheck", "--batch", "1"),
     ("gradcheck", "--e-max", "0"),
+    ("gradcheck", "--source-size", "2"),
+    ("gradcheck", "--target-size", "8"),  # one below the nine special tokens
 ])
 def test_numeric_flag_out_of_range_is_usage_error(tmp_path, command, flag, value, capsys):
     # refused before any file is read: the missing inputs would exit 2
@@ -285,6 +287,40 @@ def test_summary_field_of_wrong_type_is_data_error(tmp_path, record, capsys):
     err = capsys.readouterr().err
     assert f"{summaries}:2: bad summary record" in err and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "lexicon.tsv").exists()
+
+
+def with_first_record(corpus, edit):
+    """The lines of a corpus file with ``edit`` applied to its first record."""
+    lines = Path(corpus).read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[0])
+    edit(rec)
+    return json.dumps(rec) + "\n" + "".join(lines[1:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r["summary_tokens"][1].update(text=5),
+    lambda r: r["triples"][0].update(p=None),
+    lambda r: r["triples"][0].update(s_type=["dbo:Person"]),
+    lambda r: r["summary_tokens"][1].update(uri=7),
+    lambda r: r["reference_tokens"].append(None),
+    lambda r: r.update(reference_tokens="a b"),
+    lambda r: r.update(main_entity=None),
+    lambda r: r.update(mode="words"),
+], ids=["int-token-text", "null-predicate", "list-subject-type", "int-token-uri",
+        "null-reference-token", "reference-tokens-as-string", "null-main-entity",
+        "unknown-mode"])
+def test_corpus_field_of_wrong_type_is_data_error(demo_dir, tmp_path, edit, capsys):
+    corpus = str(tmp_path / "corpus.jsonl")
+    assert run(["--config", os.path.join(demo_dir, "demo.cfg"), "build-corpus",
+                "--out", corpus]) == 0
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(with_first_record(corpus, edit), encoding="utf-8")
+    tvocab, svocab = tmp_path / "t.vocab", tmp_path / "s.vocab"
+    assert run(["build-vocab", "--corpus", str(bad), "--target-out", str(tvocab),
+                "--source-out", str(svocab)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:1: bad corpus record" in err and "Traceback" not in err
+    assert not tvocab.exists() and not svocab.exists()
 
 
 def test_data_errors_exit_two(tmp_path):
@@ -442,6 +478,9 @@ def test_failed_report_writes_keep_previous_files(demo_dir, tmp_path, monkeypatc
 def test_gradcheck_exit_codes():
     assert run(["gradcheck", "--cell", "gru", "--m", "4", "--source-size", "11",
                 "--target-size", "12", "--e-max", "2", "--batch", "3"]) == 0
+    # the smallest sizes allowed: the special tokens alone
+    assert run(["gradcheck", "--cell", "gru", "--m", "2", "--source-size", "9",
+                "--target-size", "9", "--e-max", "1", "--batch", "2"]) == 0
 
 
 def test_generate_single_triple_set(demo_dir, tmp_path):

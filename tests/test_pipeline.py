@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import compress, repeat
 from pathlib import Path
@@ -484,6 +485,57 @@ def test_demo_corpus_outputs_are_pinned(tmp_path, mode):
         write(str(path), value)
         digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == DEMO_DIGESTS[mode]
+
+
+def assert_one_object_per_value(values) -> None:
+    """Each value equal to an earlier one is that same object, and some repeat."""
+    values = list(values)
+    first = {}
+    for v in values:
+        assert first.setdefault(v, v) is v, v
+    assert len(first) < len(values)
+
+
+@pytest.mark.parametrize("mode", pl.MODES)
+def test_equal_strings_and_records_are_one_object(tmp_path, mode):
+    paths = demo_corpus(11, 60, str(tmp_path / "demo"))
+    articles = list(pl.read_articles(paths["triples"], paths["summaries"]))
+    assert_one_object_per_value(
+        x for s, _ in articles
+        for x in (s.main_entity, *(w for sent in s.sentences for w in sent),
+                  *(f for a in s.annotations for f in a[3:])))
+    assert_one_object_per_value(x for _, raw in articles for t in raw for x in t[:3])
+    cfg = PipelineConfig(mode=mode, target_vocab_min_count=2,
+                         gender_lexicon=pl.read_tsv_map(paths["genders"]))
+    built, _, _ = pl.build_corpus(articles, pl.read_tsv_map(paths["instance_types"]), cfg)
+    path = tmp_path / "corpus"
+    pl.write_corpus(str(path), built)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEMO_DIGESTS[mode]["corpus"]
+    read = pl.read_corpus(str(path))
+    assert read == built
+    for examples in (built, read):
+        assert_one_object_per_value(t for ex in examples for t in ex.triples)
+        assert_one_object_per_value(t for ex in examples for t in ex.summary_tokens)
+    assert_one_object_per_value(w for ex in read for w in ex.reference_tokens)
+
+
+def test_read_corpus_holds_under_twice_its_file_size(tmp_path):
+    paths = demo_corpus(11, 200, str(tmp_path / "demo"))
+    cfg = PipelineConfig(target_vocab_min_count=2,
+                         gender_lexicon=pl.read_tsv_map(paths["genders"]))
+    examples, _, _ = pl.build_corpus(pl.read_articles(paths["triples"], paths["summaries"]),
+                                     pl.read_tsv_map(paths["instance_types"]), cfg)
+    path = tmp_path / "corpus.jsonl"
+    pl.write_corpus(str(path), examples)
+    del examples
+    tracemalloc.start()
+    try:
+        read = pl.read_corpus(str(path))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(read) > 150
+    assert held < 2 * path.stat().st_size, (held, path.stat().st_size)
 
 
 # -- corpus serialisation ----------------------------------------------------------
