@@ -309,11 +309,23 @@ def cmd_train(args, cfg):
     max_timestep = _pick(args.max_timestep, cfg, "max_timestep", int, TrainConfig.max_timestep)
     batch_size = _pick(args.batch_size, cfg, "batch_size", int, TrainConfig.batch_size)
     m = _pick(args.m, cfg, "m", int, TrainConfig.m)
+    epochs = _pick(args.epochs, cfg, "epochs", int, TrainConfig.epochs)
+    learning_rate = _pick(args.lr, cfg, "learning_rate", float, TrainConfig.learning_rate)
+    decay_factor = _pick(args.decay_factor, cfg, "decay_factor", float, TrainConfig.decay_factor)
+    patience = (None if args.no_early_stop
+                else _pick(args.patience, cfg, "patience", int, TrainConfig.patience))
     _at_least("--max-timestep", max_timestep, 1)
     _at_least("--batch-size", batch_size, 2)  # batch normalisation needs two rows
     _at_least("--m", m, 1)
-    if args.valid_fraction is not None and not 0.0 < args.valid_fraction < 1.0:
-        raise UsageError(f"--valid-fraction must lie in (0, 1), got {args.valid_fraction}")
+    _at_least("--e-max", args.e_max, 1)
+    _at_least("--epochs", epochs, 1)
+    _at_least("--patience", patience, 0)
+    if not learning_rate > 0:
+        raise UsageError(f"--lr must be positive, got {learning_rate}")
+    for flag, value in (("--decay-factor", decay_factor),
+                        ("--valid-fraction", args.valid_fraction)):
+        if value is not None and not 0.0 < value < 1.0:  # NaN included
+            raise UsageError(f"{flag} must lie in (0, 1), got {value}")
     examples = pipeline.read_corpus(args.corpus)
     source_vocab, target_vocab = _load_vocabs(args)
     if args.valid:
@@ -328,24 +340,22 @@ def cmd_train(args, cfg):
     bound_lower, bound_upper = 0, None
     if args.stats:
         stats = pipeline.read_stats(args.stats)
-        e_max = e_max or stats.e_max
+        if e_max is None:
+            e_max = stats.e_max
         bound_lower, bound_upper = stats.lower_bound(), stats.upper_bound()
     if e_max is None:
         e_max = max((len(ex.triples) for ex in examples), default=1)
-    patience = (None if args.no_early_stop
-                else _pick(args.patience, cfg, "patience", int, TrainConfig.patience))
     clip_norm = _pick(args.clip_norm, cfg, "clip_norm", float, TrainConfig.clip_norm)
     if clip_norm is not None and clip_norm <= 0:
         clip_norm = None  # zero or negative disables clipping
     tcfg = TrainConfig(
         batch_size=batch_size,
         max_timestep=max_timestep,
-        learning_rate=_pick(args.lr, cfg, "learning_rate", float, TrainConfig.learning_rate),
-        decay_factor=_pick(args.decay_factor, cfg, "decay_factor", float,
-                           TrainConfig.decay_factor),
+        learning_rate=learning_rate,
+        decay_factor=decay_factor,
         decay_start_epoch=_pick(args.decay_start, cfg, "decay_start_epoch", int,
                                 TrainConfig.decay_start_epoch),
-        epochs=_pick(args.epochs, cfg, "epochs", int, TrainConfig.epochs),
+        epochs=epochs,
         seed=_pick(args.seed, cfg, "seed", int, TrainConfig.seed),
         cell_kind=_pick(args.cell, cfg, "cell", str, TrainConfig.cell_kind),
         m=m,
@@ -365,10 +375,8 @@ def cmd_train(args, cfg):
     return 0
 
 
-def _load_model(args) -> tuple[Seq2Seq, Vocabulary, Vocabulary]:
-    source_vocab, target_vocab = _load_vocabs(args)
-    model = Seq2Seq.load(args.checkpoint, source_vocab, target_vocab)
-    return model, source_vocab, target_vocab
+def _load_model(args) -> Seq2Seq:
+    return Seq2Seq.load(args.checkpoint, *_load_vocabs(args))
 
 
 def _load_lexicon(args) -> dict[str, str]:
@@ -378,7 +386,7 @@ def _load_lexicon(args) -> dict[str, str]:
 def cmd_generate(args, cfg):
     _check_search(args)
     _at_least("--limit", args.limit, 1)
-    model, _, _ = _load_model(args)
+    model = _load_model(args)
     lexicon = _load_lexicon(args)
     results = []
     if args.from_corpus:
@@ -412,7 +420,7 @@ def cmd_generate(args, cfg):
 
 def cmd_evaluate(args, cfg):
     _check_search(args)
-    model, _, _ = _load_model(args)
+    model = _load_model(args)
     lexicon = _load_lexicon(args)
     examples = pipeline.read_corpus(args.corpus)
     if not examples:
@@ -469,7 +477,7 @@ def cmd_baseline(args, cfg):
 
 def cmd_neighbors(args, cfg):
     _at_least("--k", args.k, 1)
-    model, _, _ = _load_model(args)
+    model = _load_model(args)
     for token, similarity in evaluation.nearest_neighbors(model, args.token, args.k):
         print(f"{token}\t{similarity:.6f}")
     return 0

@@ -24,6 +24,7 @@ from .generation import Scorer, beam_search, postprocess, surface_for
 from .model import Seq2Seq
 from .pipeline import AlignedExample
 from .tokens import END, START
+from .training import validation_perplexity
 
 logger = logging.getLogger(__name__)
 
@@ -32,16 +33,9 @@ logger = logging.getLogger(__name__)
 # metrics
 
 
-def perplexity(model: Seq2Seq, examples: Sequence[AlignedExample],
-               max_timestep: int | None = None) -> float:
+def perplexity(model: Seq2Seq, examples: Sequence[AlignedExample]) -> float:
     """exp(total NLL of gold tokens / number of predicted tokens)."""
-    if not examples:
-        raise ValueError("empty corpus")
-    encoded = [model.encode_example(ex) for ex in examples]
-    nll, count = model.corpus_nll(encoded, max_timestep=max_timestep)
-    if count == 0:
-        raise ValueError("corpus has no scoreable tokens")
-    return math.exp(nll / count)
+    return validation_perplexity(model, [model.encode_example(ex) for ex in examples])
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:

@@ -9,6 +9,11 @@ rewrite annotated entities into URIs / surface-form tuples / property-type
 placeholders. Corpus statistics and the surface-form lexicon are serial
 reductions over articles in input order, so output is deterministic.
 
+The frequency pass that picks the rare tokens and the rewriting read one
+walk over each summary: annotations in (sentence, start, end) order, each
+one overlapping an annotation kept before it dropped. One rule makes
+summary numbers ``0``/``<year>``, with the year range of the config.
+
 Each read and each build passes every string and immutable record it makes
 through a dict local to the call, so equal values, which recur article after
 article, are one object within that call (hash-consing). Lists and the
@@ -40,7 +45,7 @@ from .fileio import atomic_open
 from .tokens import (END, ITEM, RARE, SPECIAL_TOKENS, START, UNK, YEAR, ZERO,
                      format_placeholder, tuple_token_text)
 from .vocab import (KIND_ENTITY, KIND_INSTANCE_TYPE, KIND_PLACEHOLDER,
-                    KIND_SPECIAL, KIND_TUPLE, KIND_WORD)
+                    KIND_SPECIAL, KIND_TUPLE, KIND_WORD, most_frequent)
 
 MODE_URI = "uri"
 MODE_TUPLES = "surface_form_tuple"
@@ -326,7 +331,7 @@ def encode_date_triple(t: Triple) -> list[Triple]:
     ]
 
 
-def normalize_numeric(token: str, year_min: int = 1000, year_max: int = 2100) -> str:
+def normalize_numeric(token: str, year_min: int, year_max: int) -> str:
     """``<year>`` for a plausible 4-digit year, the token ``0`` otherwise."""
     if _YEAR_RE.fullmatch(token) and year_min <= int(token) <= year_max:
         return YEAR
@@ -426,25 +431,46 @@ def truncate_summary(s: AnnotatedSummary) -> AnnotatedSummary:
     return AnnotatedSummary(s.main_entity, kept, anns)
 
 
-def _looks_number(token: str) -> bool:
-    return _may_be_number(token) and _NUMBER_RE.fullmatch(token) is not None
+def _number_token(word: str, config: PipelineConfig) -> str | None:
+    """What a summary word becomes as a number: ``0`` and ``<year>`` stay
+    as they are, another number is normalised, and any other word gives
+    None."""
+    if word == ZERO or word == YEAR:
+        return word
+    if _may_be_number(word) and _NUMBER_RE.fullmatch(word):
+        return normalize_numeric(word, config.year_min, config.year_max)
+    return None
 
 
-def _ordered_annotations(s: AnnotatedSummary) -> dict[int, list[Annotation]]:
-    """Annotations grouped by sentence, sorted, overlaps dropped (first wins)."""
-    per: dict[int, list[Annotation]] = {}
+def _walk(s: AnnotatedSummary) -> Iterator[str | Annotation]:
+    """Each sentence's words, with each kept annotation in place of the
+    words it spans: in (sentence, start, end) order, one overlapping an
+    annotation kept before it is dropped. Spans must pass ``check_spans``."""
+    per_sentence: dict[int, list[Annotation]] = {}
     for a in sorted(s.annotations, key=lambda a: (a.sentence, a.start, a.end)):
-        row = per.setdefault(a.sentence, [])
-        if row and a.start < row[-1].end:
-            continue
-        row.append(a)
-    return per
+        per_sentence.setdefault(a.sentence, []).append(a)
+    for si, sent in enumerate(s.sentences):
+        pos = 0
+        for a in per_sentence.get(si, ()):
+            if a.start < pos:
+                continue
+            yield from sent[pos:a.start]
+            yield a
+            pos = a.end
+        yield from sent[pos:]
+
+
+def _entity_token(a: Annotation, mode: str) -> SummaryToken:
+    """An annotated entity kept as itself: its URI in URI mode, its
+    (uri, surface) tuple token in tuple mode."""
+    if mode == MODE_URI:
+        return SummaryToken(KIND_ENTITY, a.uri, a.uri, a.surface)
+    return SummaryToken(KIND_TUPLE, tuple_token_text(a.uri, a.surface), a.uri, a.surface)
 
 
 def assign_placeholders(s: AnnotatedSummary, triples: Sequence[Triple],
                         types: Mapping[str, str], target_vocab,
-                        mode: str = MODE_URI,
-                        year_min: int = 1000, year_max: int = 2100) -> list[SummaryToken]:
+                        config: PipelineConfig) -> list[SummaryToken]:
     """Rewrite a truncated summary into target tokens.
 
     Annotated entities: the main entity becomes <item>; an in-vocabulary
@@ -454,60 +480,37 @@ def assign_placeholders(s: AnnotatedSummary, triples: Sequence[Triple],
     predicate__obj__Type (first matching triple in list order wins,
     subject checked before object); an unmatched rare entity becomes its
     instance-type token, or <unk> without one. Plain words: numbers
-    normalise to 0/<year>, out-of-vocabulary words become <rare>.
+    normalise to 0/<year> within the configured year range,
+    out-of-vocabulary words become <rare>.
     """
     out: list[SummaryToken] = []
-    per_sentence = _ordered_annotations(s)
-    for si, sent in enumerate(s.sentences):
-        pos = 0
-        anns = per_sentence.get(si, [])
-        ai = 0
-        while pos < len(sent):
-            if ai < len(anns) and anns[ai].start == pos:
-                a = anns[ai]
-                ai += 1
-                pos = a.end
-                if a.uri == s.main_entity:
-                    out.append(SummaryToken(KIND_SPECIAL, ITEM, uri=a.uri, surface=a.surface))
-                    continue
-                if mode == MODE_URI:
-                    kind, key = KIND_ENTITY, a.uri
-                else:
-                    kind, key = KIND_TUPLE, tuple_token_text(a.uri, a.surface)
-                if key in target_vocab:
-                    out.append(SummaryToken(kind, key, uri=a.uri, surface=a.surface))
-                    continue
-                matched = None
-                for t in triples:
-                    if t.subject == a.uri:
-                        matched = (t.predicate, "subj")
-                        break
-                    if t.object == a.uri:
-                        matched = (t.predicate, "obj")
-                        break
-                if matched is not None:
-                    pred, slot = matched
-                    ptype = types.get(a.uri, UNK)
-                    out.append(SummaryToken(KIND_PLACEHOLDER,
-                                            format_placeholder(pred, slot, ptype),
-                                            uri=a.uri, surface=a.surface))
-                elif a.uri in types:
-                    out.append(SummaryToken(KIND_INSTANCE_TYPE, types[a.uri],
-                                            uri=a.uri, surface=a.surface))
-                else:
-                    out.append(SummaryToken(KIND_SPECIAL, UNK, uri=a.uri, surface=a.surface))
-                continue
-            word = sent[pos]
-            pos += 1
-            if word == ZERO or word == YEAR:
-                out.append(SummaryToken(KIND_SPECIAL, word))
-            elif _looks_number(word):
-                out.append(SummaryToken(KIND_SPECIAL,
-                                        normalize_numeric(word, year_min, year_max)))
-            elif word in target_vocab:
-                out.append(SummaryToken(KIND_WORD, word))
+    for item in _walk(s):
+        if type(item) is str:
+            number = _number_token(item, config)
+            if number is not None:
+                out.append(SummaryToken(KIND_SPECIAL, number))
+            elif item in target_vocab:
+                out.append(SummaryToken(KIND_WORD, item))
             else:
                 out.append(SummaryToken(KIND_SPECIAL, RARE))
+            continue
+        uri, surface = item.uri, item.surface
+        if uri == s.main_entity:
+            out.append(SummaryToken(KIND_SPECIAL, ITEM, uri, surface))
+            continue
+        kept = _entity_token(item, config.mode)
+        if kept.text in target_vocab:
+            out.append(kept)
+            continue
+        for t in triples:
+            if t.subject == uri or t.object == uri:
+                slot = "subj" if t.subject == uri else "obj"
+                out.append(SummaryToken(KIND_PLACEHOLDER, format_placeholder(
+                    t.predicate, slot, types.get(uri, UNK)), uri, surface))
+                break
+        else:
+            out.append(SummaryToken(KIND_INSTANCE_TYPE, types[uri], uri, surface)
+                       if uri in types else SummaryToken(KIND_SPECIAL, UNK, uri, surface))
     return out
 
 
@@ -541,17 +544,6 @@ def attach_types(triples: Sequence[Triple], types: Mapping[str, str]) -> list[Tr
         if st or ot:
             t = Triple(t.subject, t.predicate, t.object, t.object_kind, st, ot)
         out.append(t)
-    return out
-
-
-def _reference_tokens(s: AnnotatedSummary, year_min: int, year_max: int) -> list[str]:
-    out = []
-    for sent in s.sentences:
-        for word in sent:
-            if word != ZERO and word != YEAR and _looks_number(word):
-                out.append(normalize_numeric(word, year_min, year_max))
-            else:
-                out.append(word)
     return out
 
 
@@ -612,43 +604,30 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
             continue
         bounded.append((summary, kept))
 
-    # provisional frequency pass decides which tokens count as rare
+    # provisional frequency pass decides which tokens count as rare; the
+    # number rule is asked once per distinct plain word
     counts: Counter[str] = Counter()
+    words: Counter[str] = Counter()
     surface_counts: dict[str, Counter] = {}
     for summary, _ in bounded:
-        per_sentence = _ordered_annotations(summary)
-        for si, sent in enumerate(summary.sentences):
-            pos = 0
-            anns = per_sentence.get(si, [])
-            ai = 0
-            while pos < len(sent):
-                if ai < len(anns) and anns[ai].start == pos:
-                    a = anns[ai]
-                    ai += 1
-                    pos = a.end
-                    surface_counts.setdefault(a.uri, Counter())[a.surface] += 1
-                    if a.uri == summary.main_entity:
-                        continue
-                    key = (a.uri if config.mode == MODE_URI
-                           else tuple_token_text(a.uri, a.surface))
-                    counts[key] += 1
-                    continue
-                word = sent[pos]
-                pos += 1
-                if word in SPECIAL_TOKENS or _looks_number(word):
-                    continue
-                counts[word] += 1
-    ranked = [(t, c) for t, c in counts.items() if c >= config.target_vocab_min_count]
-    ranked.sort(key=lambda tc: (-tc[1], tc[0]))
-    in_vocab = frozenset(t for t, _ in ranked[:config.target_vocab_size])
+        for item in _walk(summary):
+            if type(item) is str:
+                words[item] += 1
+                continue
+            surface_counts.setdefault(item.uri, Counter())[item.surface] += 1
+            if item.uri != summary.main_entity:
+                counts[_entity_token(item, config.mode).text] += 1
+    for word, n in words.items():
+        if word not in SPECIAL_TOKENS and _number_token(word, config) is None:
+            counts[word] += n
+    in_vocab = frozenset(most_frequent(counts.items(), config.target_vocab_size,
+                                       config.target_vocab_min_count))
 
     examples: list[AlignedExample] = []
     entity_tokens: set[str] = set()
     predicate_tokens: set[str] = set()
     for summary, triples in bounded:
-        toks = assign_placeholders(summary, triples, types, in_vocab,
-                                   mode=config.mode,
-                                   year_min=config.year_min, year_max=config.year_max)
+        toks = assign_placeholders(summary, triples, types, in_vocab, config)
         toks = ([SummaryToken(KIND_SPECIAL, START)] + toks
                 + [SummaryToken(KIND_SPECIAL, END)])
         toks[:] = map(share, toks, toks)
@@ -656,7 +635,8 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
             main_entity=summary.main_entity,
             triples=triples,
             summary_tokens=toks,
-            reference_tokens=_reference_tokens(summary, config.year_min, config.year_max),
+            reference_tokens=[_number_token(word, config) or word
+                              for sent in summary.sentences for word in sent],
             mode=config.mode,
         ))
         for t in triples:

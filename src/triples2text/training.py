@@ -118,7 +118,7 @@ def validation_perplexity(model: Seq2Seq, valid: Sequence[EncodedExample],
                           max_timestep: int | None = None) -> float:
     nll, count = model.corpus_nll(valid, max_timestep=max_timestep)
     if count == 0:
-        raise ValueError("validation corpus has no scoreable tokens")
+        raise ValueError("corpus has no scoreable tokens")
     return math.exp(nll / count)
 
 

@@ -167,6 +167,14 @@ class Vocabulary:
         return v
 
 
+def most_frequent(pairs: Iterable[tuple[str, int]], size: int, min_count: int) -> list[str]:
+    """The tokens of ``(token, count)`` pairs counted at least ``min_count``
+    times, most frequent first with count ties broken lexicographically,
+    cut after the first ``size``."""
+    ranked = sorted((tc for tc in pairs if tc[1] >= min_count), key=lambda tc: (-tc[1], tc[0]))
+    return [t for t, _ in ranked[:size]]
+
+
 def build_target_vocab(corpus: Iterable, max_size: int, min_count: int = 1) -> Vocabulary:
     """Target dictionary over a rewritten corpus.
 
@@ -189,10 +197,8 @@ def build_target_vocab(corpus: Iterable, max_size: int, min_count: int = 1) -> V
                 counts[tok.text] += 1
             else:
                 counts[tok.text] += 1
-    base_pool = [(t, c) for t, c in counts.items()
-                 if t not in structural and c >= min_count]
-    base_pool.sort(key=lambda tc: (-tc[1], tc[0]))
-    members = {t for t, _ in base_pool[:max_size]} | structural
+    members = structural.union(most_frequent(
+        ((t, c) for t, c in counts.items() if t not in structural), max_size, min_count))
     v = Vocabulary._with_specials("target")
     for tok in special_counts:
         if tok in v.frequencies:

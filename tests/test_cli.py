@@ -231,6 +231,16 @@ def numeric_flag_command(command, missing):
     ("train", "--valid-fraction", "0"),
     ("train", "--valid-fraction", "1"),
     ("train", "--valid-fraction", "nan"),
+    ("train", "--e-max", "0"),
+    ("train", "--epochs", "0"),
+    ("train", "--epochs", "-1"),
+    ("train", "--lr", "0"),
+    ("train", "--lr", "-1"),
+    ("train", "--lr", "nan"),
+    ("train", "--patience", "-1"),
+    ("train", "--decay-factor", "0"),
+    ("train", "--decay-factor", "1"),
+    ("train", "--decay-factor", "nan"),
     ("demo-corpus", "--size", "3"),
     ("gradcheck", "--m", "0"),
     ("gradcheck", "--batch", "1"),
@@ -242,6 +252,22 @@ def test_numeric_flag_out_of_range_is_usage_error(tmp_path, command, flag, value
     # refused before any file is read: the missing inputs would exit 2
     missing = str(tmp_path / "missing")
     assert run([*numeric_flag_command(command, missing), f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not os.path.exists(missing)
+
+
+@pytest.mark.parametrize("key, value, flag", [
+    ("epochs", "0", "--epochs"),
+    ("learning_rate", "-1", "--lr"),
+    ("patience", "-1", "--patience"),
+    ("decay_factor", "1.5", "--decay-factor"),
+])
+def test_train_config_value_out_of_range_is_usage_error(tmp_path, key, value, flag, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    missing = str(tmp_path / "missing")
+    assert run([*numeric_flag_command("train", missing), "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not os.path.exists(missing)

@@ -170,3 +170,38 @@ def test_only_the_training_log_is_opened_for_writing_outside_fileio():
     assert list(found) == ["training.py"] and len(found["training.py"]) == 1, found
     source = (PACKAGE / "training.py").read_text(encoding="utf-8").splitlines()
     assert "log_path" in source[found["training.py"][0] - 1]
+
+
+# Each defaulted parameter or defaulted dataclass field of the package is
+# a value a caller may set. The count may fall; raising it means raising
+# this ceiling on purpose.
+SETTABLE_VALUES_CEILING = 99
+
+
+def settable_values(source: str) -> int:
+    """Defaulted parameters of every function, plus fields with a default
+    of every ``@dataclass`` class (named tuples are not counted)."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0].rsplit(".")[-1] == "dataclass"
+                for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+    return count
+
+
+def test_checker_counts_defaulted_parameters_and_dataclass_fields():
+    source = ("def f(a, b=1, *, c, d=2): pass\ng = lambda x=0: x\n"
+              "@dataclass\nclass C:\n    x: int\n    y: int = 0\n    z = 1\n"
+              "@dataclasses.dataclass(frozen=True)\nclass D:\n    y: int = 0\n"
+              "class N(NamedTuple):\n    y: int = 0\n")
+    assert settable_values(source) == 5
+
+
+def test_settable_values_stay_under_the_ceiling():
+    count = sum(settable_values(p.read_text(encoding="utf-8")) for p in MODULES)
+    assert count <= SETTABLE_VALUES_CEILING, (
+        f"{count} defaulted parameters and dataclass fields, ceiling {SETTABLE_VALUES_CEILING}")

@@ -60,10 +60,13 @@ def test_first_character_filter_agrees_with_the_regexes_on_every_code_point():
         found = map(pl.classify_literal, make_tokens(), repeat(None))
         return {t: k for t, k in zip(make_tokens(), found) if k != pl.OTHER_LITERAL}
 
-    assert kept(pl._looks_number, lambda: everything) == digits
+    def number(token):
+        return pl._number_token(token, PipelineConfig()) is not None
+
+    assert kept(number, lambda: everything) == digits
     assert kinds(lambda: everything) == dict.fromkeys(digits, pl.NUMBER)
     for sign in "+-":
-        assert kept(pl._looks_number, lambda: map(sign.__add__, everything)) == {
+        assert kept(number, lambda: map(sign.__add__, everything)) == {
             sign + d for d in digits}
     # a date exactly when the first character is a \d digit
     assert kinds(lambda: (c + "-01-01" for c in everything)) == {
@@ -123,7 +126,7 @@ def test_date_encoding_rejects_malformed():
     ("3.14", tk.ZERO),
 ])
 def test_normalize_numeric(token, expected):
-    assert pl.normalize_numeric(token) == expected
+    assert pl.normalize_numeric(token, 1000, 2100) == expected
 
 
 # -- <item> substitution -----------------------------------------------------
@@ -208,6 +211,7 @@ def test_truncate_empty_summary_raises():
 # -- placeholder assignment ----------------------------------------------------
 
 
+CFG = PipelineConfig()
 BOOK_TYPES = {"dbr:The_Adventures_of_Roderick_Random": "dbo:Book",
               "dbr:Morpeth,_Northumberland": "dbo:Settlement"}
 
@@ -218,7 +222,7 @@ def test_placeholder_for_rare_subject_match():
                  Annotation(0, 2, 4, "dbr:The_Adventures_of_Roderick_Random",
                             "Roderick Random")])
     triples = [T("dbr:The_Adventures_of_Roderick_Random", "dbo:author", tk.ITEM)]
-    toks = pl.assign_placeholders(s, triples, BOOK_TYPES, {"He", "wrote", "."})
+    toks = pl.assign_placeholders(s, triples, BOOK_TYPES, {"He", "wrote", "."}, CFG)
     assert toks[2].text == "dbo:author__subj__dbo:Book"
     assert toks[2].kind == "placeholder"
 
@@ -228,7 +232,7 @@ def test_placeholder_for_rare_object_match():
                 [Annotation(0, 0, 1, "dbr:Main", "born"),
                  Annotation(0, 2, 3, "dbr:Morpeth,_Northumberland", "Morpeth")])
     triples = [T(tk.ITEM, "dbo:birthPlace", "dbr:Morpeth,_Northumberland")]
-    toks = pl.assign_placeholders(s, triples, BOOK_TYPES, {"born", "in", "."})
+    toks = pl.assign_placeholders(s, triples, BOOK_TYPES, {"born", "in", "."}, CFG)
     assert toks[2].text == "dbo:birthPlace__obj__dbo:Settlement"
 
 
@@ -237,7 +241,7 @@ def test_placeholder_untyped_matched_entity_gets_unk_type():
                 [Annotation(0, 0, 1, "dbr:Main", "from"),
                  Annotation(0, 1, 2, "dbr:Nowhere", "Nowhere")])
     triples = [T(tk.ITEM, "dbo:birthPlace", "dbr:Nowhere")]
-    toks = pl.assign_placeholders(s, triples, {}, {"from"})
+    toks = pl.assign_placeholders(s, triples, {}, {"from"}, CFG)
     assert toks[1].text == f"dbo:birthPlace__obj__{tk.UNK}"
 
 
@@ -247,7 +251,7 @@ def test_unmatched_rare_entity_uses_instance_type_then_unk():
                  Annotation(0, 1, 2, "dbr:Thing", "Thing"),
                  Annotation(0, 3, 4, "dbr:Other", "Other")])
     toks = pl.assign_placeholders(s, [], {"dbr:Thing": "dbo:Artifact"},
-                                  {"saw", "and"})
+                                  {"saw", "and"}, CFG)
     assert toks[1].kind == "instance_type" and toks[1].text == "dbo:Artifact"
     assert toks[3].kind == "special" and toks[3].text == tk.UNK
 
@@ -257,7 +261,7 @@ def test_first_matching_triple_wins_subject_before_object():
     s.annotations.append(Annotation(0, 0, 1, "dbr:M", "X"))  # keep main present
     triples = [T(tk.ITEM, "dbo:follows", "dbr:E"),
                T("dbr:E", "dbo:precedes", tk.ITEM)]
-    toks = pl.assign_placeholders(s, triples, {}, set())
+    toks = pl.assign_placeholders(s, triples, {}, set(), CFG)
     assert toks[0].text == f"dbo:follows__obj__{tk.UNK}"
 
 
@@ -265,7 +269,7 @@ def test_in_vocab_entities_pass_through_and_numbers_normalise():
     s = summary([["Famous", "met", "17", "people", "in", "1993"]],
                 [Annotation(0, 0, 1, "dbr:Main", "Famous"),
                  Annotation(0, 3, 4, "dbr:People", "people")])
-    toks = pl.assign_placeholders(s, [], {}, {"met", "in", "dbr:People"})
+    toks = pl.assign_placeholders(s, [], {}, {"met", "in", "dbr:People"}, CFG)
     texts = [t.text for t in toks]
     assert texts == [tk.ITEM, "met", tk.ZERO, "dbr:People", "in", tk.YEAR]
     assert toks[3].kind == "entity_uri"
@@ -274,11 +278,22 @@ def test_in_vocab_entities_pass_through_and_numbers_normalise():
 def test_out_of_vocab_word_becomes_rare():
     s = summary([["colourless", "ideas"]],
                 [Annotation(0, 0, 1, "dbr:Main", "colourless")])
-    toks = pl.assign_placeholders(s, [], {}, {"ideas"})
+    toks = pl.assign_placeholders(s, [], {}, {"ideas"}, CFG)
     assert toks[0].text == tk.ITEM and toks[1].text == "ideas"
     s2 = summary([["zz", "ideas"]], [Annotation(0, 1, 2, "dbr:Main", "ideas")])
-    toks2 = pl.assign_placeholders(s2, [], {}, set())
+    toks2 = pl.assign_placeholders(s2, [], {}, set(), CFG)
     assert toks2[0].text == tk.RARE
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["given", "reversed"])
+def test_overlapping_annotations_shorter_first_touching_kept_crossing_dropped(order):
+    spans = [(0, 3, "X"), (0, 1, "main"), (1, 2, "Y"), (3, 4, "Z"), (3, 5, "W")]
+    s = summary([["a", "b", "c", "d", "e", "f"]],
+                [Annotation(0, lo, hi, uri, uri) for lo, hi, uri in spans[::order]],
+                main="main")
+    toks = pl.assign_placeholders(s, [], {}, {"b", "c", "e", "f", "Z"}, CFG)
+    assert [t.text for t in toks] == [tk.ITEM, tk.UNK, "c", "Z", "e", "f"]
+    assert [t.uri for t in toks] == ["main", "Y", None, "Z", None, None]
 
 
 # -- surface tuples ------------------------------------------------------------
@@ -291,7 +306,8 @@ def test_tuple_mode_turns_in_vocab_entities_only_into_tuples():
                  Annotation(0, 3, 4, "dbr:Rare", "Rare")])
     triples = [T(tk.ITEM, "dbo:origin", "dbr:Rare")]
     vocab = {"(dbr:United_States, American)", "band", "dbr:Rare"}
-    out = pl.assign_placeholders(s, triples, {}, vocab, mode=pl.MODE_TUPLES)
+    out = pl.assign_placeholders(s, triples, {}, vocab,
+                                 PipelineConfig(mode=pl.MODE_TUPLES))
     assert out[0] == SummaryToken("surface_tuple", "(dbr:United_States, American)",
                                   uri="dbr:United_States", surface="American")
     assert out[1] == SummaryToken("word", "band")
