@@ -17,25 +17,33 @@ failure (non-finite loss, corrupt checkpoint). A ``key = value`` config
 file (``--config`` or the TRIPLES2TEXT_CONFIG environment variable)
 supplies defaults; explicit flags win. Relative paths in the config file
 resolve against the config file's directory.
+A config value goes through its flag's check, so a value that does not
+parse or is out of range is a usage error naming the flag, whichever
+source gave it, refused before any input file is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
+import math
 import os
 import sys
 import time
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import evaluation, generation, nn, pipeline, training
 from .decoder import CELL_KINDS, GRU
 from .demo import MIN_SIZE, demo_corpus
+from .evaluation import KN_ORDER
 from .fileio import atomic_open
+from .generation import BEAM_WIDTH, T_MAX
 from .model import CheckpointMismatchError, ModelConfig, Seq2Seq
-from .pipeline import MODE_TUPLES, MODE_URI, PipelineConfig, PipelineError
+from .pipeline import MODES, PipelineConfig, PipelineError
 from .tokens import SPECIAL_TOKENS
 from .training import TrainConfig, TrainingDivergedError
 from .vocab import SOURCE_MIN_COUNT, Vocabulary, build_source_vocab, build_target_vocab
@@ -78,12 +86,76 @@ def cfg_path(cfg: dict[str, str], key: str) -> str | None:
     return value if os.path.isabs(value) else os.path.join(cfg.get("_base", "."), value)
 
 
-def _pick(flag, cfg: dict[str, str], key: str, cast, default=None):
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], expected: str):
+    """``check(name, text)``: the value ``text`` parses to, or a UsageError
+    naming ``name`` when it does not parse or ``ok`` refuses it (NaN fails
+    every comparison). argparse lets a UsageError from a ``type`` through."""
+    def check(name: str, text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise UsageError(f"{name} must be {expected}, got {text!r}")
+    return check
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer of at least {low}")
+
+
+def _one_of(choices: tuple[str, ...]):
+    check = _checked(str, lambda v: v in choices, f"one of {', '.join(choices)}")
+    check.metavar = "{" + ",".join(choices) + "}"  # for --help, as argparse shows choices
+    return check
+
+
+_POSITIVE_INT = _at_least(1)
+_NON_NEGATIVE_INT = _at_least(0)
+_BATCH = _at_least(2)  # batch normalisation needs two rows
+_INTEGER = _checked(int, lambda v: True, "an integer")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+
+# (flag, config key and PipelineConfig field, check) of the settings that
+# build-corpus takes as flags and generate reads from the config file alone,
+# so that generate rewrites a raw triple set as the training corpus was.
+_PIPELINE_SETTINGS = (
+    ("--target-vocab-size", "target_vocab_size", _POSITIVE_INT),
+    ("--target-vocab-min-count", "target_vocab_min_count", _POSITIVE_INT),
+    ("--year-min", "year_min", _INTEGER),
+    ("--year-max", "year_max", _INTEGER),
+)
+
+
+class _FromConfig(NamedTuple):
+    """The parsed value of a setting whose flag was not given, until
+    ``_resolve`` replaces it by the config value for ``key`` or ``default``."""
+    flag: str
+    key: str
+    check: Callable[[str, str], Any]
+    default: Any
+
+
+def _setting(parser, flag: str, check, default=None, key: str | None = None) -> None:
+    """Declare one setting: ``flag`` with its ``check``, the config ``key``
+    read where the flag is not given, if any, and the ``default``."""
+    parser.add_argument(flag, type=functools.partial(check, flag),
+                        default=default if key is None else _FromConfig(flag, key, check, default),
+                        metavar=getattr(check, "metavar", None))
+
+
+def _resolve(args, cfg: dict[str, str]) -> None:
+    """Settle each setting whose flag was not given from the config file,
+    through the flag's check, or its default; then check the year range."""
+    for dest, value in vars(args).items():
+        if isinstance(value, _FromConfig):
+            setattr(args, dest, value.check(f"{value.flag} (config {value.key})", cfg[value.key])
+                    if value.key in cfg else value.default)
+    if "year_min" in args and args.year_min > args.year_max:
+        raise UsageError(f"--year-min must not exceed --year-max, "
+                         f"got {args.year_min} > {args.year_max}")
 
 
 def build_parser() -> _Parser:
@@ -99,61 +171,68 @@ def build_parser() -> _Parser:
     p.add_argument("--verbose", action="store_true", default=False,
                    help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    seeded = argparse.ArgumentParser(add_help=False)
+    _setting(seeded, "--seed", _NON_NEGATIVE_INT, 0)
+    search = argparse.ArgumentParser(add_help=False)
+    _setting(search, "--beam", _POSITIVE_INT, BEAM_WIDTH)
+    _setting(search, "--t-max", _POSITIVE_INT, T_MAX)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[shared], **kw)
+    def add_parser(name, *parents, **kw):
+        return sub.add_parser(name, parents=[shared, *parents], **kw)
 
-    d = add_parser("demo-corpus", help="write a synthetic corpus")
+    d = add_parser("demo-corpus", seeded, help="write a synthetic corpus")
     d.add_argument("--out-dir", required=True)
-    d.add_argument("--size", type=int, default=200)
-    d.add_argument("--seed", type=int, default=0)
+    _setting(d, "--size", _at_least(MIN_SIZE), 200)
 
     b = add_parser("build-corpus", help="build the aligned corpus")
     b.add_argument("--triples")
     b.add_argument("--summaries")
     b.add_argument("--types")
     b.add_argument("--genders")
-    b.add_argument("--mode", choices=[MODE_URI, MODE_TUPLES])
+    _setting(b, "--mode", _one_of(MODES), PipelineConfig.mode, "mode")
     b.add_argument("--out", required=True)
     b.add_argument("--stats-out")
     b.add_argument("--lexicon-out")
-    b.add_argument("--target-vocab-size", type=int)
-    b.add_argument("--target-vocab-min-count", type=int)
-    b.add_argument("--year-min", type=int)
-    b.add_argument("--year-max", type=int)
+    for flag, key, check in _PIPELINE_SETTINGS:
+        _setting(b, flag, check, getattr(PipelineConfig, key), key)
 
     v = add_parser("build-vocab", help="build source/target dictionaries")
     v.add_argument("--corpus", required=True)
     v.add_argument("--target-out", required=True)
     v.add_argument("--source-out", required=True)
-    v.add_argument("--target-max-size", type=int)
-    v.add_argument("--target-min-count", type=int)
-    v.add_argument("--source-min-count", type=int)
+    _setting(v, "--target-max-size", _POSITIVE_INT, PipelineConfig.target_vocab_size,
+             "target_vocab_size")
+    _setting(v, "--target-min-count", _POSITIVE_INT, PipelineConfig.target_vocab_min_count,
+             "target_vocab_min_count")
+    _setting(v, "--source-min-count", _POSITIVE_INT, SOURCE_MIN_COUNT, "source_min_count")
 
     t = add_parser("train", help="train a model")
     t.add_argument("--corpus", required=True)
     t.add_argument("--valid")
-    t.add_argument("--valid-fraction", type=float)
+    _setting(t, "--valid-fraction", _FRACTION)
     t.add_argument("--source-vocab", required=True)
     t.add_argument("--target-vocab", required=True)
     t.add_argument("--stats", help="corpus stats JSON (for e_max and bounds)")
     t.add_argument("--out-dir", required=True)
-    t.add_argument("--cell", choices=list(CELL_KINDS))
-    t.add_argument("--m", type=int)
-    t.add_argument("--batch-size", type=int)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--decay-factor", type=float)
-    t.add_argument("--decay-start", type=int)
-    t.add_argument("--patience", type=int)
+    _setting(t, "--cell", _one_of(CELL_KINDS), TrainConfig.cell_kind, "cell")
+    _setting(t, "--m", _POSITIVE_INT, TrainConfig.m, "m")
+    _setting(t, "--batch-size", _BATCH, TrainConfig.batch_size, "batch_size")
+    _setting(t, "--epochs", _POSITIVE_INT, TrainConfig.epochs, "epochs")
+    _setting(t, "--lr", _POSITIVE, TrainConfig.learning_rate, "learning_rate")
+    _setting(t, "--decay-factor", _FRACTION, TrainConfig.decay_factor, "decay_factor")
+    _setting(t, "--decay-start", _NON_NEGATIVE_INT, TrainConfig.decay_start_epoch,
+             "decay_start_epoch")
+    _setting(t, "--patience", _NON_NEGATIVE_INT, TrainConfig.patience, "patience")
     t.add_argument("--no-early-stop", action="store_true")
-    t.add_argument("--l2", type=float)
-    t.add_argument("--clip-norm", type=float)
-    t.add_argument("--max-timestep", type=int)
-    t.add_argument("--e-max", type=int)
-    t.add_argument("--seed", type=int)
+    _setting(t, "--l2", _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+             TrainConfig.l2, "l2")
+    _setting(t, "--clip-norm", _checked(float, lambda v: v == v, "a number, not NaN"),
+             TrainConfig.clip_norm, "clip_norm")
+    _setting(t, "--max-timestep", _POSITIVE_INT, TrainConfig.max_timestep, "max_timestep")
+    _setting(t, "--e-max", _POSITIVE_INT)
+    _setting(t, "--seed", _NON_NEGATIVE_INT, TrainConfig.seed, "seed")
 
-    g = add_parser("generate", help="generate summaries")
+    g = add_parser("generate", search, help="generate summaries")
     g.add_argument("--checkpoint", required=True)
     g.add_argument("--source-vocab", required=True)
     g.add_argument("--target-vocab", required=True)
@@ -161,35 +240,30 @@ def build_parser() -> _Parser:
     g.add_argument("--genders", help="gender lexicon applied to raw --triples input "
                    "(default: the config file's genders)")
     g.add_argument("--from-corpus", help="aligned corpus whose triple sets to use")
-    g.add_argument("--limit", type=int)
+    _setting(g, "--limit", _POSITIVE_INT)
     g.add_argument("--triples", help="N-Triples file for a single input")
     g.add_argument("--main", help="main entity URI for --triples input")
     g.add_argument("--item-surface")
-    g.add_argument("--beam", type=int, default=10)
-    g.add_argument("--t-max", type=int, default=80)
     g.add_argument("--out")
+    g.set_defaults(**{key: _FromConfig(flag, key, check, getattr(PipelineConfig, key))
+                      for flag, key, check in _PIPELINE_SETTINGS})
 
-    e = add_parser("evaluate", help="score a model on an aligned corpus")
+    e = add_parser("evaluate", search, help="score a model on an aligned corpus")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--source-vocab", required=True)
     e.add_argument("--target-vocab", required=True)
     e.add_argument("--corpus", required=True)
     e.add_argument("--lexicon")
-    e.add_argument("--beam", type=int, default=10)
-    e.add_argument("--t-max", type=int, default=80)
     e.add_argument("--out", help="JSON report path")
     e.add_argument("--curve-csv", help="BLEU-4 by triple count CSV path")
 
-    s = add_parser("baseline", help="score a baseline on an aligned corpus")
+    s = add_parser("baseline", seeded, search, help="score a baseline on an aligned corpus")
     s.add_argument("--kind", choices=["random", "kn"], required=True)
     s.add_argument("--train-corpus", required=True)
     s.add_argument("--eval-corpus", required=True)
     s.add_argument("--lexicon")
-    s.add_argument("--samples", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--order", type=int, default=5)
-    s.add_argument("--beam", type=int, default=10)
-    s.add_argument("--t-max", type=int, default=80)
+    _setting(s, "--samples", _POSITIVE_INT, 10)
+    _setting(s, "--order", _POSITIVE_INT, KN_ORDER)
     s.add_argument("--out")
 
     n = add_parser("neighbors", help="nearest entity embeddings")
@@ -197,17 +271,17 @@ def build_parser() -> _Parser:
     n.add_argument("--source-vocab", required=True)
     n.add_argument("--target-vocab", required=True)
     n.add_argument("--token", required=True)
-    n.add_argument("--k", type=int, default=5)
+    _setting(n, "--k", _POSITIVE_INT, 5)
 
-    c = add_parser("gradcheck", help="finite-difference gradient check")
-    c.add_argument("--cell", choices=list(CELL_KINDS), default=GRU)
-    c.add_argument("--m", type=int, default=6)
-    c.add_argument("--source-size", type=int, default=12)
-    c.add_argument("--target-size", type=int, default=14)
-    c.add_argument("--e-max", type=int, default=3)
-    c.add_argument("--batch", type=int, default=4)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--tolerance", type=float, default=1e-4)
+    vocab_size = _at_least(len(SPECIAL_TOKENS))
+    c = add_parser("gradcheck", seeded, help="finite-difference gradient check")
+    _setting(c, "--cell", _one_of(CELL_KINDS), GRU)
+    _setting(c, "--m", _POSITIVE_INT, 6)
+    _setting(c, "--source-size", vocab_size, 12)
+    _setting(c, "--target-size", vocab_size, 14)
+    _setting(c, "--e-max", _POSITIVE_INT, 3)
+    _setting(c, "--batch", _BATCH, 4)
+    _setting(c, "--tolerance", _POSITIVE, 1e-4)
     return p
 
 
@@ -222,7 +296,6 @@ def _require(value, flag: str):
 
 
 def cmd_demo_corpus(args, cfg):
-    _at_least("--size", args.size, MIN_SIZE)
     paths = demo_corpus(args.seed, args.size, args.out_dir)
     for key, path in paths.items():
         logger.info("wrote %s: %s", key, path)
@@ -232,23 +305,14 @@ def cmd_demo_corpus(args, cfg):
 
 def _pipeline_config(args, cfg, mode: str) -> PipelineConfig:
     """The pipeline settings of build-corpus and of generate --triples, so
-    that a raw triple set is rewritten as the training corpus was. Each
-    value comes from its flag (where the command has one), then the
-    config file, then the default."""
-    def pick(key: str, cast):
-        return _pick(getattr(args, key, None), cfg, key, cast, getattr(PipelineConfig, key))
-
+    that a raw triple set is rewritten as the training corpus was."""
     genders_path = args.genders or cfg_path(cfg, "genders")
     if genders_path and not os.path.exists(genders_path):
         raise PipelineError(f"input not found: {genders_path}")
     return PipelineConfig(
         mode=mode,
-        target_vocab_size=pick("target_vocab_size", int),
-        target_vocab_min_count=pick("target_vocab_min_count", int),
-        year_min=pick("year_min", int),
-        year_max=pick("year_max", int),
         gender_lexicon=pipeline.read_tsv_map(genders_path) if genders_path else None,
-    )
+        **{key: getattr(args, key) for _, key, _ in _PIPELINE_SETTINGS})
 
 
 def cmd_build_corpus(args, cfg):
@@ -258,7 +322,7 @@ def cmd_build_corpus(args, cfg):
     for path in (triples, summaries, types_path):
         if path and not os.path.exists(path):
             raise PipelineError(f"input not found: {path}")
-    pcfg = _pipeline_config(args, cfg, _pick(args.mode, cfg, "mode", str, PipelineConfig.mode))
+    pcfg = _pipeline_config(args, cfg, args.mode)
     types = pipeline.read_tsv_map(types_path) if types_path else {}
     articles = pipeline.read_articles(triples, summaries)
     examples, stats, lexicon = pipeline.build_corpus(articles, types, pcfg)
@@ -274,15 +338,9 @@ def cmd_build_corpus(args, cfg):
 
 def cmd_build_vocab(args, cfg):
     examples = pipeline.read_corpus(args.corpus)
-    target = build_target_vocab(
-        examples,
-        max_size=_pick(args.target_max_size, cfg, "target_vocab_size", int,
-                       PipelineConfig.target_vocab_size),
-        min_count=_pick(args.target_min_count, cfg, "target_vocab_min_count", int,
-                        PipelineConfig.target_vocab_min_count))
-    source = build_source_vocab(
-        examples, min_count=_pick(args.source_min_count, cfg, "source_min_count", int,
-                                  SOURCE_MIN_COUNT))
+    target = build_target_vocab(examples, max_size=args.target_max_size,
+                                min_count=args.target_min_count)
+    source = build_source_vocab(examples, min_count=args.source_min_count)
     target.save(args.target_out)
     source.save(args.source_out)
     logger.info("target vocabulary: %d tokens; source: %d tokens",
@@ -294,38 +352,7 @@ def _load_vocabs(args) -> tuple[Vocabulary, Vocabulary]:
     return Vocabulary.load(args.source_vocab), Vocabulary.load(args.target_vocab)
 
 
-def _at_least(flag: str, value: int | None, low: int) -> None:
-    """Refuse a numeric argument below its lower bound, before any file is read."""
-    if value is not None and value < low:
-        raise UsageError(f"{flag} must be at least {low}, got {value}")
-
-
-def _check_search(args) -> None:
-    _at_least("--beam", args.beam, 1)
-    _at_least("--t-max", args.t_max, 1)
-
-
 def cmd_train(args, cfg):
-    max_timestep = _pick(args.max_timestep, cfg, "max_timestep", int, TrainConfig.max_timestep)
-    batch_size = _pick(args.batch_size, cfg, "batch_size", int, TrainConfig.batch_size)
-    m = _pick(args.m, cfg, "m", int, TrainConfig.m)
-    epochs = _pick(args.epochs, cfg, "epochs", int, TrainConfig.epochs)
-    learning_rate = _pick(args.lr, cfg, "learning_rate", float, TrainConfig.learning_rate)
-    decay_factor = _pick(args.decay_factor, cfg, "decay_factor", float, TrainConfig.decay_factor)
-    patience = (None if args.no_early_stop
-                else _pick(args.patience, cfg, "patience", int, TrainConfig.patience))
-    _at_least("--max-timestep", max_timestep, 1)
-    _at_least("--batch-size", batch_size, 2)  # batch normalisation needs two rows
-    _at_least("--m", m, 1)
-    _at_least("--e-max", args.e_max, 1)
-    _at_least("--epochs", epochs, 1)
-    _at_least("--patience", patience, 0)
-    if not learning_rate > 0:
-        raise UsageError(f"--lr must be positive, got {learning_rate}")
-    for flag, value in (("--decay-factor", decay_factor),
-                        ("--valid-fraction", args.valid_fraction)):
-        if value is not None and not 0.0 < value < 1.0:  # NaN included
-            raise UsageError(f"{flag} must lie in (0, 1), got {value}")
     examples = pipeline.read_corpus(args.corpus)
     source_vocab, target_vocab = _load_vocabs(args)
     if args.valid:
@@ -345,28 +372,15 @@ def cmd_train(args, cfg):
         bound_lower, bound_upper = stats.lower_bound(), stats.upper_bound()
     if e_max is None:
         e_max = max((len(ex.triples) for ex in examples), default=1)
-    clip_norm = _pick(args.clip_norm, cfg, "clip_norm", float, TrainConfig.clip_norm)
-    if clip_norm is not None and clip_norm <= 0:
-        clip_norm = None  # zero or negative disables clipping
     tcfg = TrainConfig(
-        batch_size=batch_size,
-        max_timestep=max_timestep,
-        learning_rate=learning_rate,
-        decay_factor=decay_factor,
-        decay_start_epoch=_pick(args.decay_start, cfg, "decay_start_epoch", int,
-                                TrainConfig.decay_start_epoch),
-        epochs=epochs,
-        seed=_pick(args.seed, cfg, "seed", int, TrainConfig.seed),
-        cell_kind=_pick(args.cell, cfg, "cell", str, TrainConfig.cell_kind),
-        m=m,
-        e_max=e_max,
-        l2=_pick(args.l2, cfg, "l2", float, TrainConfig.l2),
-        clip_norm=clip_norm,
-        patience=patience,
+        cell_kind=args.cell, m=args.m, e_max=e_max,
         mode=examples[0].mode if examples else TrainConfig.mode,
-        bound_lower=bound_lower,
-        bound_upper=bound_upper,
-    )
+        bound_lower=bound_lower, bound_upper=bound_upper,
+        batch_size=args.batch_size, max_timestep=args.max_timestep, learning_rate=args.lr,
+        decay_factor=args.decay_factor, decay_start_epoch=args.decay_start,
+        epochs=args.epochs, seed=args.seed, l2=args.l2,
+        clip_norm=args.clip_norm if args.clip_norm > 0 else None,  # <= 0 turns clipping off
+        patience=None if args.no_early_stop else args.patience)
     _, result = training.train(corpus, valid, tcfg, source_vocab, target_vocab,
                                out_dir=args.out_dir)
     logger.info("trained %d epochs; best validation perplexity %.4f at epoch %d",
@@ -384,16 +398,12 @@ def _load_lexicon(args) -> dict[str, str]:
 
 
 def cmd_generate(args, cfg):
-    _check_search(args)
-    _at_least("--limit", args.limit, 1)
     model = _load_model(args)
     lexicon = _load_lexicon(args)
     results = []
     if args.from_corpus:
         examples = pipeline.read_corpus(args.from_corpus)
-        if args.limit is not None:
-            examples = examples[:args.limit]
-        for i, ex in enumerate(examples):
+        for i, ex in enumerate(examples[:args.limit]):
             item_surface = evaluation.item_surface_for(ex, lexicon)
             results.extend(generation.generate(
                 model, ex.triples, lexicon, item_surface, args.beam, args.t_max,
@@ -419,7 +429,6 @@ def cmd_generate(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
-    _check_search(args)
     model = _load_model(args)
     lexicon = _load_lexicon(args)
     examples = pipeline.read_corpus(args.corpus)
@@ -456,9 +465,6 @@ def cmd_evaluate(args, cfg):
 
 
 def cmd_baseline(args, cfg):
-    _check_search(args)
-    _at_least("--samples", args.samples, 1)
-    _at_least("--order", args.order, 1)
     train_examples = pipeline.read_corpus(args.train_corpus)
     eval_examples = pipeline.read_corpus(args.eval_corpus)
     lexicon = _load_lexicon(args)
@@ -476,7 +482,6 @@ def cmd_baseline(args, cfg):
 
 
 def cmd_neighbors(args, cfg):
-    _at_least("--k", args.k, 1)
     model = _load_model(args)
     for token, similarity in evaluation.nearest_neighbors(model, args.token, args.k):
         print(f"{token}\t{similarity:.6f}")
@@ -485,11 +490,6 @@ def cmd_neighbors(args, cfg):
 
 def cmd_gradcheck(args, cfg):
     from .model import EncodedExample
-    _at_least("--m", args.m, 1)
-    _at_least("--e-max", args.e_max, 1)
-    _at_least("--batch", args.batch, 2)  # batch normalisation needs two rows
-    _at_least("--source-size", args.source_size, len(SPECIAL_TOKENS))
-    _at_least("--target-size", args.target_size, len(SPECIAL_TOKENS))
     rng = np.random.default_rng(args.seed)
     config = ModelConfig(cell_kind=args.cell, m=args.m, e_max=args.e_max)
     source = Vocabulary._with_specials("source")
@@ -548,6 +548,7 @@ def main(argv: list[str] | None = None) -> int:
             logging.getLogger().setLevel(logging.DEBUG)
         config_path = args.config or os.environ.get(CONFIG_ENV)
         cfg = load_config(config_path) if config_path else {}
+        _resolve(args, cfg)
         return _COMMANDS[args.command](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .generation import Scorer, beam_search, postprocess, surface_for
+from .generation import BEAM_WIDTH, T_MAX, Scorer, beam_search, postprocess, surface_for
 from .model import Seq2Seq
 from .pipeline import AlignedExample
 from .tokens import END, START
@@ -273,6 +273,8 @@ def unigram_perplexity(train_examples: Sequence[AlignedExample],
 # ---------------------------------------------------------------------------
 # Kneser-Ney n-gram baseline
 
+KN_ORDER = 5  # the baseline's n-gram order
+
 
 @dataclass
 class KNModel:
@@ -293,7 +295,7 @@ class KNModel:
     _cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def train(cls, summaries: Sequence[Sequence[str]], n: int = 5) -> "KNModel":
+    def train(cls, summaries: Sequence[Sequence[str]], n: int) -> "KNModel":
         if n < 1:
             raise ValueError("order must be >= 1")
         seqs = []
@@ -374,7 +376,7 @@ class KNModel:
         return self._probs(hist, min(len(hist) + 1, self.n))
 
 
-def kn_train(summaries: Sequence[Sequence[str]], n: int = 5) -> KNModel:
+def kn_train(summaries: Sequence[Sequence[str]], n: int) -> KNModel:
     return KNModel.train(summaries, n)
 
 
@@ -408,7 +410,7 @@ class KNScorer(Scorer):
         return np.array([self._state(h) for h in new]), np.stack([self._logp(h) for h in new])
 
 
-def kn_generate(kn: KNModel, beam_width: int = 10, t_max: int = 80) -> list[list[str]]:
+def kn_generate(kn: KNModel, beam_width: int, t_max: int) -> list[list[str]]:
     """Unconditional beam search from <start>; ranked token sequences."""
     if END not in kn.vocab_index:
         raise ValueError("model was trained without <end> tokens")
@@ -416,10 +418,9 @@ def kn_generate(kn: KNModel, beam_width: int = 10, t_max: int = 80) -> list[list
     return [[kn.vocab[i] for i in h.tokens] for h in hyps]
 
 
-def kn_baseline(train_examples: Sequence[AlignedExample],
-                eval_examples: Sequence[AlignedExample],
-                lexicon: Mapping[str, str],
-                n: int = 5, beam_width: int = 10, t_max: int = 80) -> MetricReport:
+def kn_baseline(train_examples: Sequence[AlignedExample], eval_examples: Sequence[AlignedExample],
+                lexicon: Mapping[str, str], n: int = KN_ORDER, beam_width: int = BEAM_WIDTH,
+                t_max: int = T_MAX) -> MetricReport:
     """Generate the beam's best unconditional summary once, then resolve
     it against each input's triples."""
     kn = kn_train([[t.text for t in ex.summary_tokens] for ex in train_examples], n)

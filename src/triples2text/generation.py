@@ -45,6 +45,9 @@ from .tokens import END, ITEM, PAD, START, parse_placeholder, parse_tuple_token
 
 Array = np.ndarray
 
+BEAM_WIDTH = 10  # hypotheses kept per input by default
+T_MAX = 80  # default cap on generated tokens, <end> counted
+
 
 class GenerationInputError(ValueError):
     pass
@@ -54,7 +57,6 @@ class GenerationInputError(ValueError):
 class Hypothesis:
     tokens: list[int]
     log_prob: float
-    complete: bool = False
     forced: bool = False  # hit the length cap without <end>
 
 
@@ -141,7 +143,7 @@ def beam_search(scorer: Scorer, beam_width: int, t_max: int, end_index: int
         ended = new_tokens == end_index
         if ended.any():
             completed.extend(Hypothesis(tokens=tokens[p].tolist() + [end_index],
-                                        log_prob=float(lp), complete=True)
+                                        log_prob=float(lp))
                              for p, lp in zip(parents[ended], log_probs[ended]))
             remaining -= int(ended.sum())
             if remaining <= 0 or ended.all():
@@ -150,8 +152,7 @@ def beam_search(scorer: Scorer, beam_width: int, t_max: int, end_index: int
             parents, new_tokens, log_probs = parents[live], new_tokens[live], log_probs[live]
         tokens = np.concatenate([tokens[parents], new_tokens[:, None]], axis=1)
         if step_no == t_max - 1:
-            completed.extend(Hypothesis(tokens=seq, log_prob=float(lp), complete=True,
-                                        forced=True)
+            completed.extend(Hypothesis(tokens=seq, log_prob=float(lp), forced=True)
                              for seq, lp in zip(tokens.tolist(), log_probs))
             break
         states, dists = scorer.step(states[parents], new_tokens)
@@ -248,7 +249,7 @@ class GenerationResult:
 
 
 def generate(model: Seq2Seq, triples: Sequence[Triple], lexicon: Mapping[str, str],
-             item_surface: str, beam_width: int = 10, t_max: int = 80,
+             item_surface: str, beam_width: int = BEAM_WIDTH, t_max: int = T_MAX,
              input_id: str = "0") -> list[GenerationResult]:
     """Encode one normalised triple set, beam-search, post-process each
     hypothesis. The triple count must respect the corpus bounds the model

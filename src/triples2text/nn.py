@@ -237,15 +237,12 @@ def batch_norm_backward(g: Array, bn: BatchNorm, xhat: Array, inv: Array,
 # optimisation
 
 
-def init_uniform(params: Iterable[Parameter], low: float = -0.001, high: float = 0.001,
-                 seed: int | None = None) -> None:
+def init_uniform(params: Iterable[Parameter], low: float, high: float, seed: int) -> None:
     """Fill every parameter with uniform samples from [low, high).
 
     The generator is seeded once and parameters are filled in iteration
     order, so an identical seed reproduces the initialisation bitwise.
     """
-    if seed is None:
-        raise ValueError("init_uniform requires a seed")
     rng = np.random.default_rng(seed)
     for p in params:
         p.value[...] = rng.uniform(low, high, size=p.value.shape)

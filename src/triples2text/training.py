@@ -17,14 +17,13 @@ import math
 import os
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from . import nn
-from .decoder import LSTM
 from .model import EncodedExample, ModelConfig, Seq2Seq
 from .pipeline import AlignedExample
 from .vocab import Vocabulary
@@ -40,7 +39,8 @@ DECAY_PERIOD = Fraction(1, 2)  # of an epoch, between learning-rate decays
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ModelConfig):
+    """The model's settings (:class:`ModelConfig`) and the optimiser's."""
     batch_size: int = 85
     max_timestep: int = 66
     learning_rate: float = 0.002
@@ -48,15 +48,9 @@ class TrainConfig:
     decay_start_epoch: int = 3
     epochs: int = 12
     seed: int = 0
-    cell_kind: str = LSTM
-    m: int = 650
-    e_max: int = 22
     l2: float = 1e-5
     clip_norm: float | None = 5.0
     patience: int | None = 3  # epochs without validation improvement
-    mode: str = "uri"
-    bound_lower: int = 0
-    bound_upper: int | None = None
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -69,9 +63,7 @@ class TrainConfig:
             raise ValueError("decay_factor must lie in (0, 1)")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(cell_kind=self.cell_kind, m=self.m, e_max=self.e_max,
-                           mode=self.mode, bound_lower=self.bound_lower,
-                           bound_upper=self.bound_upper)
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -219,7 +220,26 @@ def numeric_flag_command(command, missing):
                   "--target-vocab", missing, "--out-dir", missing],
         "demo-corpus": ["demo-corpus", "--out-dir", missing],
         "gradcheck": ["gradcheck"],
+        "build-corpus": ["build-corpus", "--triples", missing, "--summaries", missing,
+                         "--out", missing],
+        "build-vocab": ["build-vocab", "--corpus", missing, "--target-out", missing,
+                        "--source-out", missing],
+        "generate": ["generate", *files, "--triples", missing, "--main", "dbr:X",
+                     "--out", missing],
     }[command]
+
+
+def parser_actions():
+    """(command, action) for every argument of every subcommand."""
+    parser = cli.build_parser()
+    commands, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action) for name, sub in commands.choices.items() for action in sub._actions]
+
+
+def test_no_numeric_flag_has_a_bare_int_or_float_type():
+    bare = [f"{name} {action.option_strings[0]}" for name, action in parser_actions()
+            if action.type in (int, float)]
+    assert not bare, f"unchecked numeric flags: {bare}"
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -241,12 +261,34 @@ def numeric_flag_command(command, missing):
     ("train", "--decay-factor", "0"),
     ("train", "--decay-factor", "1"),
     ("train", "--decay-factor", "nan"),
+    ("train", "--l2", "-1"),
+    ("train", "--l2", "inf"),
+    ("train", "--lr", "inf"),
+    ("train", "--decay-start", "-5"),
+    ("train", "--clip-norm", "nan"),
+    ("train", "--seed", "-1"),
+    ("train", "--epochs", "abc"),
     ("demo-corpus", "--size", "3"),
+    ("demo-corpus", "--seed", "-1"),
+    ("baseline", "--seed", "-1"),
     ("gradcheck", "--m", "0"),
     ("gradcheck", "--batch", "1"),
     ("gradcheck", "--e-max", "0"),
     ("gradcheck", "--source-size", "2"),
     ("gradcheck", "--target-size", "8"),  # one below the nine special tokens
+    ("gradcheck", "--seed", "-1"),
+    ("gradcheck", "--tolerance", "0"),
+    ("gradcheck", "--tolerance", "nan"),
+    ("gradcheck", "--tolerance", "inf"),
+    ("build-corpus", "--target-vocab-size", "-3"),
+    ("build-corpus", "--target-vocab-size", "0"),
+    ("build-corpus", "--target-vocab-min-count", "-5"),
+    ("build-corpus", "--year-min", "3000"),  # above the default --year-max 2100
+    ("build-corpus", "--year-max", "999"),  # below the default --year-min 1000
+    ("build-corpus", "--year-min", "abc"),
+    ("build-vocab", "--target-max-size", "0"),
+    ("build-vocab", "--target-min-count", "-5"),
+    ("build-vocab", "--source-min-count", "0"),
 ])
 def test_numeric_flag_out_of_range_is_usage_error(tmp_path, command, flag, value, capsys):
     # refused before any file is read: the missing inputs would exit 2
@@ -257,20 +299,58 @@ def test_numeric_flag_out_of_range_is_usage_error(tmp_path, command, flag, value
     assert not os.path.exists(missing)
 
 
-@pytest.mark.parametrize("key, value, flag", [
-    ("epochs", "0", "--epochs"),
-    ("learning_rate", "-1", "--lr"),
-    ("patience", "-1", "--patience"),
-    ("decay_factor", "1.5", "--decay-factor"),
-])
-def test_train_config_value_out_of_range_is_usage_error(tmp_path, key, value, flag, capsys):
+# (command, config key, value, flag): every numeric config key of every
+# command, with a value out of range or not parsing, and the two choices
+CONFIG_CASES = [
+    ("train", "epochs", "0", "--epochs"),
+    ("train", "learning_rate", "-1", "--lr"),
+    ("train", "patience", "-1", "--patience"),
+    ("train", "decay_factor", "1.5", "--decay-factor"),
+    ("train", "m", "0", "--m"),
+    ("train", "batch_size", "1", "--batch-size"),
+    ("train", "decay_start_epoch", "-5", "--decay-start"),
+    ("train", "l2", "-1", "--l2"),
+    ("train", "clip_norm", "nan", "--clip-norm"),
+    ("train", "max_timestep", "0", "--max-timestep"),
+    ("train", "seed", "-1", "--seed"),
+    ("train", "cell", "xyz", "--cell"),
+    ("train", "epochs", "abc", "--epochs"),
+    ("build-corpus", "target_vocab_size", "-3", "--target-vocab-size"),
+    ("build-corpus", "target_vocab_min_count", "-5", "--target-vocab-min-count"),
+    ("build-corpus", "year_min", "3000", "--year-min"),
+    ("build-corpus", "year_max", "1.5", "--year-max"),
+    ("build-corpus", "mode", "words", "--mode"),
+    ("build-vocab", "target_vocab_size", "0", "--target-max-size"),
+    ("build-vocab", "target_vocab_min_count", "-5", "--target-min-count"),
+    ("build-vocab", "source_min_count", "0", "--source-min-count"),
+    ("generate", "target_vocab_size", "0", "--target-vocab-size"),
+    ("generate", "target_vocab_min_count", "x", "--target-vocab-min-count"),
+    ("generate", "year_min", "abc", "--year-min"),
+    ("generate", "year_max", "999", "--year-max"),
+]
+
+
+# the ids of the train cases leave out the command, which keeps them stable
+@pytest.mark.parametrize("command, key, value, flag", CONFIG_CASES, ids=[
+    "-".join(case[1:] if case[0] == "train" else case) for case in CONFIG_CASES])
+def test_train_config_value_out_of_range_is_usage_error(tmp_path, command, key, value, flag,
+                                                        capsys):
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = {value}\n")
     missing = str(tmp_path / "missing")
-    assert run([*numeric_flag_command("train", missing), "--config", str(config)]) == 1
+    assert run([*numeric_flag_command(command, missing), "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert flag in err and "Traceback" not in err
     assert not os.path.exists(missing)
+
+
+def test_every_config_key_is_a_case():
+    """Each flag with a config key, and each config-only setting, has a
+    case in CONFIG_CASES."""
+    keyed = {(name, action.default.key) for name, action in parser_actions()
+             if isinstance(action.default, cli._FromConfig)}
+    keyed |= {("generate", key) for _, key, _ in cli._PIPELINE_SETTINGS}
+    assert keyed == {(command, key) for command, key, _, _ in CONFIG_CASES}
 
 
 SUMMARY = {"main_entity": "dbr:A", "sentences": [["Ann", "met", "Bo", "."]],

@@ -115,7 +115,7 @@ class DepthTableScorer(Scorer):
 
 
 def _ranked(hyps):
-    return [(h.tokens, h.log_prob, h.forced, h.complete) for h in hyps]
+    return [(h.tokens, h.log_prob, h.forced) for h in hyps]
 
 
 # few levels make ties at the beam's cut-off common; the decimal ones also

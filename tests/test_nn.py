@@ -241,18 +241,16 @@ def test_clip_gradients_equals_formula_exactly():
 def test_init_uniform_reproducible_and_in_bounds():
     a = [nn.Parameter("x", 10, 10), nn.Parameter("y", 5, 2)]
     b = [nn.Parameter("x", 10, 10), nn.Parameter("y", 5, 2)]
-    nn.init_uniform(a, seed=42)
-    nn.init_uniform(b, seed=42)
+    nn.init_uniform(a, -0.001, 0.001, seed=42)
+    nn.init_uniform(b, -0.001, 0.001, seed=42)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.value, pb.value)
         assert pa.value.min() >= -0.001 and pa.value.max() < 0.001
-    with pytest.raises(ValueError):
-        nn.init_uniform(a, seed=None)
 
 
 def test_init_uniform_mean_near_zero():
     p = nn.Parameter("p", 1000, 1000)
-    nn.init_uniform([p], seed=7)
+    nn.init_uniform([p], -0.001, 0.001, seed=7)
     assert abs(p.value.mean()) < 1e-4
 
 
