@@ -13,13 +13,17 @@ One executable with subcommands covering the whole workflow:
     gradcheck     finite-difference check of the gradients
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 runtime
-failure (non-finite loss, corrupt checkpoint). A ``key = value`` config
-file (``--config`` or the TRIPLES2TEXT_CONFIG environment variable)
-supplies defaults; explicit flags win. Relative paths in the config file
-resolve against the config file's directory.
-A config value goes through its flag's check, so a value that does not
-parse or is out of range is a usage error naming the flag, whichever
-source gave it, refused before any input file is read.
+failure (non-finite loss, corrupt checkpoint). An input path that cannot be
+read (missing, a directory) is a data error, an output path that cannot be
+written a runtime failure, and a config file that cannot be read a usage
+error; the message names the path. A ``key = value`` config file
+(``--config`` or the TRIPLES2TEXT_CONFIG environment variable) supplies
+defaults; explicit flags win. Relative paths in the config file resolve
+against the config file's directory. A config value goes through its
+flag's check, and a flag that sets a field of ModelConfig, TrainConfig or
+PipelineConfig takes its parse and range from that field: a value that
+does not parse or is out of range is a usage error naming the flag,
+whichever source gave it, refused before any input file is read.
 """
 
 from __future__ import annotations
@@ -28,24 +32,25 @@ import argparse
 import functools
 import json
 import logging
-import math
 import os
 import sys
 import time
-from typing import Any, Callable, NamedTuple
+from dataclasses import fields
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import evaluation, generation, nn, pipeline, training
-from .decoder import CELL_KINDS, GRU
+from .decoder import GRU
 from .demo import MIN_SIZE, demo_corpus
 from .evaluation import KN_ORDER
-from .fileio import atomic_open
+from .fileio import OutputError, atomic_open
 from .generation import BEAM_WIDTH, T_MAX
 from .model import CheckpointMismatchError, ModelConfig, Seq2Seq
-from .pipeline import MODES, PipelineConfig, PipelineError
+from .pipeline import PipelineConfig, PipelineError
+from .settings import FRACTION, POSITIVE, Range, at_least, range_of
 from .tokens import SPECIAL_TOKENS
-from .training import TrainConfig, TrainingDivergedError
+from .training import TrainConfig
 from .vocab import SOURCE_MIN_COUNT, Vocabulary, build_source_vocab, build_target_vocab
 
 logger = logging.getLogger("triples2text")
@@ -63,19 +68,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_config(path: str) -> dict[str, str]:
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
-    base = os.path.dirname(os.path.abspath(path))
-    out: dict[str, str] = {"_base": base}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise UsageError(f"config file {path} cannot be read: {exc}") from None
+    out: dict[str, str] = {"_base": os.path.dirname(os.path.abspath(path))}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -86,47 +92,26 @@ def cfg_path(cfg: dict[str, str], key: str) -> str | None:
     return value if os.path.isabs(value) else os.path.join(cfg.get("_base", "."), value)
 
 
-def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], expected: str):
-    """``check(name, text)``: the value ``text`` parses to, or a UsageError
-    naming ``name`` when it does not parse or ``ok`` refuses it (NaN fails
-    every comparison). argparse lets a UsageError from a ``type`` through."""
-    def check(name: str, text: str):
-        try:
-            value = parse(text)
-            if ok(value):
-                return value
-        except ValueError:
-            pass
-        raise UsageError(f"{name} must be {expected}, got {text!r}")
-    return check
+def _parse(name: str, rng: Range, text: str):
+    """The value ``text`` parses to, or a UsageError naming ``name`` when it
+    does not parse or is out of ``rng``. argparse lets a UsageError from a
+    ``type`` through."""
+    try:
+        value = rng.parse(text)
+        if rng.ok(value):
+            return value
+    except ValueError:
+        pass
+    raise UsageError(f"{name} must be {rng.expected}, got {text!r}")
 
 
-def _at_least(low: int):
-    return _checked(int, lambda v: v >= low, f"an integer of at least {low}")
-
-
-def _one_of(choices: tuple[str, ...]):
-    check = _checked(str, lambda v: v in choices, f"one of {', '.join(choices)}")
-    check.metavar = "{" + ",".join(choices) + "}"  # for --help, as argparse shows choices
-    return check
-
-
-_POSITIVE_INT = _at_least(1)
-_NON_NEGATIVE_INT = _at_least(0)
-_BATCH = _at_least(2)  # batch normalisation needs two rows
-_INTEGER = _checked(int, lambda v: True, "an integer")
-_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "a finite positive number")
-_FRACTION = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
-
-# (flag, config key and PipelineConfig field, check) of the settings that
+# (flag, config key and PipelineConfig field, range) of the settings that
 # build-corpus takes as flags and generate reads from the config file alone,
 # so that generate rewrites a raw triple set as the training corpus was.
-_PIPELINE_SETTINGS = (
-    ("--target-vocab-size", "target_vocab_size", _POSITIVE_INT),
-    ("--target-vocab-min-count", "target_vocab_min_count", _POSITIVE_INT),
-    ("--year-min", "year_min", _INTEGER),
-    ("--year-max", "year_max", _INTEGER),
-)
+_PIPELINE_SETTINGS = tuple((flag, key, range_of(PipelineConfig, key)) for flag, key in (
+    ("--target-vocab-size", "target_vocab_size"),
+    ("--target-vocab-min-count", "target_vocab_min_count"),
+    ("--year-min", "year_min"), ("--year-max", "year_max")))
 
 
 class _FromConfig(NamedTuple):
@@ -134,28 +119,44 @@ class _FromConfig(NamedTuple):
     ``_resolve`` replaces it by the config value for ``key`` or ``default``."""
     flag: str
     key: str
-    check: Callable[[str, str], Any]
+    rng: Range
     default: Any
 
 
-def _setting(parser, flag: str, check, default=None, key: str | None = None) -> None:
-    """Declare one setting: ``flag`` with its ``check``, the config ``key``
-    read where the flag is not given, if any, and the ``default``."""
-    parser.add_argument(flag, type=functools.partial(check, flag),
-                        default=default if key is None else _FromConfig(flag, key, check, default),
-                        metavar=getattr(check, "metavar", None))
+def _setting(parser, flag: str, rng: Range, default=None, key: str | None = None) -> None:
+    """Declare one setting: ``flag`` in range ``rng`` with its ``default``
+    and, if any, the config ``key`` read where the flag is not given, which
+    also names the parsed value."""
+    parser.add_argument(flag, type=functools.partial(_parse, flag, rng), dest=key,
+                        default=default if key is None else _FromConfig(flag, key, rng, default),
+                        metavar="{" + ",".join(rng.choices) + "}" if rng.choices else None)
+
+
+def _field(parser, flag: str, cls, name: str) -> None:
+    """Declare the setting of field ``name`` of config class ``cls``, under
+    the config key ``name``: the field's range and default are the flag's."""
+    _setting(parser, flag, range_of(cls, name), getattr(cls, name), name)
+
+
+def _config(cls, args, **given):
+    """A config of class ``cls`` from the settings named as its fields, and ``given``."""
+    return cls(**{**{f.name: getattr(args, f.name) for f in fields(cls) if f.name in args},
+                  **given})
 
 
 def _resolve(args, cfg: dict[str, str]) -> None:
     """Settle each setting whose flag was not given from the config file,
-    through the flag's check, or its default; then check the year range."""
+    through the flag's check, or its default; then check the year range
+    with PipelineConfig's rule."""
     for dest, value in vars(args).items():
         if isinstance(value, _FromConfig):
-            setattr(args, dest, value.check(f"{value.flag} (config {value.key})", cfg[value.key])
-                    if value.key in cfg else value.default)
-    if "year_min" in args and args.year_min > args.year_max:
-        raise UsageError(f"--year-min must not exceed --year-max, "
-                         f"got {args.year_min} > {args.year_max}")
+            setattr(args, dest, _parse(f"{value.flag} (config {value.key})", value.rng,
+                                       cfg[value.key]) if value.key in cfg else value.default)
+    if "year_min" in args:
+        try:
+            PipelineConfig(year_min=args.year_min, year_max=args.year_max)
+        except ValueError as exc:
+            raise UsageError(f"--year-min, --year-max: {exc}") from None
 
 
 def build_parser() -> _Parser:
@@ -172,65 +173,55 @@ def build_parser() -> _Parser:
                    help=argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
     seeded = argparse.ArgumentParser(add_help=False)
-    _setting(seeded, "--seed", _NON_NEGATIVE_INT, 0)
+    _setting(seeded, "--seed", at_least(0), 0)
     search = argparse.ArgumentParser(add_help=False)
-    _setting(search, "--beam", _POSITIVE_INT, BEAM_WIDTH)
-    _setting(search, "--t-max", _POSITIVE_INT, T_MAX)
+    _setting(search, "--beam", at_least(1), BEAM_WIDTH)
+    _setting(search, "--t-max", at_least(1), T_MAX)
 
     def add_parser(name, *parents, **kw):
         return sub.add_parser(name, parents=[shared, *parents], **kw)
 
     d = add_parser("demo-corpus", seeded, help="write a synthetic corpus")
     d.add_argument("--out-dir", required=True)
-    _setting(d, "--size", _at_least(MIN_SIZE), 200)
+    _setting(d, "--size", at_least(MIN_SIZE), 200)
 
     b = add_parser("build-corpus", help="build the aligned corpus")
     b.add_argument("--triples")
     b.add_argument("--summaries")
     b.add_argument("--types")
     b.add_argument("--genders")
-    _setting(b, "--mode", _one_of(MODES), PipelineConfig.mode, "mode")
+    _field(b, "--mode", PipelineConfig, "mode")
     b.add_argument("--out", required=True)
     b.add_argument("--stats-out")
     b.add_argument("--lexicon-out")
-    for flag, key, check in _PIPELINE_SETTINGS:
-        _setting(b, flag, check, getattr(PipelineConfig, key), key)
+    for flag, key, _ in _PIPELINE_SETTINGS:
+        _field(b, flag, PipelineConfig, key)
 
     v = add_parser("build-vocab", help="build source/target dictionaries")
     v.add_argument("--corpus", required=True)
     v.add_argument("--target-out", required=True)
     v.add_argument("--source-out", required=True)
-    _setting(v, "--target-max-size", _POSITIVE_INT, PipelineConfig.target_vocab_size,
-             "target_vocab_size")
-    _setting(v, "--target-min-count", _POSITIVE_INT, PipelineConfig.target_vocab_min_count,
-             "target_vocab_min_count")
-    _setting(v, "--source-min-count", _POSITIVE_INT, SOURCE_MIN_COUNT, "source_min_count")
+    _field(v, "--target-max-size", PipelineConfig, "target_vocab_size")
+    _field(v, "--target-min-count", PipelineConfig, "target_vocab_min_count")
+    _setting(v, "--source-min-count", at_least(1), SOURCE_MIN_COUNT, "source_min_count")
 
     t = add_parser("train", help="train a model")
     t.add_argument("--corpus", required=True)
     t.add_argument("--valid")
-    _setting(t, "--valid-fraction", _FRACTION)
+    _setting(t, "--valid-fraction", FRACTION)
     t.add_argument("--source-vocab", required=True)
     t.add_argument("--target-vocab", required=True)
     t.add_argument("--stats", help="corpus stats JSON (for e_max and bounds)")
     t.add_argument("--out-dir", required=True)
-    _setting(t, "--cell", _one_of(CELL_KINDS), TrainConfig.cell_kind, "cell")
-    _setting(t, "--m", _POSITIVE_INT, TrainConfig.m, "m")
-    _setting(t, "--batch-size", _BATCH, TrainConfig.batch_size, "batch_size")
-    _setting(t, "--epochs", _POSITIVE_INT, TrainConfig.epochs, "epochs")
-    _setting(t, "--lr", _POSITIVE, TrainConfig.learning_rate, "learning_rate")
-    _setting(t, "--decay-factor", _FRACTION, TrainConfig.decay_factor, "decay_factor")
-    _setting(t, "--decay-start", _NON_NEGATIVE_INT, TrainConfig.decay_start_epoch,
-             "decay_start_epoch")
-    _setting(t, "--patience", _NON_NEGATIVE_INT, TrainConfig.patience, "patience")
+    _setting(t, "--cell", range_of(TrainConfig, "cell_kind"), TrainConfig.cell_kind, "cell")
+    for flag, name in (("--m", "m"), ("--batch-size", "batch_size"), ("--epochs", "epochs"),
+                       ("--lr", "learning_rate"), ("--decay-factor", "decay_factor"),
+                       ("--decay-start", "decay_start_epoch"), ("--patience", "patience"),
+                       ("--l2", "l2"), ("--clip-norm", "clip_norm"),
+                       ("--max-timestep", "max_timestep"), ("--seed", "seed")):
+        _field(t, flag, TrainConfig, name)
     t.add_argument("--no-early-stop", action="store_true")
-    _setting(t, "--l2", _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-             TrainConfig.l2, "l2")
-    _setting(t, "--clip-norm", _checked(float, lambda v: v == v, "a number, not NaN"),
-             TrainConfig.clip_norm, "clip_norm")
-    _setting(t, "--max-timestep", _POSITIVE_INT, TrainConfig.max_timestep, "max_timestep")
-    _setting(t, "--e-max", _POSITIVE_INT)
-    _setting(t, "--seed", _NON_NEGATIVE_INT, TrainConfig.seed, "seed")
+    _setting(t, "--e-max", range_of(TrainConfig, "e_max"))
 
     g = add_parser("generate", search, help="generate summaries")
     g.add_argument("--checkpoint", required=True)
@@ -240,13 +231,13 @@ def build_parser() -> _Parser:
     g.add_argument("--genders", help="gender lexicon applied to raw --triples input "
                    "(default: the config file's genders)")
     g.add_argument("--from-corpus", help="aligned corpus whose triple sets to use")
-    _setting(g, "--limit", _POSITIVE_INT)
+    _setting(g, "--limit", at_least(1))
     g.add_argument("--triples", help="N-Triples file for a single input")
     g.add_argument("--main", help="main entity URI for --triples input")
     g.add_argument("--item-surface")
     g.add_argument("--out")
-    g.set_defaults(**{key: _FromConfig(flag, key, check, getattr(PipelineConfig, key))
-                      for flag, key, check in _PIPELINE_SETTINGS})
+    g.set_defaults(**{key: _FromConfig(flag, key, rng, getattr(PipelineConfig, key))
+                      for flag, key, rng in _PIPELINE_SETTINGS})
 
     e = add_parser("evaluate", search, help="score a model on an aligned corpus")
     e.add_argument("--checkpoint", required=True)
@@ -262,8 +253,8 @@ def build_parser() -> _Parser:
     s.add_argument("--train-corpus", required=True)
     s.add_argument("--eval-corpus", required=True)
     s.add_argument("--lexicon")
-    _setting(s, "--samples", _POSITIVE_INT, 10)
-    _setting(s, "--order", _POSITIVE_INT, KN_ORDER)
+    _setting(s, "--samples", at_least(1), 10)
+    _setting(s, "--order", at_least(1), KN_ORDER)
     s.add_argument("--out")
 
     n = add_parser("neighbors", help="nearest entity embeddings")
@@ -271,17 +262,17 @@ def build_parser() -> _Parser:
     n.add_argument("--source-vocab", required=True)
     n.add_argument("--target-vocab", required=True)
     n.add_argument("--token", required=True)
-    _setting(n, "--k", _POSITIVE_INT, 5)
+    _setting(n, "--k", at_least(1), 5)
 
-    vocab_size = _at_least(len(SPECIAL_TOKENS))
+    vocab_size = at_least(len(SPECIAL_TOKENS))
     c = add_parser("gradcheck", seeded, help="finite-difference gradient check")
-    _setting(c, "--cell", _one_of(CELL_KINDS), GRU)
-    _setting(c, "--m", _POSITIVE_INT, 6)
+    _setting(c, "--cell", range_of(ModelConfig, "cell_kind"), GRU)
+    _setting(c, "--m", range_of(ModelConfig, "m"), 6)
     _setting(c, "--source-size", vocab_size, 12)
     _setting(c, "--target-size", vocab_size, 14)
-    _setting(c, "--e-max", _POSITIVE_INT, 3)
-    _setting(c, "--batch", _BATCH, 4)
-    _setting(c, "--tolerance", _POSITIVE, 1e-4)
+    _setting(c, "--e-max", range_of(ModelConfig, "e_max"), 3)
+    _setting(c, "--batch", at_least(2), 4)  # batch normalisation needs two rows
+    _setting(c, "--tolerance", POSITIVE, 1e-4)
     return p
 
 
@@ -307,21 +298,14 @@ def _pipeline_config(args, cfg, mode: str) -> PipelineConfig:
     """The pipeline settings of build-corpus and of generate --triples, so
     that a raw triple set is rewritten as the training corpus was."""
     genders_path = args.genders or cfg_path(cfg, "genders")
-    if genders_path and not os.path.exists(genders_path):
-        raise PipelineError(f"input not found: {genders_path}")
-    return PipelineConfig(
-        mode=mode,
-        gender_lexicon=pipeline.read_tsv_map(genders_path) if genders_path else None,
-        **{key: getattr(args, key) for _, key, _ in _PIPELINE_SETTINGS})
+    return _config(PipelineConfig, args, mode=mode,
+                   gender_lexicon=pipeline.read_tsv_map(genders_path) if genders_path else None)
 
 
 def cmd_build_corpus(args, cfg):
     triples = _require(args.triples or cfg_path(cfg, "triples"), "--triples")
     summaries = _require(args.summaries or cfg_path(cfg, "summaries"), "--summaries")
     types_path = args.types or cfg_path(cfg, "instance_types")
-    for path in (triples, summaries, types_path):
-        if path and not os.path.exists(path):
-            raise PipelineError(f"input not found: {path}")
     pcfg = _pipeline_config(args, cfg, args.mode)
     types = pipeline.read_tsv_map(types_path) if types_path else {}
     articles = pipeline.read_articles(triples, summaries)
@@ -338,8 +322,8 @@ def cmd_build_corpus(args, cfg):
 
 def cmd_build_vocab(args, cfg):
     examples = pipeline.read_corpus(args.corpus)
-    target = build_target_vocab(examples, max_size=args.target_max_size,
-                                min_count=args.target_min_count)
+    target = build_target_vocab(examples, max_size=args.target_vocab_size,
+                                min_count=args.target_vocab_min_count)
     source = build_source_vocab(examples, min_count=args.source_min_count)
     target.save(args.target_out)
     source.save(args.source_out)
@@ -363,24 +347,15 @@ def cmd_train(args, cfg):
         corpus, valid = examples[:-n_valid], examples[-n_valid:]
     else:
         corpus, valid = examples, []
-    e_max = args.e_max
-    bound_lower, bound_upper = 0, None
+    # e_max from the flag, else the stats, else the corpus
+    given = {"cell_kind": args.cell, "patience": None if args.no_early_stop else args.patience,
+             "mode": examples[0].mode if examples else TrainConfig.mode,
+             "e_max": args.e_max or max((len(ex.triples) for ex in examples), default=1)}
     if args.stats:
         stats = pipeline.read_stats(args.stats)
-        if e_max is None:
-            e_max = stats.e_max
-        bound_lower, bound_upper = stats.lower_bound(), stats.upper_bound()
-    if e_max is None:
-        e_max = max((len(ex.triples) for ex in examples), default=1)
-    tcfg = TrainConfig(
-        cell_kind=args.cell, m=args.m, e_max=e_max,
-        mode=examples[0].mode if examples else TrainConfig.mode,
-        bound_lower=bound_lower, bound_upper=bound_upper,
-        batch_size=args.batch_size, max_timestep=args.max_timestep, learning_rate=args.lr,
-        decay_factor=args.decay_factor, decay_start_epoch=args.decay_start,
-        epochs=args.epochs, seed=args.seed, l2=args.l2,
-        clip_norm=args.clip_norm if args.clip_norm > 0 else None,  # <= 0 turns clipping off
-        patience=None if args.no_early_stop else args.patience)
+        given.update(e_max=args.e_max or stats.e_max, bound_lower=stats.lower_bound(),
+                     bound_upper=stats.upper_bound())
+    tcfg = _config(TrainConfig, args, **given)
     _, result = training.train(corpus, valid, tcfg, source_vocab, target_vocab,
                                out_dir=args.out_dir)
     logger.info("trained %d epochs; best validation perplexity %.4f at epoch %d",
@@ -553,15 +528,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (PipelineError, FileNotFoundError, ValueError) as exc:
-        if isinstance(exc, (nn.BadCheckpointError, CheckpointMismatchError)):
-            print(f"runtime failure: {exc}", file=sys.stderr)
-            return 3
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except (TrainingDivergedError, RuntimeError) as exc:
+    except (nn.BadCheckpointError, CheckpointMismatchError, OutputError, RuntimeError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
+    except (PipelineError, OSError, ValueError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

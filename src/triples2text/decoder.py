@@ -122,8 +122,6 @@ def _gru_sweep(d_out: Array, acts: Array, hs: Array, w_h_t: Array, cand_hh_t: Ar
 class Decoder:
 
     def __init__(self, target_size: int, m: int, cell_kind: str = LSTM, pad_index: int = 0):
-        if cell_kind not in CELL_KINDS:
-            raise ValueError(f"unknown cell kind {cell_kind!r}")
         self.target_size = target_size
         self.m = m
         self.cell_kind = cell_kind

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import atomic_open, writing
 
 _GIVEN_FEMALE = ["Mira", "Selda", "Anneke", "Petra", "Ilsa", "Noor", "Greta",
                  "Vera", "Daria", "Yuna", "Edith", "Sanne"]
@@ -75,7 +75,8 @@ def demo_corpus(seed: int, size: int, out_dir: str) -> dict[str, str]:
     if size < MIN_SIZE:
         raise ValueError(f"size must be at least {MIN_SIZE}")
     rng = np.random.default_rng(seed)
-    os.makedirs(out_dir, exist_ok=True)
+    with writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
 
     people = [(g, f) for f in _FAMILY for g in _GIVEN_FEMALE + _GIVEN_MALE]
     rng.shuffle(people)

@@ -25,8 +25,6 @@ from . import nn
 class TripleEncoder:
 
     def __init__(self, source_size: int, m: int, e_max: int, use_batch_norm: bool = True):
-        if e_max < 1:
-            raise ValueError("e_max must be at least 1")
         self.source_size = source_size
         self.m = m
         self.e_max = e_max

@@ -17,7 +17,8 @@ import numpy as np
 from . import nn
 from .decoder import CELL_KINDS, Decoder, LSTM
 from .encoder import TripleEncoder
-from .pipeline import MODES, AlignedExample, Triple
+from .pipeline import MODE_URI, MODES, AlignedExample, Triple
+from .settings import INTEGER, Range, Settings, at_least, one_of, or_none, setting
 from .tokens import END, PAD, START
 from .vocab import Vocabulary
 
@@ -28,15 +29,15 @@ class CheckpointMismatchError(ValueError):
     """Checkpoint disagrees with the supplied vocabularies or configuration."""
 
 
-@dataclass
-class ModelConfig:
-    cell_kind: str = LSTM
-    m: int = 650
-    e_max: int = 22
-    mode: str = "uri"
-    use_batch_norm: bool = True
-    bound_lower: int = 0
-    bound_upper: int | None = None
+@dataclass(frozen=True)
+class ModelConfig(Settings):
+    cell_kind: str = setting(LSTM, one_of(CELL_KINDS))
+    m: int = setting(650, at_least(1))
+    e_max: int = setting(22, at_least(1))
+    mode: str = setting(MODE_URI, one_of(MODES))
+    use_batch_norm: bool = setting(True, Range(lambda v: type(v) is bool, "a bool"))
+    bound_lower: int = setting(0, INTEGER)
+    bound_upper: int | None = setting(None, or_none(INTEGER))
 
 
 # Header keys of configurations that are no longer built, with the one
@@ -46,28 +47,17 @@ _RETIRED_HEADER = {"layers": 1, "paper_literal_lstm": False,
                   "bn_momentum": nn.BatchNorm.momentum, "bn_eps": nn.BatchNorm.eps}
 
 
-def _check_header(path: str, header: dict) -> None:
-    """Raise BadCheckpointError unless the header describes a model this
-    code builds exactly."""
-    def is_int(v):
-        return type(v) is int  # JSON true/false are bools, not ints
-
-    checks = [
-        ("m", is_int(header.get("m")) and header["m"] >= 1, "a positive int"),
-        ("e_max", is_int(header.get("e_max")) and header["e_max"] >= 1, "a positive int"),
-        ("cell_kind", header.get("cell_kind") in CELL_KINDS, f"one of {CELL_KINDS}"),
-        ("mode", header.get("mode") in MODES, f"one of {MODES}"),
-        ("use_batch_norm", type(header.get("use_batch_norm")) is bool, "a bool"),
-        ("bound_lower", is_int(header.get("bound_lower")), "an int"),
-        ("bound_upper", header.get("bound_upper") is None or is_int(header["bound_upper"]),
-         "an int or null"),
-    ]
-    checks += [(key, key not in header or header[key] == value, repr(value))
-               for key, value in _RETIRED_HEADER.items()]
-    for key, ok, expected in checks:
-        if not ok:
+def _header_config(path: str, header: dict) -> ModelConfig:
+    """The configuration a header describes; BadCheckpointError unless it
+    is one this code builds exactly. A missing field is not defaulted."""
+    for key, value in _RETIRED_HEADER.items():
+        if key in header and header[key] != value:
             raise nn.BadCheckpointError(
-                f"{path}: header value {key}={header.get(key)!r} is not {expected}")
+                f"{path}: header value {key}={header[key]!r} is not {value!r}")
+    try:
+        return ModelConfig(**{k: header.get(k) for k in ModelConfig.__dataclass_fields__})
+    except ValueError as exc:
+        raise nn.BadCheckpointError(f"{path}: bad header: {exc}") from None
 
 
 @dataclass
@@ -79,8 +69,6 @@ class EncodedExample:
 class Seq2Seq:
 
     def __init__(self, config: ModelConfig, source_vocab: Vocabulary, target_vocab: Vocabulary):
-        if config.cell_kind not in CELL_KINDS:
-            raise ValueError(f"unknown cell kind {config.cell_kind!r}")
         self.config = config
         self.source_vocab = source_vocab
         self.target_vocab = target_vocab
@@ -208,25 +196,24 @@ class Seq2Seq:
     def load(cls, path: str, source_vocab: Vocabulary, target_vocab: Vocabulary,
              expect_cell: str | None = None) -> "Seq2Seq":
         header, blocks = nn.read_blocks(path)
-        _check_header(path, header)
+        config = _header_config(path, header)
         if header.get("source_vocab_sha256") != source_vocab.content_hash():
             raise CheckpointMismatchError(f"{path}: source vocabulary hash mismatch")
         if header.get("target_vocab_sha256") != target_vocab.content_hash():
             raise CheckpointMismatchError(f"{path}: target vocabulary hash mismatch")
-        if expect_cell is not None and header["cell_kind"] != expect_cell:
+        if expect_cell is not None and config.cell_kind != expect_cell:
             raise CheckpointMismatchError(
-                f"{path}: checkpoint holds a {header['cell_kind']} decoder, not {expect_cell}")
+                f"{path}: checkpoint holds a {config.cell_kind} decoder, not {expect_cell}")
         # The blocks read are bounded by the file's size; matching them
         # against m and e_max first keeps a corrupt header from sizing the
         # model (e_max·m·m values in aggregate_w) beyond what the file holds.
-        m, e_max = header["m"], header["e_max"]
+        m, e_max = config.m, config.e_max
         for name, shape in (("decoder.embed", (len(target_vocab), m)),
                             ("encoder.aggregate_w", (e_max * m, m))):
             if name not in blocks or blocks[name].shape != shape:
                 raise nn.BadCheckpointError(
                     f"{path}: block {name} is missing or not of shape {shape}, "
                     f"as the header's m={m}, e_max={e_max} require")
-        config = ModelConfig(**{k: header.get(k) for k in ModelConfig.__dataclass_fields__})
         model = cls(config, source_vocab, target_vocab)
         for name, arr in model.state_blocks():
             if name not in blocks:

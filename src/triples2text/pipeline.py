@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fileio import atomic_open
+from .settings import INTEGER, Range, Settings, at_least, one_of, setting
 from .tokens import (END, ITEM, RARE, SPECIAL_TOKENS, START, UNK, YEAR, ZERO,
                      format_placeholder, tuple_token_text)
 from .vocab import (KIND_ENTITY, KIND_INSTANCE_TYPE, KIND_PLACEHOLDER,
@@ -151,14 +152,21 @@ class CorpusStats:
         return math.floor(self.e_mean + 1.5 * self.e_std)
 
 
-@dataclass
-class PipelineConfig:
-    mode: str = MODE_URI
-    target_vocab_size: int = 30000
-    target_vocab_min_count: int = 1
-    year_min: int = 1000
-    year_max: int = 2100
-    gender_lexicon: Mapping[str, str] | None = None
+@dataclass(frozen=True)
+class PipelineConfig(Settings):
+    mode: str = setting(MODE_URI, one_of(MODES))
+    target_vocab_size: int = setting(30000, at_least(1))
+    target_vocab_min_count: int = setting(1, at_least(1))
+    year_min: int = setting(1000, INTEGER)
+    year_max: int = setting(2100, INTEGER)
+    gender_lexicon: Mapping[str, str] | None = setting(
+        None, Range(lambda v: v is None or isinstance(v, Mapping), "a mapping or None"))
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.year_min > self.year_max:
+            raise ValueError(f"year_min must be at most year_max ({self.year_max}), "
+                             f"got {self.year_min}")
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +567,6 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
     byte-for-byte. Equal triples and equal summary tokens of the built
     examples are one object each.
     """
-    if config.mode not in MODES:
-        raise ValueError(f"unknown mode {config.mode!r}")
     canon: dict[tuple, tuple] = {}
     share = canon.setdefault
     exclusions: Counter[str] = Counter()

@@ -24,8 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
+from .fileio import writing
 from .model import EncodedExample, ModelConfig, Seq2Seq
 from .pipeline import AlignedExample
+from .settings import FRACTION, POSITIVE, at_least, number, or_none, setting
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -38,29 +40,24 @@ class TrainingDivergedError(RuntimeError):
 DECAY_PERIOD = Fraction(1, 2)  # of an epoch, between learning-rate decays
 
 
-@dataclass
+_CLIP_NORM = or_none(number(lambda v: v > 0, ""))._replace(
+    expected="a positive number or None (no clipping; 0 or below as a flag or config value)",
+    parse=lambda text: None if float(text) <= 0 else float(text))
+
+
+@dataclass(frozen=True)
 class TrainConfig(ModelConfig):
     """The model's settings (:class:`ModelConfig`) and the optimiser's."""
-    batch_size: int = 85
-    max_timestep: int = 66
-    learning_rate: float = 0.002
-    decay_factor: float = 0.8
-    decay_start_epoch: int = 3
-    epochs: int = 12
-    seed: int = 0
-    l2: float = 1e-5
-    clip_norm: float | None = 5.0
-    patience: int | None = 3  # epochs without validation improvement
-
-    def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (batch normalisation)")
-        if self.max_timestep < 1:
-            raise ValueError("max_timestep must be >= 1")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError("decay_factor must lie in (0, 1)")
+    batch_size: int = setting(85, at_least(2))  # batch normalisation needs two rows
+    max_timestep: int = setting(66, at_least(1))
+    learning_rate: float = setting(0.002, POSITIVE)
+    decay_factor: float = setting(0.8, FRACTION)
+    decay_start_epoch: int = setting(3, at_least(0))
+    epochs: int = setting(12, at_least(1))
+    seed: int = setting(0, at_least(0))
+    l2: float = setting(1e-5, number(lambda v: 0 <= v < math.inf, "a finite number >= 0"))
+    clip_norm: float | None = setting(5.0, _CLIP_NORM)
+    patience: int | None = setting(3, or_none(at_least(0)))  # epochs without improvement
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
@@ -136,13 +133,14 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
     log_fh = None
     log_path = best_path = last_path = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         log_path = os.path.join(out_dir, "train_log.jsonl")
         best_path = os.path.join(out_dir, "checkpoint_best.bin")
         last_path = os.path.join(out_dir, "checkpoint_last.bin")
-        # Streamed, not written atomically: a run that diverges keeps the
-        # records up to the failing batch, which is how it is diagnosed.
-        log_fh = open(log_path, "w", encoding="utf-8")
+        with writing(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
+            # Streamed, not written atomically: a run that diverges keeps the
+            # records up to the failing batch, which is how it is diagnosed.
+            log_fh = open(log_path, "w", encoding="utf-8")
 
     def log(record: dict) -> None:
         if log_fh is not None:

@@ -175,7 +175,7 @@ def most_frequent(pairs: Iterable[tuple[str, int]], size: int, min_count: int) -
     return [t for t, _ in ranked[:size]]
 
 
-def build_target_vocab(corpus: Iterable, max_size: int, min_count: int = 1) -> Vocabulary:
+def build_target_vocab(corpus: Iterable, max_size: int, min_count: int) -> Vocabulary:
     """Target dictionary over a rewritten corpus.
 
     Words and entity tokens (URIs or surface-form tuples) compete for the
@@ -208,7 +208,7 @@ def build_target_vocab(corpus: Iterable, max_size: int, min_count: int = 1) -> V
     return v
 
 
-def build_source_vocab(corpus: Iterable, min_count: int = SOURCE_MIN_COUNT) -> Vocabulary:
+def build_source_vocab(corpus: Iterable, min_count: int) -> Vocabulary:
     """Shared subject/predicate/object dictionary with rare-token fallbacks.
 
     Tokens occurring at least ``min_count`` times are kept. Each rare

@@ -353,6 +353,81 @@ def test_every_config_key_is_a_case():
     assert keyed == {(command, key) for command, key, _, _ in CONFIG_CASES}
 
 
+def test_config_file_not_utf8_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfeepochs = 1\n")
+    missing = str(tmp_path / "missing")
+    assert run([*numeric_flag_command("build-corpus", missing), "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def trained(demo_dir, tmp_path_factory):
+    """The paths of a corpus, its vocabularies and a model trained on them."""
+    d = tmp_path_factory.mktemp("trained")
+    cfg = os.path.join(demo_dir, "demo.cfg")
+    paths = {"corpus": str(d / "corpus.jsonl"), "target": str(d / "t.vocab"),
+             "source": str(d / "s.vocab"), "checkpoint": str(d / "run" / "checkpoint_best.bin")}
+    assert run(["--config", cfg, "build-corpus", "--out", paths["corpus"]]) == 0
+    assert run(["--config", cfg, "build-vocab", "--corpus", paths["corpus"],
+                "--target-out", paths["target"], "--source-out", paths["source"]]) == 0
+    assert run(["train", "--corpus", paths["corpus"], "--source-vocab", paths["source"],
+                "--target-vocab", paths["target"], "--out-dir", str(d / "run"),
+                "--cell", "gru", "--m", "4", "--batch-size", "5", "--epochs", "1"]) == 0
+    return paths
+
+
+# (flag, exit code, the arguments with ``bad`` in the flag's place): an
+# input that is a directory is a data error, a config file that cannot be
+# read a usage error, and an output that is a directory (or an output
+# directory that is a file) a runtime failure
+PATH_FAULTS = [
+    ("build-vocab --corpus", 2, lambda p, bad, out: [
+        "build-vocab", "--corpus", bad, "--target-out", out, "--source-out", out + "s"]),
+    ("train --corpus", 2, lambda p, bad, out: [
+        "train", "--corpus", bad, "--source-vocab", p["source"], "--target-vocab", p["target"],
+        "--out-dir", out]),
+    ("generate --checkpoint", 2, lambda p, bad, out: [
+        "generate", "--checkpoint", bad, "--source-vocab", p["source"],
+        "--target-vocab", p["target"], "--from-corpus", p["corpus"], "--out", out]),
+    ("generate --source-vocab", 2, lambda p, bad, out: [
+        "generate", "--checkpoint", p["checkpoint"], "--source-vocab", bad,
+        "--target-vocab", p["target"], "--from-corpus", p["corpus"], "--out", out]),
+    ("build-corpus --triples", 2, lambda p, bad, out: [
+        "build-corpus", "--config", p["config"], "--triples", bad, "--out", out]),
+    ("build-corpus --config", 1, lambda p, bad, out: [
+        "build-corpus", "--config", bad, "--out", out]),
+    ("build-vocab --target-out", 3, lambda p, bad, out: [
+        "build-vocab", "--corpus", p["corpus"], "--target-out", bad, "--source-out", out]),
+    ("evaluate --out", 3, lambda p, bad, out: [
+        "evaluate", "--checkpoint", p["checkpoint"], "--source-vocab", p["source"],
+        "--target-vocab", p["target"], "--corpus", p["corpus"], "--beam", "2",
+        "--t-max", "5", "--out", bad]),
+    ("train --out-dir", 3, lambda p, bad, out: [
+        "train", "--corpus", p["corpus"], "--source-vocab", p["source"],
+        "--target-vocab", p["target"], "--out-dir", bad, "--cell", "gru", "--m", "4",
+        "--batch-size", "5", "--epochs", "1"]),
+]
+
+
+@pytest.mark.parametrize("flag, code, argv", PATH_FAULTS, ids=[f[0] for f in PATH_FAULTS])
+def test_path_fault_maps_to_exit_code(demo_dir, trained, tmp_path, flag, code, argv, capsys):
+    bad = tmp_path / "bad"
+    if flag == "train --out-dir":
+        bad.write_text("")
+    else:
+        bad.mkdir()
+    paths = {**trained, "config": os.path.join(demo_dir, "demo.cfg")}
+    out = str(tmp_path / "out")
+    assert run(argv(paths, str(bad), out)) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+    if code != 3:
+        assert not os.path.exists(out)
+
+
 SUMMARY = {"main_entity": "dbr:A", "sentences": [["Ann", "met", "Bo", "."]],
            "annotations": [{"sentence_idx": 0, "start": 0, "end": 1, "uri": "dbr:A",
                             "surface": "Ann"},

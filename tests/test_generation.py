@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,8 +250,7 @@ def test_generate_empty_triples_is_an_error():
 
 def test_generate_bounds_enforced():
     model = make_model(seed=3)
-    model.config.bound_lower = 2
-    model.config.bound_upper = 3
+    model.config = dataclasses.replace(model.config, bound_lower=2, bound_upper=3)
     triples = [Triple(tk.ITEM, "dbo:p", "dbr:A")]
     with pytest.raises(GenerationInputError, match="bounds"):
         gen.generate(model, triples, {}, "X")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -37,7 +38,7 @@ def toy_examples(n, main_prefix="dbr:P"):
 def build_vocabs(examples):
     from triples2text.vocab import build_source_vocab, build_target_vocab
     return (build_source_vocab(examples, min_count=1),
-            build_target_vocab(examples, max_size=100))
+            build_target_vocab(examples, max_size=100, min_count=1))
 
 
 # -- sequence loss -----------------------------------------------------------
@@ -205,12 +206,11 @@ def test_overfit_small_corpus():
 def test_early_stopping_respects_patience(tmp_path):
     examples = toy_examples(8)
     sv, tv = build_vocabs(examples)
-    cfg = small_config(epochs=50, patience=2, seed=0, learning_rate=0.0)
-    # no batch norm and zero learning rate: validation perplexity is frozen,
-    # so nothing improves after epoch 0 and training stops at epoch 3
-    mcfg = cfg.model_config()
-    mcfg.use_batch_norm = False
-    model = Seq2Seq(mcfg, sv, tv)
+    # no batch norm, and a learning rate whose steps are below the weights'
+    # rounding (a rate of 0 is out of range): validation perplexity is
+    # frozen, so nothing improves after epoch 0 and training stops at epoch 3
+    cfg = small_config(epochs=50, patience=2, seed=0, learning_rate=1e-300)
+    model = Seq2Seq(dataclasses.replace(cfg.model_config(), use_batch_norm=False), sv, tv)
     model.init_parameters(cfg.seed)
     _, result = training.train(examples, examples[:2], cfg, sv, tv,
                                out_dir=str(tmp_path / "run"), model=model)
@@ -442,7 +442,7 @@ def _pinned_run(cell, tmp_path):
     examples, stats, _ = pipeline.build_corpus(
         articles, pipeline.read_tsv_map(paths["instance_types"]),
         PipelineConfig(gender_lexicon=pipeline.read_tsv_map(paths["genders"])))
-    source, target = build_source_vocab(examples, 2), build_target_vocab(examples, 1000)
+    source, target = build_source_vocab(examples, 2), build_target_vocab(examples, 1000, 1)
     cfg = TrainConfig(batch_size=5, max_timestep=30, epochs=3, seed=4, cell_kind=cell,
                       m=8, e_max=stats.e_max, learning_rate=0.01, decay_start_epoch=1,
                       patience=None)

@@ -20,34 +20,34 @@ def words(*texts):
 
 
 def test_specials_have_fixed_smallest_indices():
-    v = build_target_vocab([], max_size=10)
+    v = build_target_vocab([], max_size=10, min_count=1)
     assert v.tokens[:len(tk.SPECIAL_TOKENS)] == list(tk.SPECIAL_TOKENS)
     assert v.index[tk.PAD] == 0
 
 
 def test_target_vocab_empty_corpus_is_specials_only():
-    v = build_target_vocab([], max_size=10)
+    v = build_target_vocab([], max_size=10, min_count=1)
     assert len(v) == len(tk.SPECIAL_TOKENS)
 
 
 def test_target_vocab_max_size_cut_and_order():
     ex = example_from_tokens(words(*(["a"] * 5 + ["b"] * 2 + ["c"])))
-    v = build_target_vocab([ex], max_size=3)
+    v = build_target_vocab([ex], max_size=3, min_count=1)
     non_special = v.tokens[len(tk.SPECIAL_TOKENS):]
     assert non_special == ["a", "b", "c"]
-    v2 = build_target_vocab([ex], max_size=2)
+    v2 = build_target_vocab([ex], max_size=2, min_count=1)
     assert v2.tokens[len(tk.SPECIAL_TOKENS):] == ["a", "b"]
 
 
 def test_target_vocab_ties_break_lexicographically():
     ex = example_from_tokens(words("zz", "aa", "mm"))
-    v = build_target_vocab([ex], max_size=2)
+    v = build_target_vocab([ex], max_size=2, min_count=1)
     assert v.tokens[len(tk.SPECIAL_TOKENS):] == ["aa", "mm"]
 
 
 def test_target_vocab_placeholders_always_included():
     specs = words(*(["w"] * 9)) + [(KIND_PLACEHOLDER, "p__subj__T")]
-    v = build_target_vocab([example_from_tokens(specs)], max_size=1)
+    v = build_target_vocab([example_from_tokens(specs)], max_size=1, min_count=1)
     assert "p__subj__T" in v
     assert "w" in v
 
@@ -56,14 +56,14 @@ def test_frequency_monotonicity():
     specs = (words(*(["x"] * 7 + ["y"] * 3 + ["z"]))
              + [(KIND_PLACEHOLDER, "p__obj__T")] * 5
              + [(KIND_ENTITY, "dbr:E")] * 4)
-    v = build_target_vocab([example_from_tokens(specs)], max_size=100)
+    v = build_target_vocab([example_from_tokens(specs)], max_size=100, min_count=1)
     freqs = [v.frequencies[t] for t in v.tokens[len(tk.SPECIAL_TOKENS):]]
     assert freqs == sorted(freqs, reverse=True)
 
 
 def test_encode_decode_roundtrip_and_fallbacks():
     ex = example_from_tokens(words("alpha", "beta"))
-    v = build_target_vocab([ex], max_size=10)
+    v = build_target_vocab([ex], max_size=10, min_count=1)
     for t in ("alpha", "beta", tk.START):
         assert v.decode(v.encode(t)) == t
     assert v.encode("zzz-unknown-word") == v.index[tk.RARE]
@@ -126,7 +126,7 @@ def test_source_vocab_entity_roles_recorded():
        st.integers(min_value=1, max_value=6))
 def test_serialization_roundtrip(words_list, max_size):
     ex = example_from_tokens(words(*words_list))
-    v = build_target_vocab([ex], max_size=max_size)
+    v = build_target_vocab([ex], max_size=max_size, min_count=1)
     import tempfile, os
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "v.vocab")
@@ -198,7 +198,7 @@ def test_meta_file_of_another_token_list_is_refused(tmp_path, monkeypatch, capsy
     with pytest.raises(ValueError, match="another token list"):
         Vocabulary.load(path)
     target = str(tmp_path / "tgt.vocab")
-    build_target_vocab([example_from_tokens(words("a"))], max_size=5).save(target)
+    build_target_vocab([example_from_tokens(words("a"))], max_size=5, min_count=1).save(target)
     assert cli.main(["neighbors", "--checkpoint", str(tmp_path / "ckpt"), "--source-vocab",
                      path, "--target-vocab", target, "--token", "dbr:B", "--k", "1"]) == 2
     assert "another token list" in capsys.readouterr().err
