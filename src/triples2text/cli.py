@@ -40,11 +40,11 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from . import evaluation, generation, nn, pipeline, training
+from . import evaluation, generation, nn, pipeline, training, vocab
 from .decoder import GRU
 from .demo import MIN_SIZE, demo_corpus
 from .evaluation import KN_ORDER
-from .fileio import OutputError, atomic_open
+from .fileio import OutputError, atomic_open, check_writable
 from .generation import BEAM_WIDTH, T_MAX
 from .model import CheckpointMismatchError, ModelConfig, Seq2Seq
 from .pipeline import PipelineConfig, PipelineError
@@ -310,6 +310,7 @@ def cmd_build_corpus(args, cfg):
     types = pipeline.read_tsv_map(types_path) if types_path else {}
     articles = pipeline.read_articles(triples, summaries)
     examples, stats, lexicon = pipeline.build_corpus(articles, types, pcfg)
+    check_writable(args.out, args.stats_out, args.lexicon_out)
     pipeline.write_corpus(args.out, examples)
     logger.info("corpus: %d examples (%s excluded)", len(examples),
                 stats.exclusions or "none")
@@ -325,6 +326,7 @@ def cmd_build_vocab(args, cfg):
     target = build_target_vocab(examples, max_size=args.target_vocab_size,
                                 min_count=args.target_vocab_min_count)
     source = build_source_vocab(examples, min_count=args.source_min_count)
+    check_writable(args.target_out, args.source_out + vocab.META_SUFFIX, args.source_out)
     target.save(args.target_out)
     source.save(args.source_out)
     logger.info("target vocabulary: %d tokens; source: %d tokens",
@@ -427,6 +429,7 @@ def cmd_evaluate(args, cfg):
     report.bleu4_by_triple_count = evaluation.bleu_by_triple_count(
         list(zip(cands, refs)), counts)
     print(report.to_table())
+    check_writable(args.out, args.curve_csv)
     if args.out:
         timing = {"perplexity_s": t1 - t0, "generate_s": generate_s,
                   "inputs_per_s": len(examples) / generate_s}

@@ -121,7 +121,7 @@ def _gru_sweep(d_out: Array, acts: Array, hs: Array, w_h_t: Array, cand_hh_t: Ar
 
 class Decoder:
 
-    def __init__(self, target_size: int, m: int, cell_kind: str = LSTM, pad_index: int = 0):
+    def __init__(self, target_size: int, m: int, cell_kind: str, pad_index: int):
         self.target_size = target_size
         self.m = m
         self.cell_kind = cell_kind
@@ -151,7 +151,7 @@ class Decoder:
             raise nn.ShapeError(f"decoder: token index out of range [0, {self.target_size})")
         return x
 
-    def step(self, x: Array, h: Array, c: Array | None = None) -> tuple[Array, Array | None]:
+    def step(self, x: Array, h: Array, c: Array | None) -> tuple[Array, Array | None]:
         """Advance one timestep on a batch of token indices (forward only)
         from hidden vectors h [B, m] and, for the LSTM, cell vectors c.
 
@@ -165,7 +165,7 @@ class Decoder:
         return _gru_cell(z, xc, h, self.cand_hh_w.value)[0], None
 
     def sequence(self, tape: nn.Tape | None, inputs: Array, h0: nn.Node,
-                 ws: nn.Workspace | None = None) -> nn.Node:
+                 ws: nn.Workspace | None) -> nn.Node:
         """Run the recurrence over a [T, B] array of token indices from the
         initial hidden vectors h0 [B, m], as one recorded op.
 
@@ -249,7 +249,7 @@ class Decoder:
         return s
 
     def output_loss(self, tape: nn.Tape | None, hidden: nn.Node, targets: Array,
-                    weights: Array, scale: float, ws: nn.Workspace | None = None
+                    weights: Array, scale: float, ws: nn.Workspace | None
                     ) -> tuple[nn.Node, float]:
         """The output layer and the loss over hidden rows [N, m] as one
         recorded op: the [1, 1] cost node, ``scale`` times the weighted sum

@@ -24,7 +24,7 @@ from . import nn
 
 class TripleEncoder:
 
-    def __init__(self, source_size: int, m: int, e_max: int, use_batch_norm: bool = True):
+    def __init__(self, source_size: int, m: int, e_max: int, use_batch_norm: bool):
         self.source_size = source_size
         self.m = m
         self.e_max = e_max

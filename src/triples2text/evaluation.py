@@ -96,14 +96,17 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(a) - v.bit_count()
 
 
-def rouge_l(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]],
-            beta: float = 1.2) -> float:
-    """Mean LCS-based F measure over pairs, in [0, 100].
+ROUGE_BETA = 1.2  # weight of recall against precision in the ROUGE-L F measure
+
+
+def rouge_l(candidates: Sequence[Sequence[str]], references: Sequence[Sequence[str]]) -> float:
+    """Mean LCS-based F measure over pairs, with beta = ``ROUGE_BETA``, in [0, 100].
 
     Pairs with an empty reference are skipped (and counted in the log).
     """
     if len(candidates) != len(references):
         raise ValueError("candidate/reference count mismatch")
+    beta = ROUGE_BETA
     scores = []
     skipped = 0
     for cand, ref in zip(candidates, references):
@@ -212,7 +215,7 @@ def item_surface_for(example: AlignedExample, lexicon: Mapping[str, str]) -> str
 def random_baseline(train_examples: Sequence[AlignedExample],
                     eval_examples: Sequence[AlignedExample],
                     lexicon: Mapping[str, str],
-                    samples: int = 10, seed: int = 0) -> MetricReport:
+                    samples: int, seed: int) -> MetricReport:
     """Answer every evaluation input with a uniformly sampled training
     summary, resolve its placeholders against the input triples, score,
     and repeat; reports mean and standard deviation over the rounds."""
@@ -231,11 +234,9 @@ def random_baseline(train_examples: Sequence[AlignedExample],
             final_tokens, _ = postprocess(toks, ex.triples, lexicon,
                                           item_surface_for(ex, lexicon), pick.mode)
             cands.append(final_tokens)
-        counts = _summed_counts(cands, references)
-        rounds.append({
-            **{f"bleu{k}": _bleu(counts, k) for k in (1, 2, 3, 4)},
-            "rouge_l": rouge_l(cands, references),
-        })
+        report = score_pairs(cands, references)
+        rounds.append({**{f"bleu{k}": v for k, v in report.bleu.items()},
+                       "rouge_l": report.rouge_l})
     mean = {k: sum(r[k] for r in rounds) / len(rounds) for k in rounds[0]}
     std = {k: float(np.std([r[k] for r in rounds])) for k in rounds[0]}
     return MetricReport(
@@ -245,29 +246,6 @@ def random_baseline(train_examples: Sequence[AlignedExample],
         n_evaluated=len(eval_examples),
         stddev=std,
     )
-
-
-def unigram_perplexity(train_examples: Sequence[AlignedExample],
-                       eval_examples: Sequence[AlignedExample]) -> float:
-    """Perplexity proxy for the retrieval baseline: the training-set
-    unigram distribution (add-one smoothed) scored on the evaluation
-    summaries. Retrieval assigns no sequence likelihood of its own, so
-    this is the weakest language model its training data implies."""
-    counts: Counter[str] = Counter()
-    for ex in train_examples:
-        counts.update(t.text for t in ex.summary_tokens if t.text != START)
-    total = sum(counts.values())
-    vocab = len(counts) + 1
-    nll = 0.0
-    n = 0
-    for ex in eval_examples:
-        for t in ex.summary_tokens:
-            if t.text == START:
-                continue
-            p = (counts.get(t.text, 0) + 1) / (total + vocab)
-            nll -= math.log(p)
-            n += 1
-    return math.exp(nll / n)
 
 
 # ---------------------------------------------------------------------------
@@ -293,61 +271,6 @@ class KNModel:
     discounts: list[float]
 
     _cache: dict = field(default_factory=dict, repr=False)
-
-    @classmethod
-    def train(cls, summaries: Sequence[Sequence[str]], n: int) -> "KNModel":
-        if n < 1:
-            raise ValueError("order must be >= 1")
-        seqs = []
-        for s in summaries:
-            seq = list(s)
-            if not seq or seq[0] != START:
-                seq = [START] + seq
-            if seq[-1] != END:
-                seq = seq + [END]
-            seqs.append(seq)
-        raw: list[dict[tuple[str, ...], Counter]] = [dict() for _ in range(n)]
-        for seq in seqs:
-            for k in range(1, n + 1):
-                for i in range(len(seq) - k + 1):
-                    hist = tuple(seq[i:i + k - 1])
-                    w = seq[i + k - 1]
-                    if w == START:
-                        continue  # <start> is context only, never predicted
-                    raw[k - 1].setdefault(hist, Counter())[w] += 1
-
-        counts: list[dict[tuple[str, ...], Counter]] = [dict() for _ in range(n)]
-        counts[n - 1] = raw[n - 1]
-        # continuation counts: number of distinct left extensions; histories
-        # anchored at <start> cannot be extended left, so they keep their raw
-        # counts at every order
-        for k in range(n - 1, 0, -1):
-            cont: dict[tuple[str, ...], Counter] = {}
-            for hist, words in raw[k].items():
-                sub = hist[1:]
-                for w in words:
-                    cont.setdefault(sub, Counter())[w] += 1
-            for hist, words in raw[k - 1].items():
-                if hist and hist[0] == START:
-                    cont[hist] = words.copy()
-            counts[k - 1] = cont
-
-        vocab = sorted({w for seq in seqs for w in seq if w != START})
-        discounts = []
-        for k in range(n):
-            cofc = Counter()
-            for words in counts[k].values():
-                for c in words.values():
-                    cofc[c] += 1
-            n1, n2 = cofc.get(1, 0), cofc.get(2, 0)
-            if n2 == 0:
-                logger.warning("KN order %d: count-of-counts too sparse (n2=0); "
-                               "falling back to discount 0.75", k + 1)
-                discounts.append(0.75)
-            else:
-                discounts.append(n1 / (n1 + 2 * n2))
-        return cls(n=n, vocab=vocab, vocab_index={w: i for i, w in enumerate(vocab)},
-                   counts=counts, discounts=discounts)
 
     def _order_probs(self, history: tuple[str, ...], order: int) -> np.ndarray:
         v = len(self.vocab)
@@ -377,7 +300,59 @@ class KNModel:
 
 
 def kn_train(summaries: Sequence[Sequence[str]], n: int) -> KNModel:
-    return KNModel.train(summaries, n)
+    """The order-n model of the summaries, each framed by <start> and <end>."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    seqs = []
+    for s in summaries:
+        seq = list(s)
+        if not seq or seq[0] != START:
+            seq = [START] + seq
+        if seq[-1] != END:
+            seq = seq + [END]
+        seqs.append(seq)
+    raw: list[dict[tuple[str, ...], Counter]] = [dict() for _ in range(n)]
+    for seq in seqs:
+        for k in range(1, n + 1):
+            for i in range(len(seq) - k + 1):
+                hist = tuple(seq[i:i + k - 1])
+                w = seq[i + k - 1]
+                if w == START:
+                    continue  # <start> is context only, never predicted
+                raw[k - 1].setdefault(hist, Counter())[w] += 1
+
+    counts: list[dict[tuple[str, ...], Counter]] = [dict() for _ in range(n)]
+    counts[n - 1] = raw[n - 1]
+    # continuation counts: number of distinct left extensions; histories
+    # anchored at <start> cannot be extended left, so they keep their raw
+    # counts at every order
+    for k in range(n - 1, 0, -1):
+        cont: dict[tuple[str, ...], Counter] = {}
+        for hist, words in raw[k].items():
+            sub = hist[1:]
+            for w in words:
+                cont.setdefault(sub, Counter())[w] += 1
+        for hist, words in raw[k - 1].items():
+            if hist and hist[0] == START:
+                cont[hist] = words.copy()
+        counts[k - 1] = cont
+
+    vocab = sorted({w for seq in seqs for w in seq if w != START})
+    discounts = []
+    for k in range(n):
+        cofc = Counter()
+        for words in counts[k].values():
+            for c in words.values():
+                cofc[c] += 1
+        n1, n2 = cofc.get(1, 0), cofc.get(2, 0)
+        if n2 == 0:
+            logger.warning("KN order %d: count-of-counts too sparse (n2=0); "
+                           "falling back to discount 0.75", k + 1)
+            discounts.append(0.75)
+        else:
+            discounts.append(n1 / (n1 + 2 * n2))
+    return KNModel(n=n, vocab=vocab, vocab_index={w: i for i, w in enumerate(vocab)},
+                   counts=counts, discounts=discounts)
 
 
 class KNScorer(Scorer):

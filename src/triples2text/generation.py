@@ -193,7 +193,7 @@ def surface_for(uri: str, lexicon: Mapping[str, str]) -> str:
 
 def postprocess(tokens: Sequence[str], triples: Sequence[Triple],
                 lexicon: Mapping[str, str], item_surface: str,
-                mode: str = MODE_URI) -> tuple[list[str], str]:
+                mode: str) -> tuple[list[str], str]:
     """Resolve generated tokens into final text tokens and a detokenised
     string. Resolution is total: an unmatched placeholder falls back to
     its instance-type part. Multi-word surfaces split into word tokens so
@@ -245,15 +245,16 @@ class GenerationResult:
     tokens: list[str]        # raw generated target tokens
     final_tokens: list[str]  # after placeholder/surface resolution
     final_text: str
-    forced: bool = False     # hit the length cap without <end>
+    forced: bool  # hit the length cap without <end>
 
 
 def generate(model: Seq2Seq, triples: Sequence[Triple], lexicon: Mapping[str, str],
-             item_surface: str, beam_width: int = BEAM_WIDTH, t_max: int = T_MAX,
+             item_surface: str, beam_width: int, t_max: int,
              input_id: str = "0") -> list[GenerationResult]:
     """Encode one normalised triple set, beam-search, post-process each
     hypothesis. The triple count must respect the corpus bounds the model
-    was trained with."""
+    was trained with; the model reads its first ``e_max`` encodable triples
+    (:meth:`Seq2Seq.encode_triple_set`), post-processing the whole set."""
     if not triples:
         raise GenerationInputError("empty triple set")
     lo = model.config.bound_lower

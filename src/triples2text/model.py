@@ -24,6 +24,9 @@ from .vocab import Vocabulary
 
 Array = np.ndarray
 
+INIT_BOUND = 0.001  # weights and biases start uniform in [-INIT_BOUND, INIT_BOUND)
+NLL_BATCH_SIZE = 32  # examples per batch of corpus_nll
+
 
 class CheckpointMismatchError(ValueError):
     """Checkpoint disagrees with the supplied vocabularies or configuration."""
@@ -75,7 +78,7 @@ class Seq2Seq:
         self.encoder = TripleEncoder(len(source_vocab), config.m, config.e_max,
                                      config.use_batch_norm)
         self.decoder = Decoder(len(target_vocab), config.m, config.cell_kind,
-                               pad_index=target_vocab.index[PAD])
+                               target_vocab.index[PAD])
         self.pad_index = target_vocab.index[PAD]
         self.start_index = target_vocab.index[START]
         self.end_index = target_vocab.index[END]
@@ -86,13 +89,13 @@ class Seq2Seq:
     def batch_norms(self) -> list[nn.BatchNorm]:
         return self.encoder.batch_norms()
 
-    def init_parameters(self, seed: int, low: float = -0.001, high: float = 0.001) -> None:
-        """Uniform initialisation of weights and biases; batch-norm scale/shift
-        keep their 1/0 identity initialisation so early activations stay at
-        unit scale."""
+    def init_parameters(self, seed: int) -> None:
+        """Uniform initialisation of weights and biases in
+        [-INIT_BOUND, INIT_BOUND); batch-norm scale/shift keep their 1/0
+        identity initialisation so early activations stay at unit scale."""
         bn_params = {id(p) for bn in self.batch_norms() for p in bn.parameters()}
         nn.init_uniform([p for p in self.parameters() if id(p) not in bn_params],
-                        low, high, seed)
+                        -INIT_BOUND, INIT_BOUND, seed)
 
     # -- example encoding ---------------------------------------------
 
@@ -103,18 +106,19 @@ class Seq2Seq:
         discarded here; subjects and objects resolve through the source
         fallback chain.
         """
-        triples = self.encode_triple_set(example.triples)[:self.config.e_max]
+        triples = self.encode_triple_set(example.triples)
         target = [self.target_vocab.encode(tok.text) for tok in example.summary_tokens]
         return EncodedExample(triples=triples, target=target)
 
     def encode_triple_set(self, triples: Sequence[Triple]) -> list[tuple[int, int, int]]:
+        """Source indices of the first ``e_max`` triples of known predicate."""
         sv = self.source_vocab
         out = []
         for t in triples:
             if t.predicate not in sv.index:
                 continue  # rare predicate: triple marked for discard
             out.append((sv.encode(t.subject), sv.index[t.predicate], sv.encode(t.object)))
-        return out
+        return out[:self.config.e_max]
 
     # -- forward passes -----------------------------------------------
 
@@ -153,12 +157,12 @@ class Seq2Seq:
                                                weights.reshape(-1), 1.0 / b, ws)
         return cost, total, int(weights.sum())
 
-    def corpus_nll(self, examples: Sequence[EncodedExample], batch_size: int = 32,
-                   max_timestep: int | None = None) -> tuple[float, int]:
-        """Inference-mode total negative log-likelihood and token count."""
+    def corpus_nll(self, examples: Sequence[EncodedExample],
+                   max_timestep: int | None) -> tuple[float, int]:
+        """Inference-mode total NLL and token count, in batches of ``NLL_BATCH_SIZE``."""
         total, count = 0.0, 0
-        for i in range(0, len(examples), batch_size):
-            chunk = examples[i:i + batch_size]
+        for i in range(0, len(examples), NLL_BATCH_SIZE):
+            chunk = examples[i:i + NLL_BATCH_SIZE]
             _, nll, n = self.batch_loss(None, chunk, training=False,
                                         max_timestep=max_timestep)
             total += nll

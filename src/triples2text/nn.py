@@ -249,6 +249,9 @@ def init_uniform(params: Iterable[Parameter], low: float, high: float, seed: int
 
 
 _BLOCK = 1 << 14  # values per cache-sized block of an elementwise update
+RMSPROP_DECAY = 0.95  # rho: weight of the old mean square per update
+RMSPROP_EPSILON = 1e-8
+FD_STEP = 1e-5  # h of gradient_check's central differences
 
 
 class Workspace:
@@ -295,8 +298,7 @@ def clip_gradients(params: Iterable[Parameter], max_norm: float | None) -> tuple
 
 
 def rmsprop_step(params: Iterable[Parameter], learning_rate: float,
-                 decay_rho: float = 0.95, epsilon: float = 1e-8,
-                 l2_coefficient: float = 0.0) -> None:
+                 l2_coefficient: float) -> None:
     """One RMSProp update: divide each step by a running RMS of gradients.
 
     The l2 penalty enters through the gradient (g += 2*l2*value) before
@@ -305,7 +307,8 @@ def rmsprop_step(params: Iterable[Parameter], learning_rate: float,
 
     The update runs in place, in cache-sized blocks of each flattened
     parameter and two scratch buffers, in the operation order of
-    acc = rho*acc + ((1-rho)*g)*g and value -= (lr*g) / sqrt(acc + eps);
+    acc = rho*acc + ((1-rho)*g)*g and value -= (lr*g) / sqrt(acc + eps),
+    with rho = RMSPROP_DECAY and eps = RMSPROP_EPSILON;
     every operation is elementwise, so it is bit-identical to that formula
     written with temporaries.
     """
@@ -317,20 +320,19 @@ def rmsprop_step(params: Iterable[Parameter], learning_rate: float,
             a, b = buf_a[:v.size], buf_b[:v.size]
             if l2_coefficient:
                 g = np.add(g, np.multiply(v, 2.0 * l2_coefficient, out=a), out=a)
-            np.multiply(g, 1.0 - decay_rho, out=b)
+            np.multiply(g, 1.0 - RMSPROP_DECAY, out=b)
             b *= g
-            r *= decay_rho
+            r *= RMSPROP_DECAY
             r += b
-            np.add(r, epsilon, out=b)
+            np.add(r, RMSPROP_EPSILON, out=b)
             np.sqrt(b, out=b)
             np.multiply(g, learning_rate, out=a)
             a /= b
             v -= a
 
 
-def gradient_check(loss_fn: Callable[[bool], float], params: Sequence[Parameter],
-                   h: float = 1e-5) -> float:
-    """Compare analytic gradients to central finite differences.
+def gradient_check(loss_fn: Callable[[bool], float], params: Sequence[Parameter]) -> float:
+    """Compare analytic gradients to central differences of step ``FD_STEP``.
 
     ``loss_fn(compute_grads)`` must rerun the same forward pass on fixed
     data; with compute_grads=True it must also populate Parameter.grad.
@@ -346,12 +348,12 @@ def gradient_check(loss_fn: Callable[[bool], float], params: Sequence[Parameter]
         flat = p.value.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + h
+            flat[i] = keep + FD_STEP
             up = loss_fn(False)
-            flat[i] = keep - h
+            flat[i] = keep - FD_STEP
             down = loss_fn(False)
             flat[i] = keep
-            fd = (up - down) / (2.0 * h)
+            fd = (up - down) / (2.0 * FD_STEP)
             an = a.reshape(-1)[i]
             err = abs(an - fd) / max(abs(an), abs(fd), 1e-4)
             if err > worst:

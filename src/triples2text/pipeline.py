@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .fileio import atomic_open
+from .fileio import atomic_open, reading
 from .settings import INTEGER, Range, Settings, at_least, one_of, setting
 from .tokens import (END, ITEM, RARE, SPECIAL_TOKENS, START, UNK, YEAR, ZERO,
                      format_placeholder, tuple_token_text)
@@ -131,7 +131,7 @@ class AlignedExample:
     triples: list[Triple]
     summary_tokens: list[SummaryToken]
     reference_tokens: list[str]
-    mode: str = MODE_URI
+    mode: str
 
 
 @dataclass
@@ -214,8 +214,9 @@ def _strip_uri(tok: str) -> str:
     return tok[1:-1] if tok.startswith("<") and tok.endswith(">") else tok
 
 
-def parse_ntriples(lines: Iterable[str], where: str = "<triples>") -> list[Triple]:
-    """Triples of N-Triples-like lines; equal strings are one object."""
+def parse_ntriples(lines: Iterable[str], where: str) -> list[Triple]:
+    """Triples of N-Triples-like lines, whose errors name ``where``; equal
+    strings are one object."""
     canon: dict[str, str] = {}
     share = canon.setdefault
     out: list[Triple] = []
@@ -243,7 +244,7 @@ def parse_ntriples(lines: Iterable[str], where: str = "<triples>") -> list[Tripl
 
 
 def read_ntriples(path: str) -> list[Triple]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         return parse_ntriples(fh, where=path)
 
 
@@ -281,7 +282,7 @@ def read_summaries(path: str) -> Iterator[AnnotatedSummary]:
     object."""
     canon: dict[str, str] = {}
     share = canon.setdefault
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -295,7 +296,7 @@ def read_summaries(path: str) -> Iterator[AnnotatedSummary]:
 
 def read_tsv_map(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -722,7 +723,8 @@ def read_corpus(path: str) -> list[AlignedExample]:
     """Examples of a corpus file written by :func:`write_corpus`.
 
     A malformed line, a field of the wrong type or an unknown mode raises
-    PipelineError naming path:line. Equal triples, summary tokens and
+    PipelineError naming path:line, and a byte that is not UTF-8 a
+    ValueError naming path. Equal triples, summary tokens and
     reference tokens of the file are one object each; each is type-checked
     once, on its first sighting, before it enters the file's table.
     """
@@ -747,7 +749,7 @@ def read_corpus(path: str) -> list[AlignedExample]:
         return value
 
     out: list[AlignedExample] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with reading(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

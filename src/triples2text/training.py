@@ -17,7 +17,7 @@ import math
 import os
 import resource
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,31 +68,20 @@ class TrainResult:
     best_epoch: int
     best_validation_perplexity: float
     epochs_run: int
-    final_cost: float
     checkpoint_path: str | None
-    log_path: str | None
-    boundary_lrs: list[float] = field(default_factory=list)
-
-
-def sequence_loss(batch: Sequence[EncodedExample], model: Seq2Seq,
-                  max_timestep: int | None = None) -> float:
-    """Batch-averaged, time-summed negative log-likelihood (inference mode)."""
-    cost, _, _ = model.batch_loss(None, batch, training=False, max_timestep=max_timestep)
-    return float(cost.value[0, 0])
 
 
 def make_batches(examples: Sequence[EncodedExample], batch_size: int,
-                 rng: np.random.Generator | None = None) -> list[list[EncodedExample]]:
-    """Cut the (shuffled) examples into batches; single leftover examples
-    are dropped because batch normalisation needs two rows.
+                 rng: np.random.Generator) -> list[list[EncodedExample]]:
+    """Cut the examples, shuffled by ``rng``, into batches; single leftover
+    examples are dropped because batch normalisation needs two rows.
 
     Batches are not bucketed by length: that would make batch statistics
     length-conditional and skew the normalisation running averages on
     small homogeneous corpora.
     """
     order = list(range(len(examples)))
-    if rng is not None:
-        rng.shuffle(order)
+    rng.shuffle(order)
     batches = []
     for i in range(0, len(order), batch_size):
         chunk = [examples[j] for j in order[i:i + batch_size]]
@@ -131,7 +120,7 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
     encoded_valid = [model.encode_example(ex) for ex in valid]
 
     log_fh = None
-    log_path = best_path = last_path = None
+    best_path = last_path = None
     if out_dir is not None:
         log_path = os.path.join(out_dir, "train_log.jsonl")
         best_path = os.path.join(out_dir, "checkpoint_best.bin")
@@ -152,12 +141,10 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
     best_ppx = math.inf
     best_epoch = -1
     final_cost = math.nan
-    boundary_lrs: list[float] = []
     epochs_run = 0
 
     try:
         for epoch in range(cfg.epochs):
-            boundary_lrs.append(lr)
             batches = make_batches(encoded, cfg.batch_size, rng)
             rng.shuffle(batches)
             n_batches = len(batches)
@@ -223,22 +210,5 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
         best_epoch=best_epoch,
         best_validation_perplexity=best_ppx,
         epochs_run=epochs_run,
-        final_cost=final_cost,
         checkpoint_path=best_path,
-        log_path=log_path,
-        boundary_lrs=boundary_lrs,
     )
-
-
-def boundary_lr_schedule(cfg: TrainConfig, epochs: int) -> list[float]:
-    """Expected epoch-boundary learning rates, by repeated multiplication."""
-    out = []
-    lr = cfg.learning_rate
-    next_decay = Fraction(cfg.decay_start_epoch)
-    for epoch in range(epochs):
-        out.append(lr)
-        while next_decay < Fraction(epoch + 1):
-            lr *= cfg.decay_factor
-            next_decay += DECAY_PERIOD
-        # an instant exactly on the boundary decays after the next record
-    return out

@@ -39,6 +39,7 @@ KIND_PLACEHOLDER = "placeholder"
 KIND_INSTANCE_TYPE = "instance_type"
 KIND_SPECIAL = "special"
 
+META_SUFFIX = ".meta.json"  # a source dictionary's sidecar is <path> + META_SUFFIX
 SOURCE_MIN_COUNT = 20  # occurrences a source token needs to keep its own index
 
 _STRUCTURAL_KINDS = (KIND_PLACEHOLDER, KIND_INSTANCE_TYPE)
@@ -127,16 +128,21 @@ class Vocabulary:
     def save(self, path: str) -> None:
         main, meta = self.to_bytes(stamp=True)
         if meta is not None:
-            with atomic_open(path + ".meta.json", "wb") as fh:
+            with atomic_open(path + META_SUFFIX, "wb") as fh:
                 fh.write(meta)
         with atomic_open(path, "wb") as fh:
             fh.write(main)
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
+        """The dictionary ``save`` wrote to ``path``; a malformed list or
+        sidecar raises ValueError naming its file."""
         with open(path, "rb") as fh:
             main = fh.read()
-        lines = main.decode("utf-8").splitlines()
+        try:
+            lines = main.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
         if not lines:
             raise ValueError(f"{path}: empty vocabulary file")
         head = lines[0].split("\t")
@@ -148,22 +154,35 @@ class Vocabulary:
         expected_specials = tuple(head[3].split(","))
         if expected_specials != SPECIAL_TOKENS:
             raise ValueError(f"{path}: special-token list mismatch")
-        for ln in lines[1:]:
+        for lineno, ln in enumerate(lines[1:], start=2):
             if not ln:
                 continue
-            tok, count = ln.rsplit("\t", 1)
-            v._append(tok, int(count))
+            try:
+                tok, count = ln.rsplit("\t", 1)
+                v._append(tok, int(count))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad vocabulary line: {exc}") from None
         for tok in SPECIAL_TOKENS:
             if v.index.get(tok, -1) != SPECIAL_TOKENS.index(tok):
                 raise ValueError(f"{path}: special token {tok} not at its fixed index")
-        meta_path = path + ".meta.json"
+        meta_path = path + META_SUFFIX
         if v.kind == "source" and os.path.exists(meta_path):
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
+            try:
+                with open(meta_path, "rb") as fh:
+                    meta = json.loads(fh.read())  # a byte that is not UTF-8 is a ValueError
+                fallbacks = meta.get("fallbacks", {}) if isinstance(meta, dict) else None
+                entities = meta.get("entity_tokens", []) if isinstance(meta, dict) else None
+                if not (isinstance(fallbacks, dict) and {*map(type, fallbacks.values())} <= {str}
+                        and isinstance(entities, list) and {*map(type, entities)} <= {str}):
+                    raise ValueError("expected an object whose fallbacks map strings to strings "
+                                     "and whose entity_tokens are a list of strings")
+            except ValueError as exc:
+                raise ValueError(f"{meta_path}: bad vocabulary sidecar: {exc}") from None
             if meta.get("list_sha256") not in (None, hashlib.sha256(main).hexdigest()):
                 raise ValueError(f"{meta_path} was written for another token list than {path}")
-            v.fallbacks = dict(meta.get("fallbacks", {}))
-            v.entity_tokens = set(meta.get("entity_tokens", []))
+            if not set(fallbacks.values()) <= v.index.keys():
+                raise ValueError(f"{meta_path}: a fallback names a token not in {path}")
+            v.fallbacks, v.entity_tokens = fallbacks, set(entities)
         return v
 
 

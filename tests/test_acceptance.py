@@ -16,7 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_vocab
+from conftest import make_vocab, read_jsonl, unigram_perplexity
 from triples2text import demo, evaluation, generation, nn, pipeline, training
 from triples2text import tokens as tk
 from triples2text.generation import ModelScorer, beam_search
@@ -281,7 +281,7 @@ def test_criterion_4_metric_oracles():
     for i in range(3):
         examples.append(AlignedExample(f"dbr:P{i}",
                                        [Triple(tk.ITEM, "dbo:p", "dbr:A")],
-                                       toks, ["t0", "t1"]))
+                                       toks, ["t0", "t1"], "uri"))
     ppx = evaluation.perplexity(model, examples)
     unmasked = len(model.target_vocab) - 1
     checks.append(abs(ppx - unmasked) / unmasked < 1e-9)
@@ -393,7 +393,7 @@ def test_criterion_6_desk_scale_end_to_end(tmp_path):
             decay_start=decay_start)
         b4 = _bleu4(model, train_set, lexicon)
         ppx = evaluation.perplexity(model, valid_set)
-        proxy = evaluation.unigram_perplexity(train_set, valid_set)
+        proxy = unigram_perplexity(train_set, valid_set)
         untrained = len(tv) - 1
         outcomes[cell] = (b4, ppx, proxy, untrained)
     elapsed = time.time() - start
@@ -417,8 +417,9 @@ def test_criterion_7_schedule_exactness(tmp_path):
                       cell_kind="gru", m=8, e_max=stats.e_max,
                       learning_rate=0.002, decay_factor=0.8, decay_start_epoch=3,
                       patience=None, mode="uri")
-    _, result = training.train(examples[:16], examples[16:], cfg, sv, tv,
-                               out_dir=str(tmp_path / "run7"))
+    training.train(examples[:16], examples[16:], cfg, sv, tv, out_dir=str(tmp_path / "run7"))
+    logged = [r["lr_boundary"] for r in read_jsonl(tmp_path / "run7" / "train_log.jsonl")
+              if r["type"] == "epoch_start"]
     expected = []
     lr = 0.002
     instants_applied = 0
@@ -427,13 +428,13 @@ def test_criterion_7_schedule_exactness(tmp_path):
         while (3 + instants_applied * 0.5) < e + 1:
             lr *= 0.8
             instants_applied += 1
-    exact = result.boundary_lrs == expected
+    exact = logged == expected
     # informational: the closed form 0.002 * 0.8^(2(e-3)) can differ from the
     # update rule by float rounding; the update rule is normative
-    closed = [abs(result.boundary_lrs[e] - 0.002 * 0.8 ** (2 * (e - 3))) < 1e-18
+    closed = [abs(logged[e] - 0.002 * 0.8 ** (2 * (e - 3))) < 1e-18
               for e in range(3, 6)]
     report("7 schedule exactness", exact,
-           f"boundary rates {result.boundary_lrs} match the repeated-"
+           f"boundary rates {logged} match the repeated-"
            f"multiplication schedule exactly (closed form within 1e-18: {closed})")
 
 

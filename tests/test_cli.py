@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import struct
 import types
 from pathlib import Path
@@ -13,8 +14,10 @@ import pytest
 from conftest import read_jsonl
 from triples2text import cli, evaluation, generation, nn, training
 from triples2text.model import Seq2Seq
+from triples2text.pipeline import read_corpus
 from triples2text.tokens import END
 from triples2text.training import TrainConfig, TrainResult
+from triples2text.vocab import Vocabulary
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -542,7 +545,7 @@ def test_train_defaults_come_from_train_config(demo_dir, tmp_path, monkeypatch):
 
     def fake_train(corpus, valid, tcfg, *args, **kwargs):
         seen.append(tcfg)
-        return None, TrainResult(0, 1.0, 0, 0.0, None, None)
+        return None, TrainResult(0, 1.0, 0, None)
 
     monkeypatch.setattr(training, "train", fake_train)
     assert run(["train", "--corpus", corpus, "--source-vocab", svocab,
@@ -731,3 +734,103 @@ def test_config_env_variable(monkeypatch, demo_dir, tmp_path):
     out = str(tmp_path / "corpus.jsonl")
     assert run(["build-corpus", "--out", out]) == 0
     assert os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def over_long(tmp_path_factory):
+    """The paths of a corpus of 8 triples per example, its lexicon and
+    vocabularies, and a model trained on it with e_max 4."""
+    d = tmp_path_factory.mktemp("over_long")
+    assert run(["demo-corpus", "--out-dir", str(d / "demo"), "--size", "40", "--seed", "2"]) == 0
+    paths = {"corpus": str(d / "corpus.jsonl"), "lexicon": str(d / "lexicon.tsv"),
+             "target": str(d / "t.vocab"), "source": str(d / "s.vocab"),
+             "checkpoint": str(d / "run" / "checkpoint_best.bin")}
+    cfg = str(d / "demo" / "demo.cfg")
+    assert run(["--config", cfg, "build-corpus", "--out", paths["corpus"],
+                "--lexicon-out", paths["lexicon"]]) == 0
+    assert run(["--config", cfg, "build-vocab", "--corpus", paths["corpus"],
+                "--target-out", paths["target"], "--source-out", paths["source"]]) == 0
+    assert run(["train", "--corpus", paths["corpus"], "--source-vocab", paths["source"],
+                "--target-vocab", paths["target"], "--out-dir", str(d / "run"), "--e-max", "4",
+                "--cell", "gru", "--m", "4", "--batch-size", "5", "--epochs", "1"]) == 0
+    return paths
+
+
+def test_over_long_triple_sets_are_cut_to_e_max(over_long, capsys):
+    p = over_long
+    assert run(["evaluate", "--checkpoint", p["checkpoint"], "--source-vocab", p["source"],
+                "--target-vocab", p["target"], "--corpus", p["corpus"],
+                "--lexicon", p["lexicon"], "--beam", "2", "--t-max", "5"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    model = Seq2Seq.load(p["checkpoint"], *map(Vocabulary.load, (p["source"], p["target"])))
+    triples = read_corpus(p["corpus"])[0].triples
+    kept = [t for t in triples if t.predicate in model.source_vocab]
+    assert model.config.e_max == 4 < len(kept)
+
+    def hypotheses(ts):
+        return [(r.tokens, r.log_prob) for r in generation.generate(model, ts, {}, "X", 3, 6)]
+    assert hypotheses(triples) == hypotheses(kept[:4])
+
+
+def replace_bytes(path, edit):
+    def apply(tmp_path, p):
+        copy = tmp_path / os.path.basename(p[path])
+        copy.write_bytes(edit(Path(p[path]).read_bytes()))
+        return {**p, path: str(copy)}, str(copy)
+    return apply
+
+
+def with_sidecar(text):
+    def apply(tmp_path, p):
+        copy = tmp_path / "s.vocab"
+        shutil.copy(p["source"], copy)
+        (tmp_path / "s.vocab.meta.json").write_text(text)
+        return {**p, "source": str(copy)}, str(copy) + ".meta.json"
+    return apply
+
+
+@pytest.mark.parametrize("fault", [
+    with_sidecar("[]"),
+    with_sidecar('{"fallbacks": 3}'),
+    with_sidecar('{"fallbacks": {}, "entity_tokens": "dbr:A"}'),
+    with_sidecar("{"),
+    with_sidecar('{"fallbacks": {"dbr:A": "dbo:NoSuchType"}, "entity_tokens": []}'),
+    replace_bytes("target", lambda b: b + b"no-tab-here\n"),
+    replace_bytes("target", lambda b: b + b"\xff\t1\n"),
+    replace_bytes("source", lambda b: b.replace(b"\t", b"\t\xff", 2)),
+    replace_bytes("corpus", lambda b: b"\xff" + b),
+    replace_bytes("corpus", lambda b: b + b"\xff\n"),
+    replace_bytes("lexicon", lambda b: b + b"dbr:\xff\tX\n"),
+], ids=["sidecar-list", "sidecar-int-fallbacks", "sidecar-string-entities",
+        "sidecar-not-json", "sidecar-fallback-to-no-token", "vocab-line-without-tab",
+        "vocab-not-utf8", "vocab-head-not-utf8", "corpus-first-byte-not-utf8",
+        "corpus-last-byte-not-utf8", "lexicon-not-utf8"])
+def test_malformed_data_file_exits_two_naming_it(over_long, tmp_path, fault, capsys):
+    p, bad = fault(tmp_path, over_long)
+    assert run(["generate", "--checkpoint", p["checkpoint"], "--source-vocab", p["source"],
+                "--target-vocab", p["target"], "--lexicon", p["lexicon"],
+                "--from-corpus", p["corpus"], "--limit", "1", "--beam", "2",
+                "--t-max", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {bad}" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    lambda p, d: ["build-vocab", "--corpus", p["corpus"], "--target-out", str(d / "t.vocab"),
+                  "--source-out"],
+    lambda p, d: ["--config", p["config"], "build-corpus", "--out", str(d / "c.jsonl"),
+                  "--stats-out", str(d / "stats.json"), "--lexicon-out"],
+    lambda p, d: ["evaluate", "--checkpoint", p["checkpoint"], "--source-vocab", p["source"],
+                  "--target-vocab", p["target"], "--corpus", p["corpus"], "--beam", "2",
+                  "--t-max", "5", "--out", str(d / "report.json"), "--curve-csv"],
+], ids=["build-vocab --source-out", "build-corpus --lexicon-out", "evaluate --curve-csv"])
+def test_unwritable_later_output_leaves_no_earlier_one(demo_dir, trained, tmp_path, argv,
+                                                       capsys):
+    # the last output is a directory: the target vocabulary and the source
+    # sidecar, the corpus and its stats, or the report must not be left behind
+    (tmp_path / "bad").mkdir()
+    p = {**trained, "config": os.path.join(demo_dir, "demo.cfg")}
+    assert run([*argv(p, tmp_path), str(tmp_path / "bad")]) == 3
+    err = capsys.readouterr().err
+    assert f"cannot write {tmp_path / 'bad'}" in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["bad"]

@@ -261,7 +261,7 @@ def test_training_batch_records_three_closures():
 
 
 def zero_decoder(cell, m=3, target=12):
-    return Decoder(target, m, cell)
+    return Decoder(target, m, cell, pad_index=0)
 
 
 def step_once(dec, x=1, h=None, c=None):
@@ -364,7 +364,7 @@ def test_gru_convexity_property(seed):
     for p in dec.parameters():
         p.value[...] = rng.normal(scale=1.5, size=p.value.shape)
     h_prev = rng.normal(size=3)
-    top, _ = dec.step(np.asarray([1]), np.asarray([h_prev]))
+    top, _ = dec.step(np.asarray([1]), np.asarray([h_prev]), None)
     h_new = top[0]
     # recompute the candidate with plain numpy
     x_emb = dec.embed.value[1]
@@ -485,13 +485,13 @@ def test_sequence_hidden_rows_equal_beam_steps(cell):
     model = make_model(seed=4, cell=cell, m=5)
     inputs = np.array([[1, 6], [7, 8], [9, 2]])
     h0 = nn.leaf(np.random.default_rng(1).normal(size=(2, 5)))
-    rows = model.decoder.sequence(None, inputs, h0).value
+    rows = model.decoder.sequence(None, inputs, h0, None).value
     h, c = model.decoder.initial_state(h0.value)
     for t, x in enumerate(inputs):
         h, c = model.decoder.step(x, h, c)
         np.testing.assert_allclose(rows[2 * t:2 * t + 2], h, rtol=1e-12, atol=1e-15)
     with pytest.raises(nn.ShapeError):
-        model.decoder.sequence(None, np.array([[1, 99]]), h0)
+        model.decoder.sequence(None, np.array([[1, 99]]), h0, None)
 
 
 # -- the fused output head against the taped chain ------------------------------
@@ -569,9 +569,9 @@ def test_passes_without_workspace_do_not_overwrite_each_other(cell):
     model = make_model(seed=6, cell=cell, m=5, e_max=3, target_extra=9)
     first, second = ragged_batch(model, [4, 6], seed=1), ragged_batch(model, [5, 2, 3], seed=2)
     h0 = nn.leaf(np.random.default_rng(3).normal(size=(2, 5)))
-    rows = model.decoder.sequence(None, np.array([[1, 6], [7, 8]]), h0)
+    rows = model.decoder.sequence(None, np.array([[1, 6], [7, 8]]), h0, None)
     kept = rows.value.copy()
-    model.decoder.sequence(None, np.array([[2, 3], [4, 5], [9, 9]]), h0)
+    model.decoder.sequence(None, np.array([[2, 3], [4, 5], [9, 9]]), h0, None)
     assert np.array_equal(rows.value, kept)
     # two taped passes alive at once, spent in reverse order, give the
     # gradients each gives alone

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model
+from conftest import make_model, unigram_perplexity
 from triples2text import evaluation as ev
 from triples2text import tokens as tk
 from triples2text.pipeline import AlignedExample, SummaryToken, Triple
@@ -179,7 +179,7 @@ def aligned(tokens, triples=None, main="dbr:M", with_item=False):
     toks += [SummaryToken("word", t) for t in tokens]
     toks.append(SummaryToken("special", tk.END))
     return AlignedExample(main, triples or [Triple(tk.ITEM, "dbo:p", "dbr:A")],
-                          toks, list(tokens))
+                          toks, list(tokens), "uri")
 
 
 def test_uniform_model_perplexity_equals_unmasked_vocab():
@@ -327,15 +327,25 @@ def test_random_baseline_identical_summary_scores_hundred():
     assert abs(rep.bleu[4] - 100.0) < 1e-9
 
 
+def test_random_baseline_scores_each_round_with_score_pairs(monkeypatch):
+    train, evalset = baseline_corpus()
+    want = ev.random_baseline(train, evalset, {}, samples=3, seed=4)
+    calls = []
+    score_pairs = ev.score_pairs
+    monkeypatch.setattr(ev, "score_pairs", lambda *a: calls.append(a) or score_pairs(*a))
+    got = ev.random_baseline(train, evalset, {}, samples=3, seed=4)
+    assert len(calls) == 3 and got.to_json() == want.to_json()
+
+
 def test_random_baseline_empty_training_set_raises():
     _, evalset = baseline_corpus()
     with pytest.raises(ValueError):
-        ev.random_baseline([], evalset, {})
+        ev.random_baseline([], evalset, {}, samples=10, seed=0)
 
 
 def test_unigram_perplexity_sane():
     train, evalset = baseline_corpus()
-    ppx = ev.unigram_perplexity(train, evalset)
+    ppx = unigram_perplexity(train, evalset)
     assert 1.0 < ppx < 100.0
 
 

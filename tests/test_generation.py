@@ -12,7 +12,7 @@ from triples2text import tokens as tk
 from triples2text.generation import (GenerationInputError, ModelScorer, Scorer,
                                      beam_search, detokenize, postprocess,
                                      prettify_uri)
-from triples2text.pipeline import Triple
+from triples2text.pipeline import AlignedExample, Triple
 
 
 class TableScorer(Scorer):
@@ -181,7 +181,7 @@ LEXICON = {"dbr:Open_All_Hours": "Open All Hours", "dbr:Actor": "actor",
 def test_placeholder_resolves_to_matching_triple_subject():
     triples = [Triple("dbr:Open_All_Hours", "dbo:starring", tk.ITEM)]
     toks, text = postprocess(["<start>", "dbo:starring__subj__dbo:TelevisionShow",
-                              "<end>"], triples, LEXICON, "Barbara Flynn")
+                              "<end>"], triples, LEXICON, "Barbara Flynn", mode="uri")
     assert toks == ["Open", "All", "Hours"]
     assert text == "Open All Hours"
 
@@ -193,7 +193,7 @@ def test_uri_mode_lexicon_substitution():
 
 def test_unmatched_placeholder_falls_back_to_type_token():
     toks, text = postprocess(["dbo:birthPlace__obj__dbo:Settlement"], [],
-                             LEXICON, "X")
+                             LEXICON, "X", mode="uri")
     assert text == "dbo:Settlement"
 
 
@@ -211,7 +211,7 @@ def test_repeated_placeholders_consume_triples_in_order():
     triples = [Triple("dbr:Show_A", "dbo:starring", tk.ITEM),
                Triple("dbr:Show_B", "dbo:starring", tk.ITEM)]
     ph = "dbo:starring__subj__dbo:TelevisionShow"
-    toks, text = postprocess([ph, "and", ph, "and", ph], triples, {}, "X")
+    toks, text = postprocess([ph, "and", ph, "and", ph], triples, {}, "X", mode="uri")
     assert text == "Show A and Show B and dbo:TelevisionShow"
 
 
@@ -219,7 +219,7 @@ def test_postprocess_totality_no_placeholder_or_item_survives():
     triples = [Triple("dbr:W", "dbo:author", tk.ITEM)]
     tokens = ["<item>", "dbo:author__subj__dbo:Book", "dbo:missing__obj__dbo:City",
               "<year>", "0", "word"]
-    toks, _ = postprocess(tokens, triples, {}, "Someone")
+    toks, _ = postprocess(tokens, triples, {}, "Someone", mode="uri")
     from triples2text.tokens import parse_placeholder
     for t in toks:
         assert t != tk.ITEM
@@ -245,7 +245,7 @@ def test_prettify_uri_variants():
 def test_generate_empty_triples_is_an_error():
     model = make_model(seed=3)
     with pytest.raises(GenerationInputError, match="empty"):
-        gen.generate(model, [], {}, "X")
+        gen.generate(model, [], {}, "X", beam_width=2, t_max=4)
 
 
 def test_generate_bounds_enforced():
@@ -253,9 +253,23 @@ def test_generate_bounds_enforced():
     model.config = dataclasses.replace(model.config, bound_lower=2, bound_upper=3)
     triples = [Triple(tk.ITEM, "dbo:p", "dbr:A")]
     with pytest.raises(GenerationInputError, match="bounds"):
-        gen.generate(model, triples, {}, "X")
+        gen.generate(model, triples, {}, "X", beam_width=2, t_max=4)
     out = gen.generate(model, triples * 2, {}, "X", beam_width=2, t_max=4)
     assert out and out[0].rank == 0
+
+
+def test_generate_reads_the_first_e_max_encodable_triples():
+    # as training does (Seq2Seq.encode_example): triples of an unknown
+    # predicate are dropped, then the set is cut after e_max (2 here)
+    model = make_model(seed=5)
+    triples = [Triple(tk.ITEM, "dbo:unknown", "s0"), Triple(tk.ITEM, "s0", "s1"),
+               Triple(tk.ITEM, "s1", "s2"), Triple(tk.ITEM, "s2", "s3")]
+
+    def hypotheses(ts):
+        return [(r.tokens, r.log_prob) for r in gen.generate(model, ts, {}, "X", 3, 5)]
+    assert hypotheses(triples) == hypotheses(triples[1:3])
+    example = AlignedExample("dbr:M", triples, [], [], "uri")
+    assert model.encode_example(example).triples == model.encode_triple_set(triples[1:3])
 
 
 def test_generate_beam_width_monotone_top1():

@@ -141,7 +141,7 @@ def test_rmsprop_scalar_hand_case():
     # acc = 0.05, step = lr * 1 / sqrt(0.05 + eps)
     p = nn.Parameter("p", 1, 1)
     p.grad[...] = 1.0
-    nn.rmsprop_step([p], learning_rate=0.1, decay_rho=0.95, epsilon=1e-8)
+    nn.rmsprop_step([p], learning_rate=0.1, l2_coefficient=0.0)
     assert abs(p.rms_acc[0, 0] - 0.05) < 1e-15
     assert abs(p.value[0, 0] + 0.1 / np.sqrt(0.05 + 1e-8)) < 1e-12
 
@@ -161,8 +161,7 @@ def test_rmsprop_l2_enters_gradient():
     p.value[...] = 2.0
     lam = 0.01
     g = 2 * lam * 2.0
-    nn.rmsprop_step([p], learning_rate=0.1, decay_rho=0.95, epsilon=1e-8,
-                    l2_coefficient=lam)
+    nn.rmsprop_step([p], learning_rate=0.1, l2_coefficient=lam)
     expected = 2.0 - 0.1 * g / np.sqrt(0.05 * g * g + 1e-8)
     assert abs(p.value[0, 0] - expected) < 1e-12
 
@@ -196,15 +195,15 @@ def test_rmsprop_in_place_equals_formula_exactly(l2):
             p.grad[...] = q.grad[...] = rng.normal(size=p.value.shape)
         got[0].grad[2] = want[0].grad[2] = 0.0  # an embedding row no token used
         acc_before = got[0].rms_acc[2].copy()
-        nn.rmsprop_step(got, 0.01, decay_rho=0.9, epsilon=1e-6, l2_coefficient=l2)
+        nn.rmsprop_step(got, 0.01, l2_coefficient=l2)
         for q in want:
-            rmsprop_with_temporaries(q, 0.01, 0.9, 1e-6, l2)
+            rmsprop_with_temporaries(q, 0.01, nn.RMSPROP_DECAY, nn.RMSPROP_EPSILON, l2)
         for p, q in zip(got, want):
             assert np.array_equal(p.value, q.value) and np.array_equal(p.rms_acc, q.rms_acc)
             assert np.array_equal(p.grad, q.grad)  # the gradient is left as it was
         assert np.all(got[0].rms_acc[2] < acc_before)  # the unused row still decays
         if not l2:
-            assert np.array_equal(got[0].rms_acc[2], 0.9 * acc_before)
+            assert np.array_equal(got[0].rms_acc[2], nn.RMSPROP_DECAY * acc_before)
             assert np.array_equal(got[0].value[2], want[0].value[2])
 
 
@@ -218,9 +217,9 @@ def test_rmsprop_blocks_equal_formula_exactly(l2):
         p.value[...] = q.value[...] = rng.normal(size=p.value.shape)
         p.rms_acc[...] = q.rms_acc[...] = rng.uniform(0.0, 2.0, size=p.value.shape)
         p.grad[...] = q.grad[...] = rng.normal(size=p.value.shape)
-    nn.rmsprop_step(got, 0.01, decay_rho=0.9, epsilon=1e-6, l2_coefficient=l2)
+    nn.rmsprop_step(got, 0.01, l2_coefficient=l2)
     for q in want:
-        rmsprop_with_temporaries(q, 0.01, 0.9, 1e-6, l2)
+        rmsprop_with_temporaries(q, 0.01, nn.RMSPROP_DECAY, nn.RMSPROP_EPSILON, l2)
     for p, q in zip(got, want):
         assert np.array_equal(p.value, q.value) and np.array_equal(p.rms_acc, q.rms_acc)
         assert np.array_equal(p.grad, q.grad)

@@ -35,7 +35,7 @@ def test_parse_ntriples_kinds():
         "dbr:X dbo:genre dbr:Hard_rock .",
         "<http://ex.org/X> <http://ex.org/p> <http://ex.org/Y> .",
     ]
-    out = pl.parse_ntriples(lines)
+    out = pl.parse_ntriples(lines, "triples.nt")
     assert [t.object_kind for t in out] == ["date", "other_literal", "number",
                                             "entity", "entity"]
     assert out[4].subject == "http://ex.org/X"

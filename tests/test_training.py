@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import math
 import os
 import weakref
 from pathlib import Path
@@ -8,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_model, make_vocab, read_jsonl
+from conftest import boundary_lr_schedule, make_model, make_vocab, read_jsonl
 from triples2text import nn, pipeline, training
 from triples2text.demo import demo_corpus
 from triples2text.model import EncodedExample, ModelConfig, Seq2Seq
 from triples2text.pipeline import AlignedExample, PipelineConfig, SummaryToken, Triple
-from triples2text.training import TrainConfig, boundary_lr_schedule
+from triples2text.training import TrainConfig
 from triples2text.vocab import build_source_vocab, build_target_vocab
 
 
@@ -31,7 +30,7 @@ def toy_examples(n, main_prefix="dbr:P"):
                  SummaryToken("word", f"w{i % 3}"), SummaryToken("special", "<end>")])
         out.append(AlignedExample(f"{main_prefix}{i}",
                                   [Triple("<item>", "dbo:p", f"dbr:O{i % 3}")],
-                                  toks, ["x", f"w{i % 3}"]))
+                                  toks, ["x", f"w{i % 3}"], "uri"))
     return out
 
 
@@ -42,40 +41,6 @@ def build_vocabs(examples):
 
 
 # -- sequence loss -----------------------------------------------------------
-
-
-class UniformStub:
-    """Model stub whose per-step distribution is uniform over |X| tokens."""
-
-    def __init__(self, x_size):
-        self.x = x_size
-
-    def batch_loss(self, tape, batch, training, max_timestep=None):
-        total = 0.0
-        count = 0
-        for ex in batch:
-            steps = len(ex.target) - 1
-            total += steps * math.log(self.x)
-            count += steps
-        cost = nn.leaf(np.array([[total / len(batch)]]))
-        return cost, total, count
-
-
-def test_sequence_loss_uniform_stub():
-    stub = UniformStub(50)
-    batch = [EncodedExample([], [1, 7, 7, 7, 2])]
-    cost = training.sequence_loss(batch, stub)
-    assert abs(cost - 4 * math.log(50)) < 1e-12
-
-
-def test_sequence_loss_hand_probabilities():
-    # two predicted tokens with probabilities 0.5 and 0.25: ln2 + ln4
-    class TwoStep:
-        def batch_loss(self, tape, batch, training, max_timestep=None):
-            nll = -(math.log(0.5) + math.log(0.25))
-            return nn.leaf(np.array([[nll]])), nll, 2
-    assert abs(training.sequence_loss([EncodedExample([], [1, 5, 2])], TwoStep())
-               - (math.log(2) + math.log(4))) < 1e-12
 
 
 def test_perfect_model_zero_cost():
@@ -135,11 +100,9 @@ def test_training_log_boundary_lrs_match_schedule(tmp_path):
     sv, tv = build_vocabs(examples)
     cfg = small_config(epochs=6, batch_size=2, learning_rate=0.002,
                        decay_factor=0.8, decay_start_epoch=3)
-    _, result = training.train(examples, examples[:2], cfg, sv, tv,
-                               out_dir=str(tmp_path / "run"))
+    training.train(examples, examples[:2], cfg, sv, tv, out_dir=str(tmp_path / "run"))
     expected = boundary_lr_schedule(cfg, 6)
-    assert result.boundary_lrs == expected
-    records = read_jsonl(result.log_path)
+    records = read_jsonl(tmp_path / "run" / "train_log.jsonl")
     logged = [r["lr_boundary"] for r in records if r["type"] == "epoch_start"]
     assert logged == expected
 
@@ -151,7 +114,7 @@ def test_exact_update_count():
     cfg = small_config(epochs=1, batch_size=85)
     _, result = training.train(examples, [], cfg, sv, tv, out_dir=None)
     assert result.epochs_run == 1
-    batches = training.make_batches([None] * 170, 85)
+    batches = training.make_batches([None] * 170, 85, np.random.default_rng(0))
     assert len(batches) == 2
 
 
@@ -161,9 +124,8 @@ def test_reproducibility_same_seed_same_curve(tmp_path):
     curves = []
     for run in range(2):
         cfg = small_config(epochs=3, seed=7)
-        _, result = training.train(examples, examples[:3], cfg, sv, tv,
-                                   out_dir=str(tmp_path / f"r{run}"))
-        records = read_jsonl(result.log_path)
+        training.train(examples, examples[:3], cfg, sv, tv, out_dir=str(tmp_path / f"r{run}"))
+        records = read_jsonl(tmp_path / f"r{run}" / "train_log.jsonl")
         curves.append([r["cost"] for r in records if r["type"] == "batch"])
     assert curves[0] == curves[1]
 
@@ -190,16 +152,19 @@ def test_overfit_small_corpus():
         toks.append(SummaryToken("special", "<end>"))
         examples.append(AlignedExample(
             f"dbr:P{i}", [Triple("<item>", "dbo:p", f"dbr:O{i % 7}")],
-            toks, ["r"]))
+            toks, ["r"], "uri"))
     sv, tv = build_vocabs(examples)
     cfg = small_config(epochs=200, batch_size=10, m=32, seed=3, l2=0.0,
                        decay_start_epoch=10**9)
     model = Seq2Seq(cfg.model_config(), sv, tv)
     model.init_parameters(cfg.seed)
     encoded = [model.encode_example(ex) for ex in examples]
-    initial = training.sequence_loss(encoded, model)
+
+    def cost():  # inference mode, batch-averaged and time-summed
+        return float(model.batch_loss(None, encoded, training=False)[0].value[0, 0])
+    initial = cost()
     model, _ = training.train(examples, [], cfg, sv, tv, model=model)
-    final = training.sequence_loss([model.encode_example(ex) for ex in examples], model)
+    final = cost()
     assert final < 0.1 * initial, (initial, final)
 
 
@@ -231,7 +196,7 @@ def ragged_examples(n, lengths, seed, prefix="dbr:P"):
         toks = [SummaryToken("special", "<start>"), SummaryToken("special", "<item>"),
                 *words, SummaryToken("special", "<end>")]
         out.append(AlignedExample(f"{prefix}{i}", [Triple("<item>", "dbo:p", f"dbr:O{i % 4}")],
-                                  toks, ["x"]))
+                                  toks, ["x"], "uri"))
     return out
 
 
@@ -363,7 +328,7 @@ def test_rare_predicate_triples_discarded_at_encode():
     model = Seq2Seq(ModelConfig(cell_kind="gru", m=4, e_max=3), sv, tv)
     ex = AlignedExample("dbr:P", [Triple("<item>", "dbo:p", "dbr:O0"),
                                   Triple("<item>", "dbo:never_seen", "dbr:O0")],
-                        examples[0].summary_tokens, ["r"])
+                        examples[0].summary_tokens, ["r"], "uri")
     enc = model.encode_example(ex)
     assert len(enc.triples) == 1
 

@@ -12,7 +12,7 @@ from triples2text.vocab import (KIND_ENTITY, KIND_PLACEHOLDER, KIND_WORD, Vocabu
 
 def example_from_tokens(token_specs, triples=()):
     toks = [SummaryToken(kind, text) for kind, text in token_specs]
-    return AlignedExample("dbr:Main", list(triples), toks, [t for _, t in token_specs])
+    return AlignedExample("dbr:Main", list(triples), toks, [t for _, t in token_specs], "uri")
 
 
 def words(*texts):
@@ -74,7 +74,7 @@ def test_encode_decode_roundtrip_and_fallbacks():
 
 
 def triple_example(triples):
-    return AlignedExample("dbr:Main", triples, [], [])
+    return AlignedExample("dbr:Main", triples, [], [], "uri")
 
 
 def test_source_vocab_type_fallback_paths():
