@@ -105,13 +105,10 @@ def _parse(name: str, rng: Range, text: str):
     raise UsageError(f"{name} must be {rng.expected}, got {text!r}")
 
 
-# (flag, config key and PipelineConfig field, range) of the settings that
+# (flag, config key and PipelineConfig field) of the year range, which
 # build-corpus takes as flags and generate reads from the config file alone,
 # so that generate rewrites a raw triple set as the training corpus was.
-_PIPELINE_SETTINGS = tuple((flag, key, range_of(PipelineConfig, key)) for flag, key in (
-    ("--target-vocab-size", "target_vocab_size"),
-    ("--target-vocab-min-count", "target_vocab_min_count"),
-    ("--year-min", "year_min"), ("--year-max", "year_max")))
+_YEAR_RANGE = (("--year-min", "year_min"), ("--year-max", "year_max"))
 
 
 class _FromConfig(NamedTuple):
@@ -194,7 +191,8 @@ def build_parser() -> _Parser:
     b.add_argument("--out", required=True)
     b.add_argument("--stats-out")
     b.add_argument("--lexicon-out")
-    for flag, key, _ in _PIPELINE_SETTINGS:
+    for flag, key in (("--target-vocab-size", "target_vocab_size"),
+                      ("--target-vocab-min-count", "target_vocab_min_count"), *_YEAR_RANGE):
         _field(b, flag, PipelineConfig, key)
 
     v = add_parser("build-vocab", help="build source/target dictionaries")
@@ -236,8 +234,9 @@ def build_parser() -> _Parser:
     g.add_argument("--main", help="main entity URI for --triples input")
     g.add_argument("--item-surface")
     g.add_argument("--out")
-    g.set_defaults(**{key: _FromConfig(flag, key, rng, getattr(PipelineConfig, key))
-                      for flag, key, rng in _PIPELINE_SETTINGS})
+    g.set_defaults(**{key: _FromConfig(flag, key, range_of(PipelineConfig, key),
+                                       getattr(PipelineConfig, key))
+                      for flag, key in _YEAR_RANGE})
 
     e = add_parser("evaluate", search, help="score a model on an aligned corpus")
     e.add_argument("--checkpoint", required=True)
@@ -360,8 +359,12 @@ def cmd_train(args, cfg):
     tcfg = _config(TrainConfig, args, **given)
     _, result = training.train(corpus, valid, tcfg, source_vocab, target_vocab,
                                out_dir=args.out_dir)
-    logger.info("trained %d epochs; best validation perplexity %.4f at epoch %d",
-                result.epochs_run, result.best_validation_perplexity, result.best_epoch)
+    if result.best_epoch is None:
+        logger.info("trained %d epochs without validation; %s holds the last epoch",
+                    result.epochs_run, result.checkpoint_path)
+    else:
+        logger.info("trained %d epochs; best validation perplexity %.4f at epoch %d",
+                    result.epochs_run, result.best_validation_perplexity, result.best_epoch)
     print(result.checkpoint_path or "")
     return 0
 

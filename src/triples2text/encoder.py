@@ -7,8 +7,7 @@ vectors are concatenated in input order (zero-padded up to the slot
 capacity) and mapped to the vector that initialises the decoder.
 
 Batch normalisation sits after each fully-connected map: on the shared
-embedding output, before the ReLU, and after the aggregation map. It can
-be switched off for hand-computable verification.
+embedding output, before the ReLU, and after the aggregation map.
 
 The whole encoder runs on plain arrays and, given a tape, records one op
 whose hand-written backward writes every encoder gradient from the
@@ -24,11 +23,10 @@ from . import nn
 
 class TripleEncoder:
 
-    def __init__(self, source_size: int, m: int, e_max: int, use_batch_norm: bool):
+    def __init__(self, source_size: int, m: int, e_max: int):
         self.source_size = source_size
         self.m = m
         self.e_max = e_max
-        self.use_batch_norm = use_batch_norm
         self.embed = nn.Parameter("encoder.embed", source_size, m)
         self.embed_bias = nn.Parameter("encoder.embed_bias", 1, m)
         self.hidden = nn.Parameter("encoder.hidden", 3 * m, m)  # unbiased map
@@ -40,13 +38,12 @@ class TripleEncoder:
 
     def parameters(self) -> list[nn.Parameter]:
         ps = [self.embed, self.embed_bias, self.hidden, self.aggregate_w, self.aggregate_b]
-        if self.use_batch_norm:
-            for bn in (self.bn_embed, self.bn_hidden, self.bn_out):
-                ps.extend(bn.parameters())
+        for bn in self.batch_norms():
+            ps.extend(bn.parameters())
         return ps
 
     def batch_norms(self) -> list[nn.BatchNorm]:
-        return [self.bn_embed, self.bn_hidden, self.bn_out] if self.use_batch_norm else []
+        return [self.bn_embed, self.bn_hidden, self.bn_out]
 
     def encode_batch(self, tape: nn.Tape | None, triple_sets: list[list[tuple[int, int, int]]],
                      training: bool) -> nn.Node:
@@ -75,23 +72,19 @@ class TripleEncoder:
                 f"encode_batch: source index out of range [0, {self.source_size})")
         ex_idx = np.repeat(np.arange(n_sets), counts)
         slot_idx = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-        bns = self.use_batch_norm
         packed = np.zeros((n_sets, self.e_max, m))
         if n:
             idx = spo.T.reshape(-1)  # [3n]: all subjects, all predicates, all objects
             flat = self.embed.value[idx]
             flat += self.embed_bias.value
-            if bns:
-                flat, xhat_e, inv_e = nn.batch_norm_forward(flat, self.bn_embed, training)
+            flat, xhat_e, inv_e = nn.batch_norm_forward(flat, self.bn_embed, training)
             joint = flat.reshape(3, n, m).transpose(1, 0, 2).reshape(n, 3 * m)  # [s; p; o]
-            pre = joint @ self.hidden.value
-            if bns:
-                pre, xhat_h, inv_h = nn.batch_norm_forward(pre, self.bn_hidden, training)
+            pre, xhat_h, inv_h = nn.batch_norm_forward(joint @ self.hidden.value,
+                                                       self.bn_hidden, training)
             packed[ex_idx, slot_idx] = np.maximum(pre, 0.0)
         packed = packed.reshape(n_sets, self.e_max * m)
-        agg = packed @ self.aggregate_w.value + self.aggregate_b.value
-        if bns:
-            agg, xhat_o, inv_o = nn.batch_norm_forward(agg, self.bn_out, training)
+        agg, xhat_o, inv_o = nn.batch_norm_forward(
+            packed @ self.aggregate_w.value + self.aggregate_b.value, self.bn_out, training)
         out = nn.Node(agg)
         if tape is None:
             return out
@@ -100,20 +93,17 @@ class TripleEncoder:
             g = out.grad
             if g is None:
                 return
-            if bns:
-                g = nn.batch_norm_backward(g, self.bn_out, xhat_o, inv_o, training)
+            g = nn.batch_norm_backward(g, self.bn_out, xhat_o, inv_o, training)
             self.aggregate_b.grad += g.sum(axis=0, keepdims=True)
             self.aggregate_w.grad += packed.T @ g
             if not n:
                 return
             g = (g @ self.aggregate_w.value.T).reshape(n_sets, self.e_max, m)[ex_idx, slot_idx]
             g = g * (pre > 0.0)
-            if bns:
-                g = nn.batch_norm_backward(g, self.bn_hidden, xhat_h, inv_h, training)
+            g = nn.batch_norm_backward(g, self.bn_hidden, xhat_h, inv_h, training)
             self.hidden.grad += joint.T @ g
             g = (g @ self.hidden.value.T).reshape(n, 3, m).transpose(1, 0, 2).reshape(3 * n, m)
-            if bns:
-                g = nn.batch_norm_backward(g, self.bn_embed, xhat_e, inv_e, training)
+            g = nn.batch_norm_backward(g, self.bn_embed, xhat_e, inv_e, training)
             self.embed_bias.grad += g.sum(axis=0, keepdims=True)
             # one bincount adds the rows of each index in the order np.add.at would
             keys = (idx[:, None] * m + np.arange(m)).reshape(-1)

@@ -18,7 +18,7 @@ from . import nn
 from .decoder import CELL_KINDS, Decoder, LSTM
 from .encoder import TripleEncoder
 from .pipeline import MODE_URI, MODES, AlignedExample, Triple
-from .settings import INTEGER, Range, Settings, at_least, one_of, or_none, setting
+from .settings import INTEGER, Settings, at_least, one_of, or_none, setting
 from .tokens import END, PAD, START
 from .vocab import Vocabulary
 
@@ -38,23 +38,23 @@ class ModelConfig(Settings):
     m: int = setting(650, at_least(1))
     e_max: int = setting(22, at_least(1))
     mode: str = setting(MODE_URI, one_of(MODES))
-    use_batch_norm: bool = setting(True, Range(lambda v: type(v) is bool, "a bool"))
     bound_lower: int = setting(0, INTEGER)
     bound_upper: int | None = setting(None, or_none(INTEGER))
 
 
 # Header keys of configurations that are no longer built, with the one
-# value a checkpoint may hold for them: any other value means blocks or
-# numerics this model does not have, so such a checkpoint is refused.
-_RETIRED_HEADER = {"layers": 1, "paper_literal_lstm": False,
-                  "bn_momentum": nn.BatchNorm.momentum, "bn_eps": nn.BatchNorm.eps}
+# value a checkpoint may hold for them: any other value, or one of another
+# type (1 for True), means blocks or numerics this model does not have, so
+# such a checkpoint is refused.
+_RETIRED_HEADER = {"layers": 1, "paper_literal_lstm": False, "use_batch_norm": True,
+                   "bn_momentum": nn.BatchNorm.momentum, "bn_eps": nn.BatchNorm.eps}
 
 
 def _header_config(path: str, header: dict) -> ModelConfig:
     """The configuration a header describes; BadCheckpointError unless it
     is one this code builds exactly. A missing field is not defaulted."""
     for key, value in _RETIRED_HEADER.items():
-        if key in header and header[key] != value:
+        if key in header and (type(header[key]) is not type(value) or header[key] != value):
             raise nn.BadCheckpointError(
                 f"{path}: header value {key}={header[key]!r} is not {value!r}")
     try:
@@ -75,8 +75,7 @@ class Seq2Seq:
         self.config = config
         self.source_vocab = source_vocab
         self.target_vocab = target_vocab
-        self.encoder = TripleEncoder(len(source_vocab), config.m, config.e_max,
-                                     config.use_batch_norm)
+        self.encoder = TripleEncoder(len(source_vocab), config.m, config.e_max)
         self.decoder = Decoder(len(target_vocab), config.m, config.cell_kind,
                                target_vocab.index[PAD])
         self.pad_index = target_vocab.index[PAD]

@@ -800,6 +800,8 @@ def read_stats(path: str) -> CorpusStats:
             if (any(type(d[k]) is not int for k in counts)
                     or any(type(d[k]) not in (int, float) for k in ("e_mean", "e_std"))):
                 raise ValueError("counts must be ints, e_mean and e_std numbers")
+            if not (math.isfinite(d["e_mean"]) and 0 <= d["e_std"] < math.inf):
+                raise ValueError("e_mean must be finite, e_std finite and at least 0")
             return CorpusStats(e_min=d["e_min"], e_mean=d["e_mean"], e_std=d["e_std"],
                                e_max=d["e_max"], n_articles=d["n_articles"],
                                n_entities=d["n_entities"], n_predicates=d["n_predicates"],

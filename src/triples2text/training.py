@@ -65,8 +65,10 @@ class TrainConfig(ModelConfig):
 
 @dataclass
 class TrainResult:
-    best_epoch: int
-    best_validation_perplexity: float
+    """What a run did. Without a validation set no epoch is best: both
+    ``best_*`` fields are None, and ``checkpoint_path`` holds the last epoch."""
+    best_epoch: int | None
+    best_validation_perplexity: float | None
     epochs_run: int
     checkpoint_path: str | None
 
@@ -207,8 +209,8 @@ def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],
             log_fh.close()
 
     return model, TrainResult(
-        best_epoch=best_epoch,
-        best_validation_perplexity=best_ppx,
+        best_epoch=best_epoch if encoded_valid else None,
+        best_validation_perplexity=best_ppx if encoded_valid else None,
         epochs_run=epochs_run,
         checkpoint_path=best_path,
     )

@@ -54,8 +54,6 @@ class Vocabulary:
     fallbacks: dict[str, str] = field(default_factory=dict)
     entity_tokens: set[str] = field(default_factory=set)
 
-    specials = SPECIAL_TOKENS
-
     def __len__(self) -> int:
         return len(self.tokens)
 

@@ -28,10 +28,10 @@ def read_jsonl(path) -> list:
 
 def make_model(seed: int = 0, cell: str = "gru", m: int = 4, e_max: int = 2,
                source_extra: int = 4, target_extra: int = 5,
-               init_scale: float = 0.5, use_batch_norm: bool = True) -> Seq2Seq:
+               init_scale: float = 0.5) -> Seq2Seq:
     source = make_vocab("source", source_extra, "s")
     target = make_vocab("target", target_extra, "t")
-    cfg = ModelConfig(cell_kind=cell, m=m, e_max=e_max, use_batch_norm=use_batch_norm)
+    cfg = ModelConfig(cell_kind=cell, m=m, e_max=e_max)
     model = Seq2Seq(cfg, source, target)
     nn.init_uniform(model.parameters(), -init_scale, init_scale, seed=seed)
     return model

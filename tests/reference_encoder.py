@@ -173,13 +173,11 @@ def encode_triples(enc, tape: nn.Tape | None, spo: Array, training: bool) -> nn.
     n = spo.shape[0]
     flat = rows_lookup(tape, enc.embed, spo.T.reshape(-1))  # [3n, m]: all s, all p, all o
     flat = add_bias(tape, flat, enc.embed_bias)
-    if enc.use_batch_norm:
-        flat = batch_norm(tape, flat, enc.bn_embed, training)
+    flat = batch_norm(tape, flat, enc.bn_embed, training)
     parts = [slice_rows(tape, flat, k * n, (k + 1) * n) for k in range(3)]
     h = hstack(tape, parts)  # [n, 3m]
     h = nn.matmul(tape, h, enc.hidden)
-    if enc.use_batch_norm:
-        h = batch_norm(tape, h, enc.bn_hidden, training)
+    h = batch_norm(tape, h, enc.bn_hidden, training)
     return relu(tape, h)
 
 
@@ -197,9 +195,7 @@ def aggregate(enc, tape: nn.Tape | None, h_triples: nn.Node,
             f"aggregate: {int(slot_idx.max()) + 1} triples exceed the capacity e_max={enc.e_max}")
     packed = pack_slots(tape, h_triples, example_idx, slot_idx, n_examples, enc.e_max)
     out = affine(tape, packed, enc.aggregate_w, enc.aggregate_b)
-    if enc.use_batch_norm:
-        out = batch_norm(tape, out, enc.bn_out, training)
-    return out
+    return batch_norm(tape, out, enc.bn_out, training)
 
 
 def encode_batch(enc, tape: nn.Tape | None, triple_sets: list[list[tuple[int, int, int]]],

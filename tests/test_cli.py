@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import logging
+import math
 import os
 import shutil
 import struct
@@ -326,8 +328,6 @@ CONFIG_CASES = [
     ("build-vocab", "target_vocab_size", "0", "--target-max-size"),
     ("build-vocab", "target_vocab_min_count", "-5", "--target-min-count"),
     ("build-vocab", "source_min_count", "0", "--source-min-count"),
-    ("generate", "target_vocab_size", "0", "--target-vocab-size"),
-    ("generate", "target_vocab_min_count", "x", "--target-vocab-min-count"),
     ("generate", "year_min", "abc", "--year-min"),
     ("generate", "year_max", "999", "--year-max"),
 ]
@@ -352,7 +352,7 @@ def test_every_config_key_is_a_case():
     case in CONFIG_CASES."""
     keyed = {(name, action.default.key) for name, action in parser_actions()
              if isinstance(action.default, cli._FromConfig)}
-    keyed |= {("generate", key) for _, key, _ in cli._PIPELINE_SETTINGS}
+    keyed |= {("generate", key) for _, key in cli._YEAR_RANGE}
     assert keyed == {(command, key) for command, key, _, _ in CONFIG_CASES}
 
 
@@ -533,6 +533,37 @@ def test_bad_stats_exit_two(demo_dir, tmp_path, capsys):
         assert "bad stats record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("e_std", math.inf), ("e_std", math.nan), ("e_std", -3.0), ("e_mean", math.inf)])
+def test_stats_spread_not_finite_or_negative_is_data_error(trained, tmp_path, field, value,
+                                                           capsys):
+    # an infinite spread would overflow the bounds' floor, NaN has no
+    # integer, and a negative one gives a lower bound above the upper
+    bad = tmp_path / "stats.json"
+    record = {"e_min": 8, "e_mean": 8.0, "e_std": 0.0, "e_max": 8, "n_articles": 30,
+              "n_entities": 40, "n_predicates": 9}
+    bad.write_text(json.dumps({**record, field: value}), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert run(["train", "--corpus", trained["corpus"], "--source-vocab", trained["source"],
+                "--target-vocab", trained["target"], "--stats", str(bad),
+                "--out-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: bad stats record" in err and "Traceback" not in err
+    assert not run_dir.exists()
+
+
+def test_train_without_validation_says_so(trained, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="triples2text")
+    run_dir = tmp_path / "run"
+    assert run(["train", "--corpus", trained["corpus"], "--source-vocab", trained["source"],
+                "--target-vocab", trained["target"], "--out-dir", str(run_dir),
+                "--cell", "gru", "--m", "4", "--batch-size", "5", "--epochs", "1"]) == 0
+    best, last = run_dir / "checkpoint_best.bin", run_dir / "checkpoint_last.bin"
+    assert f"trained 1 epochs without validation; {best} holds the last epoch" in caplog.text
+    assert "best validation perplexity" not in caplog.text
+    assert best.read_bytes() == last.read_bytes()
+
+
 def test_train_defaults_come_from_train_config(demo_dir, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
     cfg = os.path.join(demo_dir, "demo.cfg")
@@ -596,7 +627,7 @@ def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path, monkeypatch):
     for shape in ((1, 1), (2, header["m"])):
         assert generate_with({}, {"encoder.bn_out.running_mean": np.zeros(shape)}) == 3, shape
     for values in ({"m": "16"}, {"m": 0}, {"m": True}, {"e_max": -1}, {"e_max": 8.0},
-                   {"cell_kind": "gsu"}, {"mode": "words"}, {"use_batch_norm": 1},
+                   {"cell_kind": "gsu"}, {"mode": "words"},
                    {"bound_lower": None}, {"bound_upper": "7"}, {"layers": 0},
                    {"paper_literal_lstm": True}, {"bn_momentum": 0.5}, {"bn_eps": 1e-3}):
         assert generate_with(values) == 3, values
@@ -610,6 +641,30 @@ def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path, monkeypatch):
     monkeypatch.undo()
     del served["m"]
     assert generate_with({}) == 3  # a missing field is not defaulted
+
+
+def test_use_batch_norm_header_key_is_retired(trained, tmp_path, capsys):
+    # A checkpoint of the release whose header still held
+    # "use_batch_norm": true (m=2, trained on this module's demo corpus)
+    # loads. Batch norm is the one encoder, so false, or 1 in its place,
+    # is refused; current headers omit the key.
+    old = os.path.join(DATA, "checkpoint_v1_gru_use_batch_norm.bin")
+    header, blocks = nn.read_blocks(old)
+    assert header["use_batch_norm"] is True
+    assert "use_batch_norm" not in nn.read_blocks(trained["checkpoint"])[0]
+
+    def generate(path):
+        return run(["generate", "--checkpoint", path, "--source-vocab", trained["source"],
+                    "--target-vocab", trained["target"], "--from-corpus", trained["corpus"],
+                    "--limit", "1", "--beam", "2", "--t-max", "5"])
+
+    assert generate(old) == 0
+    bad = str(tmp_path / "bad.bin")
+    for value in (False, 1):
+        nn.write_blocks(bad, {**header, "use_batch_norm": value}, list(blocks.items()))
+        capsys.readouterr()
+        assert generate(bad) == 3, value
+        assert f"header value use_batch_norm={value!r}" in capsys.readouterr().err
 
 
 def test_failed_report_writes_keep_previous_files(demo_dir, tmp_path, monkeypatch):
@@ -727,6 +782,20 @@ def test_generate_triples_reads_pipeline_settings_from_config(tmp_path, monkeypa
     assert run(generate) == 0
     assert (seen[0].year_min, seen[0].year_max) == (1500, 1990)
     assert seen[0].gender_lexicon["dbr:Henrik_Bakker"]
+
+
+def test_generate_reads_only_the_year_range_of_the_pipeline_settings(trained, tmp_path):
+    # generation reads the year range and the gender lexicon, never the
+    # vocabulary's size or count, so a config value build-corpus refuses
+    # for those does not stop it
+    config = tmp_path / "run.cfg"
+    config.write_text("target_vocab_size = 0\n", encoding="utf-8")
+    assert run(["generate", "--config", str(config), "--checkpoint", trained["checkpoint"],
+                "--source-vocab", trained["source"], "--target-vocab", trained["target"],
+                "--from-corpus", trained["corpus"], "--limit", "1", "--beam", "2",
+                "--t-max", "5"]) == 0
+    assert run(["build-corpus", "--config", str(config), "--out",
+                str(tmp_path / "corpus.jsonl")]) == 1
 
 
 def test_config_env_variable(monkeypatch, demo_dir, tmp_path):

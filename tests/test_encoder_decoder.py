@@ -14,8 +14,14 @@ from triples2text.encoder import TripleEncoder
 from triples2text.model import EncodedExample
 
 
-def encoder_no_bn(source_size=8, m=2, e_max=3):
-    return TripleEncoder(source_size, m, e_max, use_batch_norm=False)
+def encoder_identity_bn(source_size=8, m=2, e_max=3):
+    """An encoder whose batch norms are the identity in inference mode:
+    running mean 0 and running variance 1 - eps, so that var + eps is 1.0
+    exactly in float64 and each batch norm passes its input through."""
+    enc = TripleEncoder(source_size, m, e_max)
+    for bn in enc.batch_norms():
+        bn.running_var[...] = 1.0 - bn.eps
+    return enc
 
 
 def encode_one(enc, triples):
@@ -24,14 +30,14 @@ def encode_one(enc, triples):
 
 
 def test_encode_triple_zero_parameters_gives_zero():
-    enc = encoder_no_bn()
+    enc = encoder_identity_bn()
     assert np.allclose(encode_one(enc, [(1, 2, 3)]), 0.0)
 
 
 def test_encode_triple_hand_case():
     # m=2; embeddings s=[1,0], p=[0,1], o=[1,1]; hidden rows pick entries of
     # the concatenation [s; p; o]
-    enc = encoder_no_bn()
+    enc = encoder_identity_bn()
     enc.embed.value[1] = [1.0, 0.0]
     enc.embed.value[2] = [0.0, 1.0]
     enc.embed.value[3] = [1.0, 1.0]
@@ -48,7 +54,7 @@ def test_encode_triple_hand_case():
 
 
 def test_encode_triple_direction_sensitive():
-    enc = encoder_no_bn(m=4)
+    enc = encoder_identity_bn(m=4)
     rng = np.random.default_rng(0)
     enc.embed.value[...] = rng.normal(size=enc.embed.value.shape)
     enc.hidden.value[...] = rng.normal(size=enc.hidden.value.shape)
@@ -63,16 +69,16 @@ def test_encode_triple_direction_sensitive():
 
 
 def test_encode_triple_index_out_of_range():
-    enc = encoder_no_bn()
+    enc = encoder_identity_bn()
     for bad in [(99, 0, 0), (0, -1, 0), (0, 0, 8)]:
         with pytest.raises(nn.ShapeError, match="out of range"):
             encode_one(enc, [(1, 2, 3), bad])
 
 
 def encoder_passing_subjects(m=2, e_max=3):
-    """An encoder without batch norm whose per-triple vector is the
+    """An encoder with identity batch norms whose per-triple vector is the
     subject's embedding row (kept non-negative, so the ReLU passes it)."""
-    enc = encoder_no_bn(m=m, e_max=e_max)
+    enc = encoder_identity_bn(m=m, e_max=e_max)
     enc.hidden.value[:m] = np.eye(m)
     return enc
 
@@ -102,19 +108,19 @@ def test_aggregate_hand_case_e_max_two():
 
 
 def test_aggregate_zero_inputs_zero_bias_gives_zero():
-    enc = encoder_no_bn(m=2, e_max=2)
+    enc = encoder_identity_bn(m=2, e_max=2)
     out = enc.encode_batch(None, [[]], training=False)
     assert np.allclose(out.value, 0.0)
 
 
 def test_aggregate_rejects_overfull_sets():
-    enc = encoder_no_bn(m=2, e_max=2)
+    enc = encoder_identity_bn(m=2, e_max=2)
     with pytest.raises(ValueError, match="e_max"):
         enc.encode_batch(None, [[(0, 0, 0)] * 3], training=False)
 
 
 def test_shape_contract_all_counts():
-    enc = TripleEncoder(8, 5, 3, use_batch_norm=True)
+    enc = TripleEncoder(8, 5, 3)
     for n_triples in range(0, 4):
         out = enc.encode_batch(None, [[(1, 2, 3)] * n_triples], training=False)
         assert out.value.shape == (1, 5)
@@ -122,7 +128,7 @@ def test_shape_contract_all_counts():
 
 def test_padding_neutrality_with_zeroed_pad_columns():
     # zero weights for the padded slots cannot change the aggregate
-    enc = encoder_no_bn(m=2, e_max=3)
+    enc = encoder_identity_bn(m=2, e_max=3)
     rng = np.random.default_rng(3)
     enc.embed.value[...] = rng.normal(size=enc.embed.value.shape)
     enc.embed_bias.value[...] = rng.normal(size=enc.embed_bias.value.shape)
@@ -137,7 +143,7 @@ def test_padding_neutrality_with_zeroed_pad_columns():
 
 
 def test_gradients_reach_all_three_embeddings():
-    enc = TripleEncoder(8, 3, 2, use_batch_norm=True)
+    enc = TripleEncoder(8, 3, 2)
     nn.init_uniform(enc.parameters(), -0.5, 0.5, seed=0)
     params = enc.parameters()
     tape = nn.Tape()
@@ -153,10 +159,10 @@ def test_gradients_reach_all_three_embeddings():
 ORACLE_SOURCE, ORACLE_M, ORACLE_E_MAX = 9, 4, 3
 
 
-def oracle_encoder(use_batch_norm: bool) -> TripleEncoder:
+def oracle_encoder() -> TripleEncoder:
     """An encoder with random parameters and running statistics; every
     call builds the same one."""
-    enc = TripleEncoder(ORACLE_SOURCE, ORACLE_M, ORACLE_E_MAX, use_batch_norm)
+    enc = TripleEncoder(ORACLE_SOURCE, ORACLE_M, ORACLE_E_MAX)
     nn.init_uniform(enc.parameters(), -0.5, 0.5, seed=5)
     rng = np.random.default_rng(6)
     for bn in enc.batch_norms():
@@ -179,8 +185,8 @@ def run_encoder(enc, encode, triple_sets, training):
     return out.value, stats, {p.name: p.grad.copy() for p in params}
 
 
-def assert_fused_encoder_is_reference(use_batch_norm, training, triple_sets):
-    fused, ref = oracle_encoder(use_batch_norm), oracle_encoder(use_batch_norm)
+def assert_fused_encoder_is_reference(training, triple_sets):
+    fused, ref = oracle_encoder(), oracle_encoder()
     got = run_encoder(fused, fused.encode_batch, triple_sets, training)
     want = run_encoder(ref, functools.partial(reference_encoder.encode_batch, ref),
                        triple_sets, training)
@@ -191,7 +197,7 @@ def assert_fused_encoder_is_reference(use_batch_norm, training, triple_sets):
     for name, grad in got[2].items():
         assert np.array_equal(grad, want[2][name]), name
     # the untaped forward pass (corpus_nll, init_generation) is the same one
-    fresh = oracle_encoder(use_batch_norm)
+    fresh = oracle_encoder()
     untaped = fresh.encode_batch(None, triple_sets, training).value
     assert np.array_equal(untaped, want[0])
 
@@ -203,11 +209,10 @@ ORACLE_BATCHES = {
 }
 
 
-@pytest.mark.parametrize("use_batch_norm", [True, False])
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("batch", sorted(ORACLE_BATCHES))
-def test_fused_encoder_matches_taped_reference(use_batch_norm, training, batch):
-    assert_fused_encoder_is_reference(use_batch_norm, training, ORACLE_BATCHES[batch])
+def test_fused_encoder_matches_taped_reference(training, batch):
+    assert_fused_encoder_is_reference(training, ORACLE_BATCHES[batch])
 
 
 @st.composite
@@ -222,15 +227,14 @@ def triple_batches(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(triple_batches(), st.booleans(), st.booleans())
-def test_fused_encoder_matches_taped_reference_on_drawn_batches(
-        triple_sets, use_batch_norm, training):
-    assert_fused_encoder_is_reference(use_batch_norm, training, triple_sets)
+@given(triple_batches(), st.booleans())
+def test_fused_encoder_matches_taped_reference_on_drawn_batches(triple_sets, training):
+    assert_fused_encoder_is_reference(training, triple_sets)
 
 
 @pytest.mark.parametrize("encode", ["fused", "reference"])
 def test_encoder_input_errors_match_reference(encode):
-    enc = oracle_encoder(True)
+    enc = oracle_encoder()
     run = (enc.encode_batch if encode == "fused"
            else functools.partial(reference_encoder.encode_batch, enc))
     with pytest.raises(nn.ShapeError, match="out of range"):
@@ -453,11 +457,9 @@ def taped_loss(model, loss_fn, batch, max_timestep):
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
-@pytest.mark.parametrize("use_batch_norm", [True, False])
 @pytest.mark.parametrize("max_timestep", [None, 4])
-def test_sequence_matches_per_step_reference(cell, use_batch_norm, max_timestep):
-    model = make_model(seed=3, cell=cell, m=6, e_max=3, target_extra=9,
-                       use_batch_norm=use_batch_norm)
+def test_sequence_matches_per_step_reference(cell, max_timestep):
+    model = make_model(seed=3, cell=cell, m=6, e_max=3, target_extra=9)
     batch = ragged_batch(model, [3, 7, 5, 1], seed=0)
     cost, nll, count, grads = taped_loss(model, model.batch_loss, batch, max_timestep)
     want_cost, want_nll, want_count, want = taped_loss(
@@ -544,11 +546,9 @@ def test_fused_head_matches_taped_chain(cell, workspace):
 
 
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
-@pytest.mark.parametrize("use_batch_norm", [True, False])
-def test_gradient_check_through_fused_head(cell, use_batch_norm):
+def test_gradient_check_through_fused_head(cell):
     # criterion 1 on a batch with explicit padding targets and ragged lengths
-    model = make_model(seed=8, cell=cell, m=5, e_max=3, target_extra=6,
-                       use_batch_norm=use_batch_norm)
+    model = make_model(seed=8, cell=cell, m=5, e_max=3, target_extra=6)
     batch = ragged_batch(model, [2, 4, 1], seed=1)
 
     def loss_fn(compute):

@@ -1,8 +1,9 @@
 """Static checks that every import and every module-level private name
 in the package's modules is used, and every import of the tests and
-scripts; and that every public module-level function or class of the
+scripts; that every public module-level function or class of the
 package is read by the program (the package, ``scripts/`` or ``bench/``),
-not only by tests, unless an allow-list entry says why.
+not only by tests, unless an allow-list entry says why; and that the
+program names every field of the configs it builds.
 
 No linter is a dependency of the project, so this walks each module's
 syntax tree with the standard library. A name bound by an import must be
@@ -171,7 +172,7 @@ def test_only_the_training_log_is_opened_for_writing_outside_fileio():
 # Each defaulted parameter or defaulted dataclass field of the package is
 # a value a caller may set. The count may fall; raising it means raising
 # this ceiling on purpose.
-SETTABLE_VALUES_CEILING = 58
+SETTABLE_VALUES_CEILING = 57
 
 
 def settable_values(source: str) -> int:
@@ -201,3 +202,42 @@ def test_settable_values_stay_under_the_ceiling():
     count = sum(settable_values(p.read_text(encoding="utf-8")) for p in MODULES)
     assert count <= SETTABLE_VALUES_CEILING, (
         f"{count} defaulted parameters and dataclass fields, ceiling {SETTABLE_VALUES_CEILING}")
+
+
+# The configs whose every field the program must set somewhere: a field
+# that only tests set is a constant, not a setting.
+CONFIG_CLASSES = {"ModelConfig", "TrainConfig", "PipelineConfig"}
+
+
+def unnamed_fields(sources: list[str], classes: set[str]) -> list[str]:
+    """``Class.field`` of each field of ``classes`` that no source names,
+    outside the body of the class that declares it, as a keyword argument
+    or a string constant (a config key, a ``getattr`` or ``range_of``
+    name, a header key)."""
+    trees = [ast.parse(source) for source in sources]
+    out = []
+    for tree in trees:
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in classes):
+                continue
+            inside = {id(node) for node in ast.walk(cls)}
+            named = {node.arg if isinstance(node, ast.keyword) else node.value
+                     for t in trees for node in ast.walk(t) if id(node) not in inside
+                     and (isinstance(node, ast.keyword)
+                          or isinstance(node, ast.Constant) and isinstance(node.value, str))}
+            out.extend(f"{cls.name}.{s.target.id}" for s in cls.body
+                       if isinstance(s, ast.AnnAssign) and s.target.id not in named)
+    return sorted(out)
+
+
+def test_checker_flags_only_unnamed_fields():
+    sources = ["class C:\n    a: int = 1\n    b: int = setting(2, b='b')\n    c: int = 3\n"
+               "    d: int = 4\nclass D:\n    a: int = 0\n",
+               "C(a=1)\nrange_of(C, 'c')\nx.d\n"]
+    assert unnamed_fields(sources, {"C"}) == ["C.b", "C.d"]
+
+
+def test_every_config_field_is_named_by_the_program():
+    sources = [p.read_text(encoding="utf-8") for p in PROGRAM_MODULES]
+    unnamed = unnamed_fields(sources, CONFIG_CLASSES)
+    assert not unnamed, f"fields no program sets, which should be constants: {unnamed}"

@@ -37,7 +37,6 @@ REFUSED = [
     (ModelConfig, "e_max", [-1, 8.0]),
     (ModelConfig, "cell_kind", ["gsu"]),
     (ModelConfig, "mode", ["words"]),
-    (ModelConfig, "use_batch_norm", [1]),
     (ModelConfig, "bound_lower", [None]),
     (ModelConfig, "bound_upper", ["7"]),
     (PipelineConfig, "mode", ["words"]),

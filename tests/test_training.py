@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import os
 import weakref
@@ -168,17 +167,17 @@ def test_overfit_small_corpus():
     assert final < 0.1 * initial, (initial, final)
 
 
-def test_early_stopping_respects_patience(tmp_path):
+def test_early_stopping_respects_patience(tmp_path, monkeypatch):
     examples = toy_examples(8)
     sv, tv = build_vocabs(examples)
-    # no batch norm, and a learning rate whose steps are below the weights'
-    # rounding (a rate of 0 is out of range): validation perplexity is
-    # frozen, so nothing improves after epoch 0 and training stops at epoch 3
+    # frozen running statistics (the old ones keep all their weight), and a
+    # learning rate whose steps are below the weights' rounding (a rate of 0
+    # is out of range): validation perplexity is frozen, so nothing
+    # improves after epoch 0 and training stops at epoch 3
+    monkeypatch.setattr(nn.BatchNorm, "momentum", 1.0)
     cfg = small_config(epochs=50, patience=2, seed=0, learning_rate=1e-300)
-    model = Seq2Seq(dataclasses.replace(cfg.model_config(), use_batch_norm=False), sv, tv)
-    model.init_parameters(cfg.seed)
     _, result = training.train(examples, examples[:2], cfg, sv, tv,
-                               out_dir=str(tmp_path / "run"), model=model)
+                               out_dir=str(tmp_path / "run"))
     assert result.epochs_run == 4
     assert result.best_epoch == 0
 
