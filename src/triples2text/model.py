@@ -41,6 +41,12 @@ class ModelConfig(Settings):
     bound_lower: int = setting(0, INTEGER)
     bound_upper: int | None = setting(None, or_none(INTEGER))
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.bound_upper is not None and self.bound_lower > self.bound_upper:
+            raise ValueError(f"bound_lower must be at most bound_upper ({self.bound_upper}), "
+                             f"got {self.bound_lower}")
+
 
 # Header keys of configurations that are no longer built, with the one
 # value a checkpoint may hold for them: any other value, or one of another

@@ -141,9 +141,11 @@ def matmul(tape: Tape | None, a: Node, b: Node) -> Node:
 
 def sigmoid_array(x: Array) -> Array:
     """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) elsewhere, so exp
-    never overflows; both branches share e = exp(-|x|)."""
+    never overflows; both branches share e = exp(-|x|). The numerator
+    max(e, x >= 0) is 1 where x >= 0, since e <= 1 there, and e elsewhere,
+    NaN included: the same bits as choosing by the sign, without a branch."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def masked_softmax_nll(logits: Array, targets: Array, weights: Array, masked: int) -> Array:

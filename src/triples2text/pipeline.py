@@ -17,7 +17,9 @@ summary numbers ``0``/``<year>``, with the year range of the config.
 Each read and each build passes every string and immutable record it makes
 through a dict local to the call, so equal values, which recur article after
 article, are one object within that call (hash-consing). Lists and the
-mutable records are never shared.
+mutable records are never shared. Work done per record (the number rule on
+a summary word, JSON encoding, type checks when reading) is done once per
+distinct record within the call, through such dicts.
 
 Input formats:
   * triples: N-Triples-like text, one ``subject predicate object .`` per
@@ -477,9 +479,29 @@ def _entity_token(a: Annotation, mode: str) -> SummaryToken:
     return SummaryToken(KIND_TUPLE, tuple_token_text(a.uri, a.surface), a.uri, a.surface)
 
 
+def _word_tokens(word: str, number: str | None,
+                 target_vocab) -> tuple[SummaryToken, str]:
+    """A plain word's summary token and reference token, given what it is
+    as a number (``_number_token``): a number is its normalised token in
+    both, an out-of-vocabulary word is <rare> in the summary and itself in
+    the reference."""
+    if number is not None:
+        return SummaryToken(KIND_SPECIAL, number), number
+    if word in target_vocab:
+        return SummaryToken(KIND_WORD, word), word
+    return SummaryToken(KIND_SPECIAL, RARE), word
+
+
+def _decide(word: str, decided: dict[str, tuple[SummaryToken, str]], target_vocab,
+            config: PipelineConfig) -> tuple[SummaryToken, str]:
+    """Decide a word that ``decided`` does not hold yet, and enter it."""
+    pair = decided[word] = _word_tokens(word, _number_token(word, config), target_vocab)
+    return pair
+
+
 def assign_placeholders(s: AnnotatedSummary, triples: Sequence[Triple],
-                        types: Mapping[str, str], target_vocab,
-                        config: PipelineConfig) -> list[SummaryToken]:
+                        types: Mapping[str, str], target_vocab, config: PipelineConfig,
+                        decided: dict[str, tuple[SummaryToken, str]]) -> list[SummaryToken]:
     """Rewrite a truncated summary into target tokens.
 
     Annotated entities: the main entity becomes <item>; an in-vocabulary
@@ -490,18 +512,14 @@ def assign_placeholders(s: AnnotatedSummary, triples: Sequence[Triple],
     subject checked before object); an unmatched rare entity becomes its
     instance-type token, or <unk> without one. Plain words: numbers
     normalise to 0/<year> within the configured year range,
-    out-of-vocabulary words become <rare>.
+    out-of-vocabulary words become <rare>. ``decided`` maps each plain word
+    already decided to its summary and reference tokens; a word it lacks
+    is decided here and entered, so each word is decided once per map.
     """
     out: list[SummaryToken] = []
     for item in _walk(s):
         if type(item) is str:
-            number = _number_token(item, config)
-            if number is not None:
-                out.append(SummaryToken(KIND_SPECIAL, number))
-            elif item in target_vocab:
-                out.append(SummaryToken(KIND_WORD, item))
-            else:
-                out.append(SummaryToken(KIND_SPECIAL, RARE))
+            out.append((decided.get(item) or _decide(item, decided, target_vocab, config))[0])
             continue
         uri, surface = item.uri, item.surface
         if uri == s.main_entity:
@@ -611,8 +629,9 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
             continue
         bounded.append((summary, kept))
 
-    # provisional frequency pass decides which tokens count as rare; the
-    # number rule is asked once per distinct plain word
+    # provisional frequency pass decides which tokens count as rare, and
+    # each distinct plain word's summary and reference tokens; the number
+    # rule is asked once per distinct word
     counts: Counter[str] = Counter()
     words: Counter[str] = Counter()
     surface_counts: dict[str, Counter] = {}
@@ -624,17 +643,21 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
             surface_counts.setdefault(item.uri, Counter())[item.surface] += 1
             if item.uri != summary.main_entity:
                 counts[_entity_token(item, config.mode).text] += 1
+    numbers = {word: _number_token(word, config) for word in words}
     for word, n in words.items():
-        if word not in SPECIAL_TOKENS and _number_token(word, config) is None:
+        if numbers[word] is None and word not in SPECIAL_TOKENS:
             counts[word] += n
     in_vocab = frozenset(most_frequent(counts.items(), config.target_vocab_size,
                                        config.target_vocab_min_count))
+    # words only inside annotation spans, which only the reference tokens
+    # hold, are decided on first sighting
+    decided = {word: _word_tokens(word, number, in_vocab) for word, number in numbers.items()}
 
     examples: list[AlignedExample] = []
     entity_tokens: set[str] = set()
     predicate_tokens: set[str] = set()
     for summary, triples in bounded:
-        toks = assign_placeholders(summary, triples, types, in_vocab, config)
+        toks = assign_placeholders(summary, triples, types, in_vocab, config, decided)
         toks = ([SummaryToken(KIND_SPECIAL, START)] + toks
                 + [SummaryToken(KIND_SPECIAL, END)])
         toks[:] = map(share, toks, toks)
@@ -642,8 +665,9 @@ def build_corpus(articles: Iterable[tuple[AnnotatedSummary, Sequence[Triple]]],
             main_entity=summary.main_entity,
             triples=triples,
             summary_tokens=toks,
-            reference_tokens=[_number_token(word, config) or word
-                              for sent in summary.sentences for word in sent],
+            reference_tokens=[
+                (decided.get(word) or _decide(word, decided, in_vocab, config))[1]
+                for sent in summary.sentences for word in sent],
             mode=config.mode,
         ))
         for t in triples:
@@ -706,31 +730,57 @@ def _triple_to_json(t: Triple) -> dict:
     return d
 
 
+def _json_list(records: Iterable[tuple], encoded: dict, to_json, encode) -> str:
+    """The JSON list of ``records``, each distinct record encoded once per
+    ``encoded``, the call's memo of record -> JSON text."""
+    texts = []
+    for r in records:
+        text = encoded.get(r)
+        if text is None:
+            text = encoded[r] = encode(to_json(r))
+        texts.append(text)
+    return "[" + ", ".join(texts) + "]"
+
+
 def write_corpus(path: str, examples: Sequence[AlignedExample]) -> None:
+    """Write one JSON line per example: byte for byte
+    ``json.dumps(record, ensure_ascii=False, sort_keys=True)`` of the record
+    with keys ``main_entity``, ``mode``, ``reference_tokens``,
+    ``summary_tokens`` and ``triples``.
+
+    Each distinct triple and summary token is encoded once per call, and
+    each line is joined from those texts: equal records, whose fields are
+    strings or None, encode equally.
+    """
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    triples: dict[Triple, str] = {}
+    tokens: dict[SummaryToken, str] = {}
     with atomic_open(path) as fh:
         for ex in examples:
-            fh.write(json.dumps({
-                "main_entity": ex.main_entity,
-                "mode": ex.mode,
-                "triples": [_triple_to_json(t) for t in ex.triples],
-                "summary_tokens": [_token_to_json(t) for t in ex.summary_tokens],
-                "reference_tokens": ex.reference_tokens,
-            }, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(f'{{"main_entity": {encode(ex.main_entity)}, "mode": {encode(ex.mode)}, '
+                     f'"reference_tokens": {encode(ex.reference_tokens)}, '
+                     f'"summary_tokens": '
+                     f'{_json_list(ex.summary_tokens, tokens, _token_to_json, encode)}, '
+                     f'"triples": {_json_list(ex.triples, triples, _triple_to_json, encode)}}}\n')
 
 
 @_gc_paused()
 def read_corpus(path: str) -> list[AlignedExample]:
-    """Examples of a corpus file written by :func:`write_corpus`.
+    """Examples of a corpus file written by :func:`write_corpus`, whose
+    lines are ``json.dumps(record, ensure_ascii=False, sort_keys=True)``;
+    any other one-line JSON text of the same records reads the same.
 
     A malformed line, a field of the wrong type or an unknown mode raises
     PipelineError naming path:line, and a byte that is not UTF-8 a
     ValueError naming path. Equal triples, summary tokens and
-    reference tokens of the file are one object each; each is type-checked
-    once, on its first sighting, before it enters the file's table.
+    reference tokens of the file are one object each. Each triple and
+    token is looked up by its plain field tuple, which a named tuple
+    equals and hashes as, so a record is built and type-checked once, on
+    its first sighting, before it enters the file's table.
     """
     # Only checked values enter the table, and their fields are str or
-    # None, so a Triple (6 fields), a SummaryToken (4) and a string never
-    # compare equal; an unchecked value can only miss or raise TypeError.
+    # None, so a triple (6 fields), a token (4) and a string never compare
+    # equal; an unchecked value can only miss or raise TypeError.
     canon: dict = {}
     known = canon.get
 
@@ -764,15 +814,14 @@ def read_corpus(path: str) -> list[AlignedExample]:
                     raise ValueError(f"unknown mode {mode!r}")
                 if type(refs) is not list:
                     raise TypeError("reference_tokens must be a list")
-                triples = [Triple(t["s"], t["p"], t["o"], t.get("kind", ENTITY),
-                                  t.get("s_type"), t.get("o_type"))
-                           for t in rec["triples"]]
-                toks = [SummaryToken(t["kind"], t["text"], t.get("uri"), t.get("surface"))
+                triples = [(t["s"], t["p"], t["o"], t.get("kind", ENTITY),
+                            t.get("s_type"), t.get("o_type")) for t in rec["triples"]]
+                toks = [(t["kind"], t["text"], t.get("uri"), t.get("surface"))
                         for t in rec["summary_tokens"]]
                 # records are non-empty tuples, so ``or`` falls through on a
                 # miss (and on an empty string, which ``first`` enters again)
-                triples = [known(t) or first(t, 4) for t in triples]
-                toks = [known(t) or first(t, 2) for t in toks]
+                triples = [known(t) or first(Triple._make(t), 4) for t in triples]
+                toks = [known(t) or first(SummaryToken._make(t), 2) for t in toks]
                 refs = [known(w) or first(w) for w in refs]
                 out.append(AlignedExample(main, triples, toks, refs, known(mode) or first(mode)))
             except (KeyError, TypeError, ValueError) as exc:
@@ -802,6 +851,9 @@ def read_stats(path: str) -> CorpusStats:
                 raise ValueError("counts must be ints, e_mean and e_std numbers")
             if not (math.isfinite(d["e_mean"]) and 0 <= d["e_std"] < math.inf):
                 raise ValueError("e_mean must be finite, e_std finite and at least 0")
+            # truncation to the upper bound may leave e_max below e_mean
+            if d["e_min"] > d["e_mean"] or d["e_min"] > d["e_max"]:
+                raise ValueError("e_min must be at most e_mean and e_max")
             return CorpusStats(e_min=d["e_min"], e_mean=d["e_mean"], e_std=d["e_std"],
                                e_max=d["e_max"], n_articles=d["n_articles"],
                                n_entities=d["n_entities"], n_predicates=d["n_predicates"],

@@ -147,7 +147,7 @@ def test_criterion_2_published_rule_exactness():
          Triple(tk.ITEM, "dbo:birthPlace", "dbr:Morpeth,_Northumberland")],
         {"dbr:The_Adventures_of_Roderick_Random": "dbo:Book",
          "dbr:Morpeth,_Northumberland": "dbo:Settlement"},
-        set(), pipeline.PipelineConfig())
+        set(), pipeline.PipelineConfig(), {})
     placeholder_ok = ([t.text for t in toks[1:]] ==
                       ["dbo:author__subj__dbo:Book",
                        "dbo:birthPlace__obj__dbo:Settlement"])

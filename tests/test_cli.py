@@ -552,6 +552,27 @@ def test_stats_spread_not_finite_or_negative_is_data_error(trained, tmp_path, fi
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("values", [
+    {"e_min": 12}, {"e_min": 9, "e_mean": 10.0}, {"e_min": 9, "e_mean": 8.5, "e_max": 10}],
+    ids=["above-both", "above-e_max", "above-e_mean"])
+def test_stats_with_e_min_above_e_mean_or_e_max_is_data_error(trained, tmp_path, values,
+                                                              capsys):
+    # build_corpus never writes such a record; trained on, its bounds would
+    # come out inverted ([12, 8] for the first) and generate refuse every input
+    bad = tmp_path / "stats.json"
+    record = {"e_min": 8, "e_mean": 8.0, "e_std": 0.0, "e_max": 8, "n_articles": 30,
+              "n_entities": 40, "n_predicates": 9}
+    bad.write_text(json.dumps({**record, **values}), encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert run(["train", "--corpus", trained["corpus"], "--source-vocab", trained["source"],
+                "--target-vocab", trained["target"], "--stats", str(bad),
+                "--cell", "gru", "--m", "4", "--batch-size", "5", "--epochs", "1",
+                "--out-dir", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: bad stats record: e_min must be at most e_mean and e_max" in err
+    assert "Traceback" not in err and not run_dir.exists()
+
+
 def test_train_without_validation_says_so(trained, tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="triples2text")
     run_dir = tmp_path / "run"
@@ -628,7 +649,8 @@ def test_corrupt_checkpoint_exit_three(demo_dir, tmp_path, monkeypatch):
         assert generate_with({}, {"encoder.bn_out.running_mean": np.zeros(shape)}) == 3, shape
     for values in ({"m": "16"}, {"m": 0}, {"m": True}, {"e_max": -1}, {"e_max": 8.0},
                    {"cell_kind": "gsu"}, {"mode": "words"},
-                   {"bound_lower": None}, {"bound_upper": "7"}, {"layers": 0},
+                   {"bound_lower": None}, {"bound_upper": "7"},
+                   {"bound_lower": 12, "bound_upper": 8}, {"layers": 0},
                    {"paper_literal_lstm": True}, {"bn_momentum": 0.5}, {"bn_eps": 1e-3}):
         assert generate_with(values) == 3, values
     # A header whose m or e_max disagrees with the blocks is refused before

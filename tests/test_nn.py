@@ -48,6 +48,22 @@ def test_activation_values():
     assert big[0, 0] == 0.0 and big[0, 1] == 1.0
 
 
+def test_sigmoid_has_the_bits_of_the_two_branch_formula():
+    # sign-chosen numerators, 1 where x >= 0 and e = exp(-|x|) elsewhere,
+    # against the branch-free max(e, x >= 0): every bit, NaN included
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, tiny, -tiny,
+                      1e-310, -1e-310, np.nan, -np.nan])
+    gates = rng.normal(0.0, 4.0, size=(32, 4 * 768))[:, 768:2 * 768]  # a strided gate block
+    for x in (edges, gates, rng.normal(0.0, 40.0, size=2000)):
+        e = np.exp(-np.abs(x))
+        expected = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        got = nn.sigmoid_array(x)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_softmax_uniform_on_zero_row():
     v = 7
     probs = np.zeros((2, v))

@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from itertools import compress, repeat
 from pathlib import Path
@@ -222,7 +223,7 @@ def test_placeholder_for_rare_subject_match():
                  Annotation(0, 2, 4, "dbr:The_Adventures_of_Roderick_Random",
                             "Roderick Random")])
     triples = [T("dbr:The_Adventures_of_Roderick_Random", "dbo:author", tk.ITEM)]
-    toks = pl.assign_placeholders(s, triples, BOOK_TYPES, {"He", "wrote", "."}, CFG)
+    toks = pl.assign_placeholders(s, triples, BOOK_TYPES, {"He", "wrote", "."}, CFG, {})
     assert toks[2].text == "dbo:author__subj__dbo:Book"
     assert toks[2].kind == "placeholder"
 
@@ -232,7 +233,7 @@ def test_placeholder_for_rare_object_match():
                 [Annotation(0, 0, 1, "dbr:Main", "born"),
                  Annotation(0, 2, 3, "dbr:Morpeth,_Northumberland", "Morpeth")])
     triples = [T(tk.ITEM, "dbo:birthPlace", "dbr:Morpeth,_Northumberland")]
-    toks = pl.assign_placeholders(s, triples, BOOK_TYPES, {"born", "in", "."}, CFG)
+    toks = pl.assign_placeholders(s, triples, BOOK_TYPES, {"born", "in", "."}, CFG, {})
     assert toks[2].text == "dbo:birthPlace__obj__dbo:Settlement"
 
 
@@ -241,7 +242,7 @@ def test_placeholder_untyped_matched_entity_gets_unk_type():
                 [Annotation(0, 0, 1, "dbr:Main", "from"),
                  Annotation(0, 1, 2, "dbr:Nowhere", "Nowhere")])
     triples = [T(tk.ITEM, "dbo:birthPlace", "dbr:Nowhere")]
-    toks = pl.assign_placeholders(s, triples, {}, {"from"}, CFG)
+    toks = pl.assign_placeholders(s, triples, {}, {"from"}, CFG, {})
     assert toks[1].text == f"dbo:birthPlace__obj__{tk.UNK}"
 
 
@@ -251,7 +252,7 @@ def test_unmatched_rare_entity_uses_instance_type_then_unk():
                  Annotation(0, 1, 2, "dbr:Thing", "Thing"),
                  Annotation(0, 3, 4, "dbr:Other", "Other")])
     toks = pl.assign_placeholders(s, [], {"dbr:Thing": "dbo:Artifact"},
-                                  {"saw", "and"}, CFG)
+                                  {"saw", "and"}, CFG, {})
     assert toks[1].kind == "instance_type" and toks[1].text == "dbo:Artifact"
     assert toks[3].kind == "special" and toks[3].text == tk.UNK
 
@@ -261,7 +262,7 @@ def test_first_matching_triple_wins_subject_before_object():
     s.annotations.append(Annotation(0, 0, 1, "dbr:M", "X"))  # keep main present
     triples = [T(tk.ITEM, "dbo:follows", "dbr:E"),
                T("dbr:E", "dbo:precedes", tk.ITEM)]
-    toks = pl.assign_placeholders(s, triples, {}, set(), CFG)
+    toks = pl.assign_placeholders(s, triples, {}, set(), CFG, {})
     assert toks[0].text == f"dbo:follows__obj__{tk.UNK}"
 
 
@@ -269,7 +270,7 @@ def test_in_vocab_entities_pass_through_and_numbers_normalise():
     s = summary([["Famous", "met", "17", "people", "in", "1993"]],
                 [Annotation(0, 0, 1, "dbr:Main", "Famous"),
                  Annotation(0, 3, 4, "dbr:People", "people")])
-    toks = pl.assign_placeholders(s, [], {}, {"met", "in", "dbr:People"}, CFG)
+    toks = pl.assign_placeholders(s, [], {}, {"met", "in", "dbr:People"}, CFG, {})
     texts = [t.text for t in toks]
     assert texts == [tk.ITEM, "met", tk.ZERO, "dbr:People", "in", tk.YEAR]
     assert toks[3].kind == "entity_uri"
@@ -278,10 +279,10 @@ def test_in_vocab_entities_pass_through_and_numbers_normalise():
 def test_out_of_vocab_word_becomes_rare():
     s = summary([["colourless", "ideas"]],
                 [Annotation(0, 0, 1, "dbr:Main", "colourless")])
-    toks = pl.assign_placeholders(s, [], {}, {"ideas"}, CFG)
+    toks = pl.assign_placeholders(s, [], {}, {"ideas"}, CFG, {})
     assert toks[0].text == tk.ITEM and toks[1].text == "ideas"
     s2 = summary([["zz", "ideas"]], [Annotation(0, 1, 2, "dbr:Main", "ideas")])
-    toks2 = pl.assign_placeholders(s2, [], {}, set(), CFG)
+    toks2 = pl.assign_placeholders(s2, [], {}, set(), CFG, {})
     assert toks2[0].text == tk.RARE
 
 
@@ -291,7 +292,7 @@ def test_overlapping_annotations_shorter_first_touching_kept_crossing_dropped(or
     s = summary([["a", "b", "c", "d", "e", "f"]],
                 [Annotation(0, lo, hi, uri, uri) for lo, hi, uri in spans[::order]],
                 main="main")
-    toks = pl.assign_placeholders(s, [], {}, {"b", "c", "e", "f", "Z"}, CFG)
+    toks = pl.assign_placeholders(s, [], {}, {"b", "c", "e", "f", "Z"}, CFG, {})
     assert [t.text for t in toks] == [tk.ITEM, tk.UNK, "c", "Z", "e", "f"]
     assert [t.uri for t in toks] == ["main", "Y", None, "Z", None, None]
 
@@ -307,7 +308,7 @@ def test_tuple_mode_turns_in_vocab_entities_only_into_tuples():
     triples = [T(tk.ITEM, "dbo:origin", "dbr:Rare")]
     vocab = {"(dbr:United_States, American)", "band", "dbr:Rare"}
     out = pl.assign_placeholders(s, triples, {}, vocab,
-                                 PipelineConfig(mode=pl.MODE_TUPLES))
+                                 PipelineConfig(mode=pl.MODE_TUPLES), {})
     assert out[0] == SummaryToken("surface_tuple", "(dbr:United_States, American)",
                                   uri="dbr:United_States", surface="American")
     assert out[1] == SummaryToken("word", "band")
@@ -569,6 +570,94 @@ def test_corpus_roundtrip(tmp_path):
     pl.write_stats(spath, stats)
     s2 = pl.read_stats(spath)
     assert s2.e_mean == stats.e_mean and s2.exclusions == stats.exclusions
+
+
+def test_read_stats_takes_what_build_corpus_writes_e_max_below_e_mean_included(tmp_path):
+    # sizes [3, 3, 3, 4] have mean 3.25 and upper bound 3, so the set of
+    # four is cut to three and e_max ends below e_mean
+    articles = [make_article(f"dbr:P{i}") for i in range(3)]
+    articles.append(make_article("dbr:Big", n_filler=1))
+    _, stats, _ = pl.build_corpus(articles, {}, PipelineConfig())
+    assert (stats.e_min, stats.e_mean, stats.e_max) == (3, 3.25, 3)
+    path = str(tmp_path / "stats.json")
+    pl.write_stats(path, stats)
+    assert pl.read_stats(path) == stats
+
+
+# the characters JSON escapes or a line reader could split on, beside any text
+TEXTS = st.text(st.sampled_from('a"\\\x00\x1f\n\r\x7f\x85\u2028\u2029\U0001F600 '),
+                max_size=4) | st.text(max_size=4)
+OPTIONAL = st.none() | TEXTS
+
+
+@st.composite
+def corpora(draw):
+    """Examples whose triples and tokens are drawn from small pools, so
+    equal records recur; a triple's types are None or non-empty, as the
+    writer omits an empty one."""
+    triples = draw(st.lists(st.builds(Triple, TEXTS, TEXTS, TEXTS, TEXTS,
+                                      st.none() | TEXTS.filter(bool),
+                                      st.none() | TEXTS.filter(bool)), min_size=1, max_size=4))
+    tokens = draw(st.lists(st.builds(SummaryToken, TEXTS, TEXTS, OPTIONAL, OPTIONAL),
+                           min_size=1, max_size=4))
+    return draw(st.lists(st.builds(
+        AlignedExample, TEXTS, st.lists(st.sampled_from(triples), max_size=5),
+        st.lists(st.sampled_from(tokens), max_size=5), st.lists(TEXTS, max_size=4),
+        st.sampled_from(pl.MODES)), max_size=4))
+
+
+def corpus_record(ex: AlignedExample) -> dict:
+    """The JSON value of one corpus line, as the file format defines it."""
+    def triple(t):
+        return {"s": t.subject, "p": t.predicate, "o": t.object, "kind": t.object_kind,
+                **({"s_type": t.subject_type} if t.subject_type else {}),
+                **({"o_type": t.object_type} if t.object_type else {})}
+
+    def token(t):
+        return {"kind": t.kind, "text": t.text,
+                **({"uri": t.uri} if t.uri is not None else {}),
+                **({"surface": t.surface} if t.surface is not None else {})}
+
+    return {"main_entity": ex.main_entity, "mode": ex.mode,
+            "triples": [triple(t) for t in ex.triples],
+            "summary_tokens": [token(t) for t in ex.summary_tokens],
+            "reference_tokens": ex.reference_tokens}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(corpora())
+def test_written_lines_are_json_dumps_of_each_record_and_read_back(tmp_path_factory, examples):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    pl.write_corpus(str(path), examples)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert lines == [json.dumps(corpus_record(ex), ensure_ascii=False, sort_keys=True)
+                     for ex in examples]
+    read = pl.read_corpus(str(path))
+    assert read == examples
+    first = {}
+    for record in (r for ex in read for r in (*ex.triples, *ex.summary_tokens)):
+        assert first.setdefault(record, record) is record, record
+
+
+def test_build_corpus_asks_the_number_rule_once_per_distinct_word(tmp_path, monkeypatch):
+    paths = demo_corpus(11, 60, str(tmp_path / "demo"))
+    articles = list(pl.read_articles(paths["triples"], paths["summaries"]))
+    asked = Counter()
+    number_token = pl._number_token
+
+    def counted(word, config):
+        asked[word] += 1
+        return number_token(word, config)
+
+    monkeypatch.setattr(pl, "_number_token", counted)
+    examples, _, _ = pl.build_corpus(articles, pl.read_tsv_map(paths["instance_types"]),
+                                     PipelineConfig(target_vocab_min_count=2))
+    kept = {ex.main_entity for ex in examples}
+    words = {w for s, _ in articles if s.main_entity in kept for sent in s.sentences[:2]
+             for w in sent}
+    assert set(asked) <= words and max(asked.values()) == 1
+    assert sum(len(ex.reference_tokens) for ex in examples) > 2 * len(asked)  # words recur
 
 
 def test_failed_writes_keep_previous_file(tmp_path):

@@ -62,6 +62,16 @@ def test_pipeline_config_refuses_year_min_above_year_max(values):
         PipelineConfig(**values)
 
 
+def test_model_config_refuses_bound_lower_above_bound_upper():
+    # a model whose bounds are [12, 8] would refuse every input it is given
+    for cls in (ModelConfig, TrainConfig):
+        with pytest.raises(ValueError, match=r"^bound_lower must be at most bound_upper \(8\), "
+                                             r"got 12$"):
+            cls(bound_lower=12, bound_upper=8)
+        assert cls(bound_lower=8, bound_upper=8).bound_upper == 8
+        assert cls(bound_lower=12, bound_upper=None).bound_lower == 12
+
+
 @pytest.mark.parametrize("year_min, exit_code", [(2100, 2), (2101, 1)])
 def test_year_range_flags_and_config_agree_at_the_edge(tmp_path, year_min, exit_code, capsys):
     # the default year_max is 2100; a year range the config refuses is a
