@@ -479,7 +479,7 @@ def cmd_gradcheck(args, cfg):
     target = Vocabulary._with_specials("target")
     for i in range(args.target_size - len(target)):
         target._append(f"t{i}", 1)
-    model = Seq2Seq(config, source, target)
+    model = Seq2Seq(config, source, target).to_float64()  # central differences need float64
     # larger-than-training weights keep finite differences well conditioned
     nn.init_uniform(model.parameters(), -0.5, 0.5, seed=args.seed)
     batch = []

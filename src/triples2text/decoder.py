@@ -84,7 +84,7 @@ def _lstm_sweep(d_out: Array, acts: Array, cs: Array, w_h_t: Array, dz: Array) -
     squares = np.square(acts[3:])
     one_g2, one_tc2 = np.subtract(1.0, squares, out=squares)
     m = d_out.shape[2]
-    dh, dc = np.zeros(d_out.shape[1:]), np.zeros(d_out.shape[1:])
+    dh, dc = np.zeros(d_out.shape[1:], d_out.dtype), np.zeros(d_out.shape[1:], d_out.dtype)
     for t in reversed(range(d_out.shape[0])):
         dh += d_out[t]
         dc += _product(dh, o[t], one_tc2[t])
@@ -107,7 +107,7 @@ def _gru_sweep(d_out: Array, acts: Array, hs: Array, w_h_t: Array, cand_hh_t: Ar
     cand_h = cand - hs[:-1]
     one_cand2 = np.subtract(1.0, np.square(cand, out=cand), out=cand)
     m = d_out.shape[2]
-    dh = np.zeros(d_out.shape[1:])
+    dh = np.zeros(d_out.shape[1:], d_out.dtype)
     for t in reversed(range(d_out.shape[0])):
         dh += d_out[t]
         da[t] = _product(dh, u[t], one_cand2[t])
@@ -143,7 +143,7 @@ class Decoder:
 
     def initial_state(self, h0: Array) -> tuple[Array, Array | None]:
         """(h, c) before the first step: hidden = h0, cell zero (LSTM) or None."""
-        return h0, (np.zeros((h0.shape[0], self.m)) if self.cell_kind == LSTM else None)
+        return h0, (np.zeros((h0.shape[0], self.m), h0.dtype) if self.cell_kind == LSTM else None)
 
     def _tokens(self, x) -> Array:
         x = np.asarray(x)
@@ -182,26 +182,27 @@ class Decoder:
         inputs = self._tokens(inputs)
         steps, b = inputs.shape
         m, gates = self.m, self.gate_w.value.shape[1]
+        dtype = self.gate_w.value.dtype
         lstm = self.cell_kind == LSTM
         taped = tape is not None
         flat = inputs.reshape(-1)
-        emb = np.take(self.embed.value, flat, axis=0, out=nn.empty(ws, "emb", (flat.size, m)),
+        emb = np.take(self.embed.value, flat, axis=0, out=nn.empty(ws, "emb", (flat.size, m), dtype),
                       mode="clip")  # in range (_tokens); "clip" writes out unbuffered
         w_x, w_h = self.gate_w.value[:m], self.gate_w.value[m:]
-        zx = np.matmul(emb, w_x, out=nn.empty(ws, "zx", (flat.size, gates)))
+        zx = np.matmul(emb, w_x, out=nn.empty(ws, "zx", (flat.size, gates), dtype))
         zx += self.gate_b.value
         zx = zx.reshape(steps, b, gates)
-        hs = nn.empty(ws, "hs", (steps + 1, b, m))  # hs[t] is the hidden state entering step t
+        hs = nn.empty(ws, "hs", (steps + 1, b, m), dtype)  # hs[t] is the hidden state entering step t
         hs[0] = h0.value
         if lstm:
-            cs = nn.empty(ws, "cs", (steps + 1, b, m))  # cs[t] is the cell state entering step t
+            cs = nn.empty(ws, "cs", (steps + 1, b, m), dtype)  # cs[t] is the cell state entering step t
             cs[0] = 0.0
         else:
-            xc = np.matmul(emb, self.cand_in_w.value, out=nn.empty(ws, "xc", (flat.size, m)))
+            xc = np.matmul(emb, self.cand_in_w.value, out=nn.empty(ws, "xc", (flat.size, m), dtype))
             xc += self.cand_in_b.value
             xc = xc.reshape(steps, b, m)
         if taped:  # each cell activation over all steps, as one contiguous [T, B, m] block
-            acts = nn.empty(ws, "acts", (5 if lstm else 4, steps, b, m))
+            acts = nn.empty(ws, "acts", (5 if lstm else 4, steps, b, m), dtype)
         for t in range(steps):
             z = zx[t]  # the backward pass overwrites zx, so the sum can go in place
             z += hs[t] @ w_h
@@ -257,20 +258,20 @@ class Decoder:
         probabilities into the logit gradient in place, then writes the
         out_w, out_b and (sole consumer of ``hidden``) hidden gradients."""
         h = hidden.value
-        probs = self.logits(h, nn.empty(ws, "logits", (h.shape[0], self.target_size)))
+        probs = self.logits(h, nn.empty(ws, "logits", (h.shape[0], self.target_size), h.dtype))
         total = float(nn.masked_softmax_nll(probs, targets, weights, self.pad_index).sum())
         cost = nn.Node(np.array([[total * scale + 0.0]]))  # 0.0, not -0.0, for no tokens
         if tape is None:
             return cost, total
 
         def bwd():
-            g = weights * (cost.grad[0, 0] * scale)
+            g = weights * (float(cost.grad[0, 0]) * scale)  # a numpy float64 would widen g
             np.multiply(probs, g[:, None], out=probs)
             probs[np.arange(len(targets)), targets] -= g
             self.out_b.grad += probs.sum(axis=0, keepdims=True)
             self.out_w.grad += h.T @ probs
             hidden.grad = np.matmul(probs, self.out_w.value.T,
-                                    out=nn.empty(ws, "d_hidden", h.shape))
+                                    out=nn.empty(ws, "d_hidden", h.shape, h.dtype))
         tape.record(bwd)
         return cost, total
 

@@ -72,7 +72,7 @@ class TripleEncoder:
                 f"encode_batch: source index out of range [0, {self.source_size})")
         ex_idx = np.repeat(np.arange(n_sets), counts)
         slot_idx = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
-        packed = np.zeros((n_sets, self.e_max, m))
+        packed = np.zeros((n_sets, self.e_max, m), self.embed.value.dtype)
         if n:
             idx = spo.T.reshape(-1)  # [3n]: all subjects, all predicates, all objects
             flat = self.embed.value[idx]

@@ -1,10 +1,12 @@
 """Full encoder-decoder assembly, example encoding, and checkpoints.
 
 A Seq2Seq owns the triple encoder, the recurrent decoder and the two
-dictionaries. Checkpoints use the versioned binary block container from
-:mod:`triples2text.nn`; the header records the hyperparameters plus the
-content hashes of both dictionaries, and loading refuses a checkpoint
-whose hashes or cell kind disagree with what the caller supplies.
+dictionaries. It computes in float32 (``nn.DTYPE``), or in float64 after
+:meth:`Seq2Seq.to_float64`. Checkpoints use the versioned binary block
+container from :mod:`triples2text.nn`, float64 on disk; the header
+records the hyperparameters plus the content hashes of both dictionaries,
+and loading refuses a checkpoint whose hashes or cell kind disagree with
+what the caller supplies.
 """
 
 from __future__ import annotations
@@ -94,6 +96,13 @@ class Seq2Seq:
     def batch_norms(self) -> list[nn.BatchNorm]:
         return self.encoder.batch_norms()
 
+    def to_float64(self) -> "Seq2Seq":
+        """This model, recast to compute in float64 (exactly: see
+        :func:`nn.to_float64`). Central differences need it; training and
+        generation run in float32."""
+        nn.to_float64(self.parameters(), self.batch_norms())
+        return self
+
     def init_parameters(self, seed: int) -> None:
         """Uniform initialisation of weights and biases in
         [-INIT_BOUND, INIT_BOUND); batch-norm scale/shift keep their 1/0
@@ -149,7 +158,7 @@ class Seq2Seq:
         # time-major: row t*b + i of the flattened arrays is example i at step t
         inputs = np.full((steps, b), self.pad_index, dtype=int)
         targets = np.full((steps, b), self.pad_index, dtype=int)
-        weights = np.zeros((steps, b))
+        weights = np.zeros((steps, b), self.decoder.out_w.value.dtype)
         for i, ex in enumerate(batch):
             seq = ex.target
             n = min(len(seq) - 1, steps)
@@ -230,5 +239,5 @@ class Seq2Seq:
             if blocks[name].shape != arr.shape:
                 raise nn.BadCheckpointError(
                     f"{path}: block {name} has shape {blocks[name].shape}, expected {arr.shape}")
-            arr[...] = blocks[name]
+            arr[...] = blocks[name]  # rounded once, to the model's dtype
         return model

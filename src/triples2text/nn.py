@@ -1,18 +1,25 @@
-"""float64 tensor operations with a replay tape for reverse-mode gradients.
+"""Tensor operations with a replay tape for reverse-mode gradients.
 
-Everything operates on 2-D, C-contiguous numpy float64 arrays with shape
+Everything operates on 2-D, C-contiguous numpy arrays with shape
 [batch, features] unless stated otherwise; that array layout is the
-project's only tensor type. A forward pass optionally records closures on
-a :class:`Tape`; ``Tape.backward`` replays them in reverse order and
-accumulates gradients into the nodes' ``grad`` buffers. A
-:class:`Parameter` is itself a node, whose buffer persists across passes,
-so every operation takes a parameter directly. There is no graph
-compiler: the triple encoder, the decoder's recurrence and its output
-layer with the loss each record one fused op with a hand-written
-backward (the encoder through the batch-normalisation kernels here, the
-output head through :func:`masked_softmax_nll`), so a training batch
-records 3 closures. Passing ``tape=None`` runs the same code as a pure
-forward evaluation.
+project's only tensor type. The program computes in float32: a
+:class:`Parameter` and the batch-norm running statistics are made in
+``DTYPE``, and every kernel, workspace loan and scratch buffer takes its
+dtype from its inputs. :func:`to_float64` recasts a built model's arrays,
+exactly, so that the same code computes in float64; the gradient check
+and the tests' float64 oracles run on that path. Checkpoints hold
+float64 blocks whatever the model's dtype.
+
+A forward pass optionally records closures on a :class:`Tape`;
+``Tape.backward`` replays them in reverse order and accumulates gradients
+into the nodes' ``grad`` buffers. A :class:`Parameter` is itself a node,
+whose buffer persists across passes, so every operation takes a parameter
+directly. There is no graph compiler: the triple encoder, the decoder's
+recurrence and its output layer with the loss each record one fused op
+with a hand-written backward (the encoder through the
+batch-normalisation kernels here, the output head through
+:func:`masked_softmax_nll`), so a training batch records 3 closures.
+Passing ``tape=None`` runs the same code as a pure forward evaluation.
 
 A :class:`Workspace` lends those ops their large arrays from buffers it
 keeps (``training.train`` keeps one per epoch's batches); without one
@@ -46,8 +53,11 @@ class BadCheckpointError(ValueError):
     """Checkpoint container is truncated, corrupt, or of the wrong version."""
 
 
+DTYPE = np.float32  # of every parameter and running statistic, so of all arithmetic
+
+
 def tensor2d(rows: int, cols: int) -> Array:
-    return np.zeros((rows, cols), dtype=np.float64)
+    return np.zeros((rows, cols), DTYPE)
 
 
 class Node:
@@ -151,15 +161,27 @@ def sigmoid_array(x: Array) -> Array:
 def masked_softmax_nll(logits: Array, targets: Array, weights: Array, masked: int) -> Array:
     """Per-row negative log probability of `targets`, with the masked
     column renormalised away and rows weighted (weight 0 = padding, no
-    loss). In place: the [batch, |X|] logits become the probabilities."""
+    loss). In place: the [batch, |X|] logits become the probabilities.
+
+    Where the target's probability underflows to a subnormal or zero (a
+    logit gap above about 87 in float32, 708 in float64), its log is
+    taken from the logits instead, as (target - max) - log(row sum), so
+    the loss stays finite and exact; every other row is -log p."""
+    rows = np.arange(len(targets))
     logits[:, masked] = -np.inf
     with np.errstate(invalid="ignore"):  # -inf - -inf on masked columns is fine
         logits -= logits.max(axis=1, keepdims=True)
+        shifted = logits[rows, targets]  # a copy, kept from before the exp
         np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
+        sums = logits.sum(axis=1, keepdims=True)
+        logits /= sums
     # weight-0 rows may point at a masked target; keep the log argument sane
-    safe = np.where(weights > 0.0, logits[np.arange(len(targets)), targets], 1.0)
-    return -(np.log(safe) * weights)
+    safe = np.where(weights > 0.0, logits[rows, targets], 1.0)
+    under = safe < np.finfo(safe.dtype).tiny
+    safe[under] = 1.0
+    logp = np.log(safe)
+    logp[under] = shifted[under] - np.log(sums[under, 0])
+    return -(logp * weights)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +216,18 @@ class BatchNorm:
     def state_blocks(self) -> list[tuple[str, Array]]:
         return [(f"{self.name}.running_mean", self.running_mean),
                 (f"{self.name}.running_var", self.running_var)]
+
+
+def to_float64(params: Iterable[Parameter], batch_norms: Iterable[BatchNorm]) -> None:
+    """Recast each parameter's value, gradient and RMSProp accumulator and
+    each batch norm's running statistics to float64, exactly. Every kernel
+    takes its dtype from these arrays, so the parts they belong to then
+    compute in float64."""
+    for p in params:
+        p.value, p.grad, p.rms_acc = (a.astype(np.float64) for a in (p.value, p.grad, p.rms_acc))
+    for bn in batch_norms:
+        bn.running_mean = bn.running_mean.astype(np.float64)
+        bn.running_var = bn.running_var.astype(np.float64)
 
 
 def batch_norm_forward(x: Array, bn: BatchNorm, training: bool) -> tuple[Array, Array, Array]:
@@ -257,24 +291,25 @@ FD_STEP = 1e-5  # h of gradient_check's central differences
 
 
 class Workspace:
-    """Flat float64 buffers by key, lent as contiguous arrays of any shape
-    that fits and grown when one does not. An array lent for a key is
-    overwritten by the next loan of that key, so whatever holds one (a
-    node, a recorded closure) must be spent before the next pass."""
+    """Flat buffers by key, lent as contiguous arrays of any shape and
+    dtype that fits, and replaced when one does not. An array lent for a
+    key is overwritten by the next loan of that key, so whatever holds one
+    (a node, a recorded closure) must be spent before the next pass."""
 
     def __init__(self):
         self._buffers: dict[str, Array] = {}
 
-    def take(self, key: str, shape: tuple[int, ...]) -> Array:
+    def take(self, key: str, shape: tuple[int, ...], dtype: np.dtype) -> Array:
         size = math.prod(shape)
-        if key not in self._buffers or self._buffers[key].size < size:
-            self._buffers[key] = np.empty(size)
-        return self._buffers[key][:size].reshape(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
-def empty(ws: Workspace | None, key: str, shape: tuple[int, ...]) -> Array:
-    """``ws``'s buffer for ``key`` in the given shape, or a fresh array."""
-    return np.empty(shape) if ws is None else ws.take(key, shape)
+def empty(ws: Workspace | None, key: str, shape: tuple[int, ...], dtype: np.dtype) -> Array:
+    """``ws``'s buffer for ``key`` in the given shape and dtype, or a fresh array."""
+    return np.empty(shape, dtype) if ws is None else ws.take(key, shape, dtype)
 
 
 def clip_gradients(params: Iterable[Parameter], max_norm: float | None) -> tuple[float, float]:
@@ -285,7 +320,8 @@ def clip_gradients(params: Iterable[Parameter], max_norm: float | None) -> tuple
     with max_norm=None).
     """
     params = list(params)
-    buf = np.empty(max((p.grad.size for p in params), default=0))
+    buf = np.empty(max((p.grad.size for p in params), default=0),
+                   params[0].grad.dtype if params else DTYPE)
     total = 0.0
     for p in params:
         sq = np.multiply(p.grad, p.grad, out=buf[:p.grad.size].reshape(p.grad.shape))
@@ -308,15 +344,15 @@ def rmsprop_step(params: Iterable[Parameter], learning_rate: float,
     fixed point. Every accumulator decays, rows with zero gradient too.
 
     The update runs in place, in cache-sized blocks of each flattened
-    parameter and two scratch buffers, in the operation order of
+    parameter and two scratch buffers of its dtype, in the operation order of
     acc = rho*acc + ((1-rho)*g)*g and value -= (lr*g) / sqrt(acc + eps),
     with rho = RMSPROP_DECAY and eps = RMSPROP_EPSILON;
     every operation is elementwise, so it is bit-identical to that formula
     written with temporaries.
     """
-    buf_a, buf_b = np.empty(_BLOCK), np.empty(_BLOCK)
     for p in params:
         value, grad, acc = p.value.reshape(-1), p.grad.reshape(-1), p.rms_acc.reshape(-1)
+        buf_a, buf_b = np.empty((2, min(value.size, _BLOCK)), value.dtype)
         for lo in range(0, value.size, _BLOCK):
             v, g, r = value[lo:lo + _BLOCK], grad[lo:lo + _BLOCK], acc[lo:lo + _BLOCK]
             a, b = buf_a[:v.size], buf_b[:v.size]
@@ -373,6 +409,7 @@ _VERSION = 1
 def write_blocks(path: str, header: dict, blocks: Sequence[tuple[str, Array]]) -> None:
     """Write the versioned container: magic, version, JSON header, then
     named blocks of (name, rows, cols, row-major little-endian float64).
+    A float32 array widens to float64 exactly.
 
     The write is atomic (:func:`fileio.atomic_open`): a write that fails
     part-way leaves any previous file at ``path`` intact.
@@ -400,7 +437,9 @@ def read_blocks(path: str) -> tuple[dict, dict[str, Array]]:
 
     Every length and shape is checked against the bytes left in the file
     before it is read, so any truncated or corrupted file raises
-    :class:`BadCheckpointError`.
+    :class:`BadCheckpointError`. Each block is a read-only little-endian
+    float64 view of the bytes read, so that a caller converts it to its
+    own dtype in one pass.
     """
     with open(path, "rb") as fh:
         left = os.fstat(fh.fileno()).st_size
@@ -439,7 +478,7 @@ def read_blocks(path: str) -> tuple[dict, dict[str, Array]]:
             rows, cols = struct.unpack("<QQ", take(16, "shape"))
             raw = take(rows * cols * 8, f"data of {name}")
             try:
-                blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
+                blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols)
             except ValueError:  # an empty block whose other dimension is absurd
                 raise BadCheckpointError(f"corrupt shape {rows}x{cols} of {name}") from None
         return header, blocks

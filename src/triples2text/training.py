@@ -96,10 +96,14 @@ def make_batches(examples: Sequence[EncodedExample], batch_size: int,
 
 def validation_perplexity(model: Seq2Seq, valid: Sequence[EncodedExample],
                           max_timestep: int | None = None) -> float:
+    """exp of the mean token NLL; inf where that overflows a float."""
     nll, count = model.corpus_nll(valid, max_timestep=max_timestep)
     if count == 0:
         raise ValueError("corpus has no scoreable tokens")
-    return math.exp(nll / count)
+    try:
+        return math.exp(nll / count)
+    except OverflowError:
+        return math.inf
 
 
 def train(corpus: Sequence[AlignedExample], valid: Sequence[AlignedExample],

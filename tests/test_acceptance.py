@@ -40,7 +40,8 @@ def _gradcheck_model(cell: str, seed: int) -> float:
     rng = np.random.default_rng(seed)
     source = make_vocab("source", 15 - len(tk.SPECIAL_TOKENS), "s")
     target = make_vocab("target", 20 - len(tk.SPECIAL_TOKENS), "t")
-    model = Seq2Seq(ModelConfig(cell_kind=cell, m=8, e_max=3), source, target)
+    # central differences at FD_STEP need float64, as triples2text gradcheck runs
+    model = Seq2Seq(ModelConfig(cell_kind=cell, m=8, e_max=3), source, target).to_float64()
     nn.init_uniform(model.parameters(), -0.5, 0.5, seed=seed)
     batch = []
     for _ in range(4):
@@ -264,7 +265,7 @@ def test_criterion_4_metric_oracles():
     target_extra = 11
     model = Seq2Seq(ModelConfig(cell_kind="gru", m=4, e_max=2),
                     make_vocab("source", 4, "s"),
-                    make_vocab("target", target_extra, "t"))
+                    make_vocab("target", target_extra, "t")).to_float64()  # exact to 1e-9
     examples = []
     toks = [pipeline.SummaryToken("special", tk.START),
             pipeline.SummaryToken("word", "t0"),

@@ -689,6 +689,22 @@ def test_use_batch_norm_header_key_is_retired(trained, tmp_path, capsys):
         assert f"header value use_batch_norm={value!r}" in capsys.readouterr().err
 
 
+def test_float64_checkpoint_loads_rounded_to_float32(trained):
+    # a checkpoint of a float64 model: its values are not all float32 numbers
+    old = os.path.join(DATA, "checkpoint_v1_gru_use_batch_norm.bin")
+    _, blocks = nn.read_blocks(old)
+    assert any(np.any(b.astype(np.float32) != b) for b in blocks.values())
+    model = Seq2Seq.load(old, Vocabulary.load(trained["source"]),
+                         Vocabulary.load(trained["target"]))
+    for name, arr in model.state_blocks():
+        assert arr.dtype == np.float32, name
+        # astype rounds to the nearest float32 (ties to even)
+        assert np.array_equal(arr, blocks[name].astype(np.float32)), name
+    assert run(["generate", "--checkpoint", old, "--source-vocab", trained["source"],
+                "--target-vocab", trained["target"], "--from-corpus", trained["corpus"],
+                "--limit", "1", "--beam", "2", "--t-max", "5"]) == 0
+
+
 def test_failed_report_writes_keep_previous_files(demo_dir, tmp_path, monkeypatch):
     cfg = os.path.join(demo_dir, "demo.cfg")
     corpus = str(tmp_path / "corpus.jsonl")

@@ -183,7 +183,7 @@ def aligned(tokens, triples=None, main="dbr:M", with_item=False):
 
 
 def test_uniform_model_perplexity_equals_unmasked_vocab():
-    model = make_model(seed=1, target_extra=7, init_scale=0.0)
+    model = make_model(seed=1, target_extra=7, init_scale=0.0).to_float64()  # exact to 1e-9
     examples = [aligned(["t0", "t1"]), aligned(["t2"])]
     ppx = ev.perplexity(model, examples)
     unmasked = len(model.target_vocab) - 1  # <pad> is masked out

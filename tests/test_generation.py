@@ -91,13 +91,15 @@ def test_beam_log_probs_replayable(rng):
 
 
 def test_beam_monotone_in_width():
+    # a hypothesis scored in live batches of other sizes rounds differently
+    # in float32, hence the relative slack
     for seed in range(8):
         model = make_model(seed=seed, cell="lstm" if seed % 2 else "gru")
         tops = []
         for b in (1, 2, 4, 16):
             hyps = beam_search(ModelScorer(model, [(1, 2, 3)]), b, 4, model.end_index)
             tops.append(hyps[0].log_prob)
-        assert all(b >= a - 1e-12 for a, b in zip(tops, tops[1:])), tops
+        assert all(b >= a - 1e-6 * abs(a) for a, b in zip(tops, tops[1:])), tops
 
 
 class DepthTableScorer(Scorer):

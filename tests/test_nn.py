@@ -2,6 +2,7 @@ import os
 import pathlib
 import struct
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,14 @@ from hypothesis import strategies as st
 from reference_decoder import sum_all
 from reference_encoder import affine, relu
 from triples2text import nn
+
+
+def float64_parameter(name, rows, cols):
+    """A parameter computing in float64, for hand cases at 1e-12 and the
+    gradient check."""
+    p = nn.Parameter(name, rows, cols)
+    nn.to_float64([p], [])
+    return p
 
 
 def test_affine_identity_and_bias():
@@ -155,7 +164,7 @@ def test_rmsprop_zero_gradient_is_fixed_point():
 
 def test_rmsprop_scalar_hand_case():
     # acc = 0.05, step = lr * 1 / sqrt(0.05 + eps)
-    p = nn.Parameter("p", 1, 1)
+    p = float64_parameter("p", 1, 1)
     p.grad[...] = 1.0
     nn.rmsprop_step([p], learning_rate=0.1, l2_coefficient=0.0)
     assert abs(p.rms_acc[0, 0] - 0.05) < 1e-15
@@ -173,7 +182,7 @@ def test_rmsprop_identical_parameters_update_identically():
 
 
 def test_rmsprop_l2_enters_gradient():
-    p = nn.Parameter("p", 1, 1)
+    p = float64_parameter("p", 1, 1)
     p.value[...] = 2.0
     lam = 0.01
     g = 2 * lam * 2.0
@@ -279,7 +288,7 @@ def test_clip_gradients_hand_case():
 
 
 def test_clip_gradients_noop_cases():
-    p = nn.Parameter("p", 1, 2)
+    p = float64_parameter("p", 1, 2)
     p.grad[...] = [[0.1, 0.1]]
     norm = (0.1 * 0.1 + 0.1 * 0.1) ** 0.5
     assert nn.clip_gradients([p], 5.0) == (norm, 1.0)
@@ -289,6 +298,19 @@ def test_clip_gradients_noop_cases():
     p.grad[...] = 0.0
     assert nn.clip_gradients([p], 5.0) == (0.0, 1.0)
     assert nn.clip_gradients([p], None) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("dtype, gap", [(np.float32, 200.0), (np.float32, 120.0),
+                                        (np.float32, 80.0), (np.float64, 800.0)])
+def test_masked_softmax_nll_survives_an_underflowing_target(dtype, gap):
+    # the target's probability exp(-gap) is 0 (or subnormal) in this dtype
+    logits = np.array([[0.0, gap, 0.0], [0.0, 1.0, 2.0]], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nll = nn.masked_softmax_nll(logits, np.array([0, 1]), np.ones(2, dtype), 2)
+    assert nll.dtype == dtype
+    assert nll[0] == pytest.approx(gap, rel=1e-4)
+    assert nll[1] == pytest.approx(np.log1p(np.exp(-1.0)), rel=1e-6)  # -log(e / (1 + e))
 
 
 def test_masked_softmax_nll_masks_and_weights():
@@ -393,7 +415,7 @@ def test_write_blocks_failure_keeps_previous_file(tmp_path):
 
 
 def test_gradient_check_catches_a_broken_gradient():
-    p = nn.Parameter("p", 1, 3)
+    p = float64_parameter("p", 1, 3)
     p.value[...] = [[0.3, -0.2, 0.5]]
     w = nn.leaf(np.array([[1.0, 2.0], [0.5, -3.0], [1.5, 0.25]]))  # p @ w > 0
 

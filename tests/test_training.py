@@ -1,5 +1,7 @@
 import hashlib
+import math
 import os
+import re
 import weakref
 from pathlib import Path
 
@@ -220,7 +222,8 @@ def _without_timing(records):
 @pytest.mark.parametrize("cell", ["gru", "lstm"])
 def test_workspace_reuse_matches_fresh_arrays(cell, tmp_path, monkeypatch):
     # every loan fresh and full of NaN: a read of a stale value would show
-    monkeypatch.setattr(nn.Workspace, "take", lambda self, key, shape: np.full(shape, np.nan))
+    monkeypatch.setattr(nn.Workspace, "take",
+                        lambda self, key, shape, dtype: np.full(shape, np.nan, dtype))
     fresh_records, fresh_model = _workspace_run(cell, tmp_path, "fresh")
     monkeypatch.undo()
     made = []
@@ -231,10 +234,10 @@ def test_workspace_reuse_matches_fresh_arrays(cell, tmp_path, monkeypatch):
             self.rows = []
             made.append(self)
 
-        def take(self, key, shape):
+        def take(self, key, shape, dtype):
             if key == "logits":
                 self.rows.append(shape[0])
-            return super().take(key, shape)
+            return super().take(key, shape, dtype)
 
     monkeypatch.setattr(nn, "Workspace", Recorded)
     records, model = _workspace_run(cell, tmp_path, "reused")
@@ -255,8 +258,8 @@ def test_workspace_does_not_outlive_train(tmp_path, monkeypatch):
             super().__init__()
             alive.append(weakref.ref(self))
 
-        def take(self, key, shape):
-            out = super().take(key, shape)
+        def take(self, key, shape, dtype):
+            out = super().take(key, shape, dtype)
             alive.append(weakref.ref(out.base))
             return out
 
@@ -264,6 +267,55 @@ def test_workspace_does_not_outlive_train(tmp_path, monkeypatch):
     _workspace_run("lstm", tmp_path, "run")
     assert len(alive) > 3
     assert all(ref() is None for ref in alive)
+
+
+@pytest.mark.parametrize("cell", ["gru", "lstm"])
+def test_training_step_and_generation_stay_in_float32(cell, monkeypatch):
+    # a model built as train() builds it; a float64 temporary that leaked
+    # into any of these arrays would widen it
+    examples = ragged_examples(6, (2, 7), seed=3)
+    sv, tv = build_vocabs(examples)
+    cfg = small_config(cell_kind=cell, m=6, batch_size=6)
+    model = Seq2Seq(cfg.model_config(), sv, tv)
+    model.init_parameters(cfg.seed)
+    loans, nodes = [], []
+
+    def kept(op):
+        def run(*args, **kwargs):
+            nodes.append(op(*args, **kwargs))
+            return nodes[-1]
+        return run
+
+    # the encoder's and the recurrence's output nodes, whose gradients
+    # pass between the three recorded ops
+    monkeypatch.setattr(model.encoder, "encode_batch", kept(model.encoder.encode_batch))
+    monkeypatch.setattr(model.decoder, "sequence", kept(model.decoder.sequence))
+
+    class Recorded(nn.Workspace):
+        def take(self, key, shape, dtype):
+            loans.append((key, super().take(key, shape, dtype)))
+            return loans[-1][1]
+
+    params = model.parameters()
+    tape = nn.Tape()
+    cost, _, _ = model.batch_loss(tape, [model.encode_example(ex) for ex in examples],
+                                  training=True, ws=Recorded())
+    tape.backward(cost)
+    nn.clip_gradients(params, 1e-3)  # small enough to scale every gradient
+    nn.rmsprop_step(params, 0.01, l2_coefficient=1e-5)
+    h, c = model.init_generation(model.encode_example(examples[0]).triples)
+    h2, c2 = model.decoder.step(np.array([model.start_index]), h, c)
+    arrays = ([(f"{p.name}.{part}", getattr(p, part))
+               for p in params for part in ("value", "grad", "rms_acc")]
+              + [(name, a) for bn in model.batch_norms() for name, a in bn.state_blocks()]
+              + [(f"loan {key}", a) for key, a in loans]
+              + [(f"node {i} {part}", getattr(node, part))
+                 for i, node in enumerate(nodes[:2]) for part in ("value", "grad")]
+              + [("init_generation h", h), ("step h", h2),
+                 ("log_distribution", model.decoder.log_distribution(h2))]
+              + ([("init_generation c", c), ("step c", c2)] if cell == "lstm" else []))
+    assert {"logits", "hs", "acts"} <= {key for key, _ in loans}
+    assert [name for name, a in arrays if a.dtype != np.float32] == []
 
 
 def test_batch_records_count_minor_faults(tmp_path):
@@ -277,18 +329,28 @@ def test_batch_records_count_minor_faults(tmp_path):
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
+    # float32 values widen to the container's float64 exactly and round
+    # back to themselves
     model = make_model(seed=4, cell="lstm")
     # move the running statistics off their defaults
     model.encoder.bn_out.running_mean[...] = 0.25
+    model.encoder.bn_hidden.running_var[...] = np.random.default_rng(0).uniform(0.5, 2.0, 4)
     path = str(tmp_path / "model.bin")
     model.save(path)
     loaded = Seq2Seq.load(path, model.source_vocab, model.target_vocab)
-    for a, b in zip(model.parameters(), loaded.parameters()):
-        assert a.name == b.name
-        assert np.array_equal(a.value, b.value)
-    assert np.array_equal(loaded.encoder.bn_out.running_mean,
-                          model.encoder.bn_out.running_mean)
+    blocks = model.state_blocks()
+    assert [name for name, _ in loaded.state_blocks()] == [name for name, _ in blocks]
+    for (name, a), (_, b) in zip(blocks, loaded.state_blocks()):
+        assert a.dtype == b.dtype == np.float32, name
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), name
     assert loaded.config == model.config
+
+
+def test_validation_perplexity_overflows_to_inf():
+    class Huge:
+        def corpus_nll(self, examples, max_timestep=None):
+            return 800.0 * 3, 3  # a mean NLL above log(float max)
+    assert training.validation_perplexity(Huge(), []) == math.inf
 
 
 def test_checkpoint_truncated_rejected(tmp_path):
@@ -334,10 +396,11 @@ def test_rare_predicate_triples_discarded_at_encode():
 
 # -- numerics regression -------------------------------------------------------
 
-# Per-batch costs and final parameter norms of two fixed-seed demo runs,
-# recorded before the decoder was cut to one layer. Any rewrite of the
-# decoder or the training step must reproduce them within 1e-9 relative
-# (1e-12 absolute, for norms that are rounding noise around zero).
+# Per-batch costs and final parameter norms of two fixed-seed demo runs
+# in float64, recorded before the decoder was cut to one layer. Any
+# rewrite of the decoder or the training step must reproduce them within
+# 1e-9 relative (1e-12 absolute, for norms that are rounding noise around
+# zero) on a float64 model.
 PINNED_RUNS = {
     "gru": (
         [
@@ -399,8 +462,10 @@ PINNED_RUNS = {
 }
 
 
-def _pinned_run(cell, tmp_path):
-    """Per-batch costs and the trained model of a small fixed-seed demo run."""
+def _pinned_run(cell, tmp_path, float64):
+    """The training log records and the trained model of a small
+    fixed-seed demo run: in float32, or with ``float64`` on a model recast
+    before its initialisation and passed to ``training.train``."""
     paths = demo_corpus(7, 30, str(tmp_path))
     articles = pipeline.read_articles(paths["triples"], paths["summaries"])
     examples, stats, _ = pipeline.build_corpus(
@@ -410,16 +475,24 @@ def _pinned_run(cell, tmp_path):
     cfg = TrainConfig(batch_size=5, max_timestep=30, epochs=3, seed=4, cell_kind=cell,
                       m=8, e_max=stats.e_max, learning_rate=0.01, decay_start_epoch=1,
                       patience=None)
+    model = Seq2Seq(cfg.model_config(), source, target)
+    if float64:
+        model.to_float64()
+    model.init_parameters(cfg.seed)
     out = str(tmp_path / "run")
-    model, _ = training.train(examples[:25], examples[25:], cfg, source, target, out_dir=out)
-    costs = [r["cost"] for r in read_jsonl(os.path.join(out, "train_log.jsonl"))
-             if r["type"] == "batch"]
-    return costs, model
+    model, _ = training.train(examples[:25], examples[25:], cfg, source, target, out_dir=out,
+                              model=model)
+    return read_jsonl(os.path.join(out, "train_log.jsonl")), model
+
+
+def logged(records, kind, key):
+    return [r[key] for r in records if r["type"] == kind]
 
 
 @pytest.mark.parametrize("cell", sorted(PINNED_RUNS))
 def test_fixed_seed_run_matches_pinned_numerics(cell, tmp_path):
-    costs, model = _pinned_run(cell, tmp_path)
+    records, model = _pinned_run(cell, tmp_path, float64=True)
+    costs = logged(records, "batch", "cost")
     norms = {p.name: float(np.linalg.norm(p.value)) for p in model.parameters()}
     want_costs, want_norms = PINNED_RUNS[cell]
     assert costs == pytest.approx(want_costs, rel=1e-9)
@@ -427,11 +500,19 @@ def test_fixed_seed_run_matches_pinned_numerics(cell, tmp_path):
 
 
 # SHA-256 of the same runs' per-batch costs (float64 bytes) followed by
-# every checkpoint block (name, then float64 bytes), recorded before the
-# encoder became one fused op. Unlike PINNED_RUNS this allows no drift at all.
+# every checkpoint block (name, then float64 bytes), recorded in float64
+# before the encoder became one fused op. Unlike PINNED_RUNS this allows
+# no drift at all.
 PINNED_DIGESTS = {
     "gru": "7ffafc12c50170253e44aa1217b79207792a69237882fda29993a382cabd90c7",
     "lstm": "474aaab0b90d0d9cfc4dfdede2f2d20e04b128a7ee1859baba04b15b98c4946f",
+}
+
+# The same digests of the same runs in float32, recorded when training
+# moved to float32.
+PINNED_DIGESTS_FLOAT32 = {
+    "gru": "4505b71fbb7527ac6c887c38dc5252c8ce0dc9024b7e402faff9d65f72eed1c9",
+    "lstm": "1336325f50ad48d2fadf4460d113876baa86c59a4a756cb8d76979916a099c8d",
 }
 
 
@@ -443,6 +524,37 @@ def run_digest(costs, model) -> str:
     return h.hexdigest()
 
 
+def run_of(cell, tmp_path, float64):
+    records, model = _pinned_run(cell, tmp_path, float64)
+    return logged(records, "batch", "cost"), model
+
+
 @pytest.mark.parametrize("cell", sorted(PINNED_DIGESTS))
 def test_fixed_seed_run_is_bit_identical(cell, tmp_path):
-    assert run_digest(*_pinned_run(cell, tmp_path)) == PINNED_DIGESTS[cell]
+    assert run_digest(*run_of(cell, tmp_path, float64=True)) == PINNED_DIGESTS[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_DIGESTS_FLOAT32))
+def test_fixed_seed_float32_run_is_bit_identical(cell, tmp_path):
+    assert run_digest(*run_of(cell, tmp_path, float64=False)) == PINNED_DIGESTS_FLOAT32[cell]
+
+
+def drift_tolerances() -> dict[str, float]:
+    """The relative drift README.md allows between float32 and float64 runs."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| (per-[a-z -]+) \| ([0-9.e-]+) \|$",
+                      readme.read_text(encoding="utf-8"), re.M)
+    return {name: float(tol) for name, tol in rows}
+
+
+@pytest.mark.parametrize("cell", sorted(PINNED_RUNS))
+def test_float32_run_drifts_from_float64_within_the_stated_tolerances(cell, tmp_path):
+    tol = drift_tolerances()
+    assert sorted(tol) == ["per-batch training cost", "per-epoch validation perplexity"]
+    narrow, _ = _pinned_run(cell, tmp_path / "float32", float64=False)
+    wide, _ = _pinned_run(cell, tmp_path / "float64", float64=True)
+    for kind, key, name in (("batch", "cost", "per-batch training cost"),
+                            ("epoch", "validation_perplexity", "per-epoch validation perplexity")):
+        got, want = logged(narrow, kind, key), logged(wide, kind, key)
+        assert len(got) == len(want) and got != want  # the two runs took different bits
+        assert got == pytest.approx(want, rel=tol[name]), name
